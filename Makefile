@@ -14,7 +14,8 @@
 # fault-injection pass against the serving stack (deadline, warm-path
 # and recovery invariants); `make perf-smoke` pins the hot-path floor
 # (auto-strategy rewritings byte-identical to sequential on the running
-# example, flat canonical-key kernel never slower than the reference).
+# example, flat canonical-key kernel never slower than the reference,
+# coverage-memo chain searches on P5 under a pinned ceiling).
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest
@@ -86,8 +87,11 @@ chaos-smoke:
 
 # Perf gate (seconds, not minutes): strategy="auto" must produce
 # byte-identical rewritings to the sequential baseline on the paper's
-# running example, and the tuple-encoded canonical-key kernel must not be
-# slower than the object-walking reference it replaced.  The exhaustive
+# running example, the tuple-encoded canonical-key kernel must not be
+# slower than the object-walking reference it replaced, and a TGD-rewrite*
+# compile of P5 must give the same members with memoisation on and off
+# while the memoised engine stays under a pinned count of coverage chain
+# searches (a work counter, not a timing).  The exhaustive
 # hot-path benchmark (all Table 1 workloads + generated triples,
 # homomorphism and MGU paths, the autotuner epsilon invariant) is
 # benchmarks/bench_hotpaths.py under `make bench-json`.

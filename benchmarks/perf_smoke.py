@@ -1,20 +1,26 @@
 """The ``make perf-smoke`` gate: the hot-path rewrite must never regress.
 
-Two hard checks, both on the paper's running example (StockExchange,
-Section 2), cheap enough to gate every CI run:
+Three hard checks, cheap enough to gate every CI run:
 
-1. **Autotuner byte-identity** — compiling the running query and every
-   Figure 1 query under ``strategy="auto"`` must produce exactly the
-   rewriting the sequential baseline produces: same sizes, same
-   canonical keys, same members in the same order.
+1. **Autotuner byte-identity** — compiling the paper's running example
+   (StockExchange, Section 2) and every Figure 1 query under
+   ``strategy="auto"`` must produce exactly the rewriting the sequential
+   baseline produces: same sizes, same canonical keys, same members in
+   the same order.
 2. **Flat-kernel speedup floor** — WL canonical-key computation via the
    tuple-encoded kernel (:func:`repro.logic.canonical.canonical_fingerprint`)
    must not be slower than the object-walking reference on the harvested
    rewriting corpus (best-of-5 timing; floor 1.0×).
+3. **Coverage-memo work ceiling** — compiling the P5 workload under
+   ``TGD-rewrite*`` with memoisation on and off must produce identical
+   members, and the memoised engine must run at most
+   :data:`COVERAGE_SEARCH_CEILING` coverage chain searches (memo misses).
+   A counter, not a timing, so the check is exact on any host.
 
-The exhaustive version of both checks — all five Table 1 ontologies,
-generated fuzzing triples, homomorphism and MGU paths, the epsilon
-invariant — lives in ``benchmarks/bench_hotpaths.py`` (``make bench-json``).
+The exhaustive version of the first two checks — all five Table 1
+ontologies, generated fuzzing triples, homomorphism and MGU paths, the
+epsilon invariant — lives in ``benchmarks/bench_hotpaths.py``
+(``make bench-json``).
 
 The script is import-safe for test collectors; it only runs under
 ``python benchmarks/perf_smoke.py``.
@@ -35,6 +41,7 @@ from repro.logic.canonical import (  # noqa: E402
     canonical_fingerprint,
     canonical_fingerprint_reference,
 )
+from repro.workloads import get_workload  # noqa: E402
 from repro.workloads.stock_exchange_example import (  # noqa: E402
     figure1_queries,
     running_query,
@@ -43,6 +50,10 @@ from repro.workloads.stock_exchange_example import (  # noqa: E402
 
 REPEATS = 5
 SPEEDUP_FLOOR = 1.0
+#: Coverage chain searches of a memoised TGD-rewrite* compile of P5: one
+#: per distinct pair shape the reachability table lets through (22 when
+#: pinned; the unmemoised engine runs 1118).
+COVERAGE_SEARCH_CEILING = 22
 
 
 def _best_of(function, repeats: int = REPEATS) -> float:
@@ -52,6 +63,42 @@ def _best_of(function, repeats: int = REPEATS) -> float:
         function()
         best = min(best, time.perf_counter() - started)
     return best
+
+
+def coverage_memo_check() -> bool:
+    """Check 3: memo on and off agree on P5, within the chain-search ceiling."""
+    workload = get_workload("P5")
+    engines = {
+        memoise: TGDRewriter(
+            workload.theory.tgds, use_elimination=True, use_memoisation=memoise
+        )
+        for memoise in (True, False)
+    }
+    identical = True
+    for name in workload.query_names:
+        query = workload.query(name)
+        memoised, plain = (engines[memoise].rewrite(query) for memoise in (True, False))
+        if memoised.ucq.queries != plain.ucq.queries:
+            print(f"P5/{name}: TGD-rewrite* members differ with memoisation on and off")
+            identical = False
+    searches = {
+        memoise: engine.eliminator.checker.chain_searches
+        for memoise, engine in engines.items()
+    }
+    print(
+        f"coverage chain searches on P5: memo on {searches[True]}, "
+        f"off {searches[False]} (ceiling {COVERAGE_SEARCH_CEILING})"
+    )
+    if searches[True] > COVERAGE_SEARCH_CEILING:
+        print(
+            f"error: {searches[True]} coverage chain searches exceed the "
+            f"ceiling of {COVERAGE_SEARCH_CEILING}",
+            file=sys.stderr,
+        )
+        return False
+    if not identical:
+        print("error: the coverage memo changed a rewriting", file=sys.stderr)
+    return identical
 
 
 def main() -> int:
@@ -117,9 +164,11 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
+    if not coverage_memo_check():
+        return 1
     print(
         "# perf smoke: auto byte-identical with sequential; flat canonical "
-        f"kernel {speedup:.2f}x"
+        f"kernel {speedup:.2f}x; coverage memo within its search ceiling"
     )
     return 0
 

@@ -15,9 +15,9 @@ Compilation is served through three cache layers, checked in order:
    :class:`repro.cache.store.RewritingStore` keyed by ``(canonical query
    key, theory fingerprint)`` that survives process restarts and is shared
    by every system compiled against an equal theory;
-3. the rewriting engine itself, whose rename-apart and applicability memos
-   persist across queries, so a whole workload compiled through
-   :meth:`OBDASystem.compile_many` shares the interning, memo and
+3. the rewriting engine itself, whose rename-apart, applicability and
+   coverage memos persist across queries, so a whole workload compiled
+   through :meth:`OBDASystem.compile_many` shares the interning, memo and
    persistent layers in one pass.
 
 *Answering* follows a prepare/execute lifecycle mirroring a database

@@ -18,7 +18,7 @@ Both are stated for a *normalised* TGD: single head atom, at most one
 existential variable occurring once, so ``πσ`` is well defined.
 
 Because the rewriter re-asks the same applicability questions for hundreds
-of structurally similar CQs, this module also houses the engine's two memo
+of structurally similar CQs, this module also houses the engine's memo
 layers (shared across every query of a workload run):
 
 * :class:`RuleIndex` — the head-predicate index that keeps non-candidate
@@ -29,6 +29,9 @@ layers (shared across every query of a workload run):
 * :class:`ApplicabilityMemo` — a per-``(rule, atom-set shape)`` outcome
   table that makes repeated Definition 1 checks (including their MGU
   attempts) a single dictionary lookup.
+
+The shape is :func:`shape_key`, which the coverage memo of
+:class:`repro.core.coverage.CoverageChecker` shares.
 """
 
 from __future__ import annotations
@@ -39,7 +42,12 @@ from typing import Iterable, Iterator, Sequence
 from ..logic.atoms import Atom, Predicate, atoms_predicates
 from ..logic.substitution import Substitution
 from ..logic.terms import Variable, is_constant, is_variable
-from ..logic.unification import UnificationMemo, atom_sequence_profile, mgu
+from ..logic.unification import (
+    AtomProfile,
+    UnificationMemo,
+    atom_sequence_profile,
+    mgu,
+)
 from ..dependencies.tgd import TGD
 from ..queries.conjunctive_query import ConjunctiveQuery
 
@@ -169,6 +177,23 @@ class RenameApartCache:
 
         return rule.refresh(VariableFactory(prefix=f"W{rule_key}_{position}_"))
 
+    @classmethod
+    def unpooled(
+        cls, rule_key: object, rule: TGD, avoid: frozenset[Variable]
+    ) -> TGD:
+        """The copy :meth:`rename` serves, minted afresh instead of pooled.
+
+        :meth:`rename` serves the first copy, in minting order, whose
+        variables avoid *avoid*; this mints copies in that order until one
+        does, so an engine without the pool renames to the same bytes.
+        """
+        position = 0
+        while True:
+            copy = cls._mint(rule_key, rule, position)
+            if (copy.body_variables | copy.head_variables).isdisjoint(avoid):
+                return copy
+            position += 1
+
     def rename(
         self, rule_key: object, rule: TGD, avoid: frozenset[Variable], factory=None
     ) -> TGD:
@@ -195,23 +220,52 @@ class RenameApartCache:
                     return refreshed
 
 
+def shape_key(
+    atoms: Sequence[Atom],
+    query: ConjunctiveQuery,
+    kept_constants: frozenset | None = None,
+) -> AtomProfile:
+    """The renaming-invariant shape of *atoms* inside *query*: the engine's memo key.
+
+    :func:`repro.logic.unification.atom_sequence_profile` with the query's
+    shared variables marked and only *kept_constants* — the constants the
+    rule set mentions — kept by value; every other constant is kept by
+    identity only.  Definition 1 and Definition 5 look at a query's atoms
+    only through their predicates, their variable-equality pattern, which
+    of their variables are shared, and which of their constants are equal
+    to each other or to a rule constant — so equal keys imply equal
+    outcomes.  As the rule set fixes the kept constants, there are
+    finitely many keys of each length over the rules' predicates, however
+    many distinct constants the queries bring.  ``None`` keeps every
+    constant by value.
+    """
+    return atom_sequence_profile(
+        atoms, marked=query.shared_variables, kept_constants=kept_constants
+    )
+
+
 class ApplicabilityMemo:
     """Memoised Definition 1 checks, keyed by ``(rule, atom-set shape)``.
 
     The outcome of :func:`is_applicable` depends only on the rule (up to
-    renaming) and on the *shape* of the candidate atom set: its
-    predicates, its variable-equality pattern, its constants, and which of
-    its variables are shared in the surrounding query.  All of that is
-    captured by :func:`repro.logic.unification.atom_sequence_profile` with
-    the query's shared variables as the marked set — so the boolean can be
-    cached across every query of a run, and the MGU attempt inside the
-    check runs once per shape instead of once per query.
+    renaming) and on the *shape* of the candidate atom set (:func:`shape_key`):
+    its predicates, its variable-equality pattern, which of its variables
+    are shared in the surrounding query, and its constants — by value if
+    the rule set mentions them, by identity otherwise.  So the boolean can
+    be cached across every query of a run, and the MGU attempt inside the
+    check runs once per shape instead of once per query.  *kept_constants*
+    must contain every constant of the rules checked through the memo
+    (``None``, the default, keeps every constant by value).
+
+    Outcomes are pure, so the memo is shared by concurrent expansions
+    without a lock: a race can only compute an entry twice.
     """
 
-    __slots__ = ("_memo",)
+    __slots__ = ("_memo", "_kept_constants")
 
-    def __init__(self) -> None:
+    def __init__(self, kept_constants: frozenset | None = None) -> None:
         self._memo = UnificationMemo()
+        self._kept_constants = kept_constants
 
     def __len__(self) -> int:
         return len(self._memo)
@@ -240,7 +294,7 @@ class ApplicabilityMemo:
         (the rewriter passes the rule's position in its rule tuple and a
         copy from the :class:`RenameApartCache`).
         """
-        profile = atom_sequence_profile(atoms, marked=query.shared_variables)
+        profile = shape_key(atoms, query, self._kept_constants)
         return self._memo.lookup(
             (rule_key, profile), lambda: is_applicable(rule, atoms, query)
         )

@@ -26,19 +26,29 @@ and — when ``b`` has no shared terms at all — we still require *some* chain
 from ``pred(a)`` to ``pred(b)``, since otherwise the definition would be
 vacuously true and eliminate atoms of unrelated predicates.  Both choices are
 documented in DESIGN.md and covered by unit tests.
+
+**Cost.**  The paper treats the per-pair check as constant time for a fixed
+Σ; :class:`CoverageChecker` makes it so in practice.  A reachability table
+between predicates rejects most pairs outright, and the chain search's
+result is memoised by the pair's shape (:func:`repro.core.applicability.shape_key`),
+of which a fixed Σ has finitely many — so a whole workload runs a few
+dozen searches per ontology instead of one per pair.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from ..logic.atoms import Atom, Position
+from ..logic.atoms import Atom, Position, Predicate
 from ..logic.terms import Term, is_constant
-from ..dependencies.tgd import TGD
+from ..logic.unification import UnificationMemo
+from ..dependencies.tgd import TGD, schema_constants
 from ..dependencies.classifiers import is_linear
 from ..queries.conjunctive_query import ConjunctiveQuery
+from .applicability import shape_key
 from .dependency_graph import DependencyGraph
 from .equality_types import eq_subset, equality_type
 
@@ -55,13 +65,32 @@ class CoverageWitness:
 class CoverageChecker:
     """Decides the coverage relation ``≺`` for a fixed set of linear TGDs.
 
-    The dependency graph and per-rule equality types are computed once; each
-    ``covers(a, b, query)`` call then performs a breadth-first search over
-    chain states, which is polynomial for a fixed rule set (the paper treats
-    the rule set as fixed and calls the per-pair check constant-time).
+    Built once per rule set, the checker holds the dependency graph and a
+    reachability table: for each predicate, the predicates that some rule
+    chain starting there can reach.  Both are built on first use, so a
+    checker that is never asked costs its engine nothing.  ``covers(a, b,
+    query)`` rejects a pair with no search when ``pred(b)`` is not
+    reachable from ``pred(a)`` or condition (i) fails; otherwise it needs
+    a breadth-first search over chain states, polynomial for a fixed rule
+    set.
+
+    With *memoise* (the default) the search result is kept for the
+    checker's lifetime, keyed by the pair's renaming-invariant shape
+    (:func:`repro.core.applicability.shape_key` over ``(a, b)``, with the
+    rules' constants kept by value): the chain depends on nothing else, and
+    a fixed rule set has finitely many shapes, so after the first pair of
+    each shape the check is a dictionary lookup — the constant-time
+    per-pair check the paper assumes.  The memo's outcomes are pure, so it
+    is shared by concurrent callers without a lock (a race only computes
+    an entry twice).  ``chain_searches`` counts the searches actually run.
     """
 
-    def __init__(self, rules: Sequence[TGD], max_states: int = 100_000) -> None:
+    def __init__(
+        self,
+        rules: Sequence[TGD],
+        max_states: int = 100_000,
+        memoise: bool = True,
+    ) -> None:
         rules = list(rules)
         if not is_linear(rules):
             raise ValueError(
@@ -71,18 +100,33 @@ class CoverageChecker:
             if not rule.is_normalized:
                 raise ValueError(f"rule {rule!r} must be normalised first")
         self._rules = tuple(rules)
-        self._graph = DependencyGraph(rules)
         self._max_states = max_states
+        self._constants = schema_constants(self._rules)
+        self._memo = UnificationMemo() if memoise else None
+        self.chain_searches = 0
 
-    @property
+    @cached_property
     def graph(self) -> DependencyGraph:
         """The dependency graph of the rule set."""
-        return self._graph
+        return DependencyGraph(self._rules)
+
+    @cached_property
+    def _reachable(self) -> dict[Predicate, frozenset[Predicate]]:
+        return _reachability(self._rules)
 
     @property
     def rules(self) -> tuple[TGD, ...]:
         """The rule set."""
         return self._rules
+
+    @property
+    def memo(self) -> UnificationMemo | None:
+        """The chain memo (``None`` when memoisation is off)."""
+        return self._memo
+
+    def reaches(self, source: Predicate, target: Predicate) -> bool:
+        """``True`` iff some rule chain leads from *source* to *target*."""
+        return target in self._reachable.get(source, ())
 
     # -- the coverage relation ---------------------------------------------------
 
@@ -93,7 +137,7 @@ class CoverageChecker:
 
         *source* and *target* must be distinct atoms of ``body(query)``.
         """
-        if source == target:
+        if source == target or not self.reaches(source.predicate, target.predicate):
             return None
         shared_terms = self._relevant_terms(target, query)
         # Condition (i): every shared term of the target occurs in the source.
@@ -101,7 +145,13 @@ class CoverageChecker:
         for term in shared_terms:
             if term not in source_terms:
                 return None
-        chain = self._find_chain(source, target, shared_terms)
+        if self._memo is None:
+            chain = self._find_chain(source, target, shared_terms)
+        else:
+            chain = self._memo.lookup(
+                shape_key((source, target), query, self._constants),
+                lambda: self._find_chain(source, target, shared_terms),
+            )
         if chain is None:
             return None
         return CoverageWitness(source, target, chain)
@@ -138,6 +188,7 @@ class CoverageChecker:
         self, source: Atom, target: Atom, shared_terms: Sequence[Term]
     ) -> tuple[TGD, ...] | None:
         """Breadth-first search for a common TGD chain witnessing condition (ii)."""
+        self.chain_searches += 1
         target_positions: dict[Term, frozenset[Position]] = {
             term: target.positions_of(term) for term in shared_terms
         }
@@ -165,7 +216,7 @@ class CoverageChecker:
             if not equality_type(body_atom).is_subset_of(source_eq):
                 continue
             reachable = {
-                term: self._graph.successors(start_positions[term], rule)
+                term: self.graph.successors(start_positions[term], rule)
                 for term in shared_terms
             }
             state_key = (rule, tuple(reachable[t] for t in shared_terms))
@@ -190,7 +241,7 @@ class CoverageChecker:
                 if not eq_subset(body_atom, head_atom):
                     continue
                 next_reachable = {
-                    term: self._graph.successors(reachable[term], rule)
+                    term: self.graph.successors(reachable[term], rule)
                     for term in shared_terms
                 }
                 if shared_terms and any(not next_reachable[t] for t in shared_terms):
@@ -207,6 +258,24 @@ class CoverageChecker:
                     return next_chain
                 queue.append((rule, next_reachable, next_chain))
         return None
+
+
+def _reachability(rules: Sequence[TGD]) -> dict[Predicate, frozenset[Predicate]]:
+    """For each body predicate, the head predicates of the rule chains starting there."""
+    successors: dict[Predicate, set[Predicate]] = {}
+    for rule in rules:
+        successors.setdefault(rule.body[0].predicate, set()).add(rule.head[0].predicate)
+    reachable: dict[Predicate, frozenset[Predicate]] = {}
+    for start in successors:
+        seen: set[Predicate] = set()
+        pending = list(successors[start])
+        while pending:
+            predicate = pending.pop()
+            if predicate not in seen:
+                seen.add(predicate)
+                pending.extend(successors.get(predicate, ()))
+        reachable[start] = frozenset(seen)
+    return reachable
 
 
 def covers(

@@ -64,7 +64,9 @@ class QueryEliminator:
         Lemma 9 every strategy removes the same number of atoms.
         """
         order = tuple(strategy) if strategy is not None else tuple(query.body)
-        if set(order) != set(query.body):
+        # The body holds no duplicates, so equal length and equal sets make
+        # a permutation; the set test alone would accept a repeated atom.
+        if len(order) != len(query.body) or set(order) != query.body_set:
             raise ValueError("the elimination strategy must be a permutation of the body")
         cover = {
             atom: set(self._checker.cover_set(atom, query)) for atom in query.body

@@ -24,12 +24,15 @@ Termination is guaranteed for linear, sticky and sticky-join TGDs
 
 A :class:`TGDRewriter` is a *compilation engine*, built once per theory and
 reused across queries: the head-predicate :class:`RuleIndex`, the
-:class:`~repro.core.applicability.RenameApartCache` and the
-:class:`~repro.core.applicability.ApplicabilityMemo` all live on the
-rewriter instance and keep learning across calls, so compiling a workload
-through one rewriter (:meth:`repro.api.OBDASystem.compile_many`) is faster
-than compiling each query in a fresh engine.  Every run's
-:class:`RewritingStatistics` reports the per-run share of that memo work.
+:class:`~repro.core.applicability.RenameApartCache`, the
+:class:`~repro.core.applicability.ApplicabilityMemo` and (for
+``TGD-rewrite*``) the coverage memo of the
+:class:`~repro.core.coverage.CoverageChecker` all live on the rewriter
+instance and keep learning across calls, so compiling a workload through
+one rewriter (:meth:`repro.api.OBDASystem.compile_many`) is faster than
+compiling each query in a fresh engine.  Every run's
+:class:`RewritingStatistics` reports the per-run share of the rename and
+applicability memo work.
 
 Structurally, :meth:`TGDRewriter.rewrite` is a *frontier kernel* (see
 :mod:`repro.core.frontier`): the worklist is an explicit
@@ -53,12 +56,11 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..logic.atoms import Atom
-from ..logic.terms import VariableFactory
 from ..logic.unification import mgu
 from ..dependencies.classifiers import is_linear
 from ..dependencies.constraints import NegativeConstraint
 from ..dependencies.normalization import is_normalized, normalize
-from ..dependencies.tgd import TGD
+from ..dependencies.tgd import TGD, schema_constants
 from ..dependencies.theory import OntologyTheory
 from ..queries.conjunctive_query import ConjunctiveQuery
 from ..queries.ucq import QuerySet, UnionOfConjunctiveQueries
@@ -69,6 +71,7 @@ from .applicability import (
     applicable_atom_sets,
     factorizable_sets,
 )
+from .coverage import CoverageChecker
 from .elimination import QueryEliminator
 from .frontier import (
     LABEL_FACTORIZATION,
@@ -218,10 +221,14 @@ class TGDRewriter:
         Budget on the number of distinct CQs generated; exceeding it raises
         :class:`RewritingBudgetExceeded`.
     use_memoisation:
-        Keep per-rule rename-apart pools and applicability outcomes across
-        the whole lifetime of the rewriter (default).  Disabling it
-        reproduces the unmemoised engine — useful for differential testing;
-        the computed rewritings are identical either way.
+        Keep per-rule rename-apart pools, applicability outcomes and (with
+        elimination) atom-coverage chains across the whole lifetime of the
+        rewriter (default).  Both outcome memos are keyed by the shape of
+        the atoms checked (:func:`~repro.core.applicability.shape_key`):
+        neither grows with constants the rules do not mention, and the
+        coverage memo is finite for a fixed theory.  Disabling it
+        reproduces the unmemoised engine — useful for differential
+        testing; the computed rewritings are identical either way.
     strategy:
         The :class:`~repro.scheduling.SchedulingStrategy` used to expand
         frontier generations (a registered name or an instance); default
@@ -257,7 +264,9 @@ class TGDRewriter:
         # id() is safe as the tuple keeps every rule alive.
         self._rule_keys = {id(rule): position for position, rule in enumerate(self._rules)}
         self._rename_cache = RenameApartCache() if use_memoisation else None
-        self._applicability_memo = ApplicabilityMemo() if use_memoisation else None
+        self._applicability_memo = (
+            ApplicabilityMemo(schema_constants(self._rules)) if use_memoisation else None
+        )
         # Auxiliary predicates introduced by the internal normalisation are
         # not part of the caller's schema: no database ever stores facts for
         # them, so rewritten CQs mentioning them are dropped from the output.
@@ -278,7 +287,9 @@ class TGDRewriter:
                 raise ValueError(
                     "query elimination (TGD-rewrite*) requires linear TGDs"
                 )
-            self._eliminator = QueryEliminator(self._rules)
+            self._eliminator = QueryEliminator(
+                self._rules, CoverageChecker(self._rules, memoise=use_memoisation)
+            )
 
     # -- public API ------------------------------------------------------------------
 
@@ -299,8 +310,18 @@ class TGDRewriter:
 
     @property
     def uses_memoisation(self) -> bool:
-        """``True`` iff the rename-apart pool and applicability memo are active."""
+        """``True`` iff the engine-lifetime memo layers are active."""
         return self._applicability_memo is not None
+
+    @property
+    def applicability_memo(self) -> ApplicabilityMemo | None:
+        """The engine's applicability memo (``None`` without memoisation)."""
+        return self._applicability_memo
+
+    @property
+    def eliminator(self) -> QueryEliminator | None:
+        """The query eliminator of ``TGD-rewrite*`` (``None`` without elimination)."""
+        return self._eliminator
 
     @property
     def negative_constraints(self) -> tuple[NegativeConstraint, ...]:
@@ -366,8 +387,8 @@ class TGDRewriter:
         """Compute the perfect rewriting of *query* w.r.t. the rewriter's rules.
 
         The result is a pure function of ``(rules, options, query)``: the
-        rename-apart pool mints deterministically and per-expansion fresh
-        variables never leak across queries, so a warmed-up engine produces
+        rename-apart pool mints deterministically and every memo returns
+        what a fresh computation would, so a warmed-up engine produces
         the same bytes as a fresh one — the invariant that lets
         :func:`repro.parallel.compile_workloads` fan queries out to worker
         processes without changing what gets stored.
@@ -477,21 +498,17 @@ class TGDRewriter:
         statistics.unification_memo_hits = after[2] - snapshot[2]
         statistics.unification_memo_misses = after[3] - snapshot[3]
 
-    def _rename_apart(
-        self, rule: TGD, query: ConjunctiveQuery, fresh: VariableFactory
-    ) -> TGD:
-        """A copy of *rule* with variables disjoint from *query*'s (memoised).
+    def _rename_apart(self, rule: TGD, query: ConjunctiveQuery) -> TGD:
+        """A copy of *rule* with variables disjoint from *query*'s.
 
-        *fresh* is the expansion-local factory used on the unmemoised
-        path; keeping it per expansion (instead of per run) makes the
-        drawn names a function of the query alone, so expansions stay pure
-        under every scheduling strategy.
+        Served from the rename-apart pool, or minted afresh without
+        memoisation — the same copy either way, so the two engines write
+        the same bytes.
         """
+        rule_key = self._rule_keys[id(rule)]
         if self._rename_cache is None:
-            return rule.rename_apart(query.variables, fresh)
-        return self._rename_cache.rename(
-            self._rule_keys[id(rule)], rule, query.variables, fresh
-        )
+            return RenameApartCache.unpooled(rule_key, rule, query.variables)
+        return self._rename_cache.rename(rule_key, rule, query.variables)
 
     def _mentions_internal(self, query: ConjunctiveQuery) -> bool:
         """``True`` iff the query uses an auxiliary predicate of the normalisation."""
@@ -517,9 +534,6 @@ class TGDRewriter:
         """
         candidate_rules = self._rule_index.candidate_rules(query)
         candidates: list[CandidateQuery] = []
-        # Expansion-local fresh variables (unmemoised rename path only):
-        # the names drawn for one query never depend on other expansions.
-        fresh = VariableFactory(prefix="W")
 
         for rule in candidate_rules:
             for factorizable in factorizable_sets(rule, query):
@@ -528,7 +542,7 @@ class TGDRewriter:
                 )
 
         for rule in candidate_rules:
-            renamed = self._rename_apart(rule, query, fresh)
+            renamed = self._rename_apart(rule, query)
             for atom_set in applicable_atom_sets(
                 renamed,
                 query,

@@ -219,6 +219,14 @@ def schema_predicates(tgds: Iterable[TGD]) -> frozenset[Predicate]:
     return frozenset(result)
 
 
+def schema_constants(tgds: Iterable[TGD]) -> frozenset[Constant]:
+    """All constants mentioned by a set of TGDs."""
+    result: set[Constant] = set()
+    for rule in tgds:
+        result.update(rule.constants)
+    return frozenset(result)
+
+
 def schema_positions(tgds: Iterable[TGD]) -> frozenset[Position]:
     """All positions of the schema induced by a set of TGDs."""
     positions: set[Position] = set()

@@ -150,7 +150,9 @@ AtomProfile = tuple
 
 
 def atom_sequence_profile(
-    atoms: Sequence[Atom], marked: AbstractSet[Term] = frozenset()
+    atoms: Sequence[Atom],
+    marked: AbstractSet[Term] = frozenset(),
+    kept_constants: AbstractSet[Term] | None = None,
 ) -> AtomProfile:
     """A renaming-invariant, order-sensitive shape key for *atoms*.
 
@@ -167,8 +169,19 @@ def atom_sequence_profile(
     condition of Definition 1 marks the query's shared variables, making
     the profile a sound memo key for the whole check, not only the MGU
     attempt (see :class:`repro.core.applicability.ApplicabilityMemo`).
+
+    With *kept_constants* given, only the constants in that set keep their
+    value; every other constant is replaced by its first-occurrence index
+    among such constants, so the profile is also invariant under a
+    bijective renaming of those constants.  A question that compares the
+    sequence's constants only with each other and with the constants of
+    a rule set — unification against a rule head, equality types along a
+    rule chain — cannot tell such constants apart, so passing the rules'
+    constants keeps the key sound while bounding the number of distinct
+    keys for a fixed rule set (see :func:`repro.core.applicability.shape_key`).
     """
     indices: dict[Term, int] = {}
+    constant_indices: dict[Term, int] = {}
     rows = []
     for atom in atoms:
         labels = []
@@ -176,8 +189,15 @@ def atom_sequence_profile(
             if is_variable(term):
                 index = indices.setdefault(term, len(indices))
                 labels.append((1, index, term in marked))
-            else:
+            elif (
+                kept_constants is None
+                or term in kept_constants
+                or not is_constant(term)
+            ):
                 labels.append((0, repr(term)))
+            else:
+                index = constant_indices.setdefault(term, len(constant_indices))
+                labels.append((2, index))
         rows.append((atom.name, atom.arity, tuple(labels)))
     return tuple(rows)
 

@@ -141,12 +141,12 @@ class ThreadedStrategy(SchedulingStrategy):
     Expansion is pure CPU work on small structures, so threads only help
     on GIL-free interpreters; the strategy's day job is differential
     testing — it shares the *same* engine (rule index, rename-apart pool,
-    applicability memo) across threads, so any hidden order-dependence in
-    the kernel would surface as a byte difference against
-    :class:`SequentialStrategy`.  The engine's memo layers are safe to
-    share: the rename-apart pool takes a lock around minting, and the
-    applicability memo's entries are deterministic values keyed by
-    renaming-invariant profiles (a racing double-compute stores the same
+    applicability and coverage memos) across threads, so any hidden
+    order-dependence in the kernel would surface as a byte difference
+    against :class:`SequentialStrategy`.  The engine's memo layers are
+    safe to share: the rename-apart pool takes a lock around minting, and
+    the two outcome memos' entries are deterministic values keyed by
+    renaming-invariant shapes (a racing double-compute stores the same
     outcome; only the volatile hit/miss counters can drift).
 
     The pool is created lazily and reused across generations; ``close()``

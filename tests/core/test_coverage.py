@@ -1,5 +1,8 @@
 """Tests for atom coverage (Definition 5, Examples 7 and 8)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.coverage import CoverageChecker, covers
@@ -9,7 +12,8 @@ from repro.dependencies.normalization import normalize
 from repro.dependencies.tgd import TGD, tgd
 from repro.queries.conjunctive_query import ConjunctiveQuery
 from repro.workloads.paper_examples import example6_rules, example7_query, example8_query
-from repro.workloads import stock_exchange_example
+from repro.workloads import get_workload, stock_exchange_example
+from repro.core.rewriter import TGDRewriter
 
 A, B, C, D = Variable("A"), Variable("B"), Variable("C"), Variable("D")
 X, Y, Z, W = Variable("X"), Variable("Y"), Variable("Z"), Variable("W")
@@ -162,3 +166,149 @@ class TestCheckerValidation:
         rule = tgd(Atom.of("p", X), Atom.of("r", X, Y, Z))
         with pytest.raises(ValueError):
             CoverageChecker([rule])
+
+
+class TestReachability:
+    def test_chains_are_followed_transitively(self):
+        rules = [
+            tgd(Atom.of("teacher_of", X, Y), Atom.of("faculty", X)),
+            tgd(Atom.of("faculty", X), Atom.of("employee", X)),
+        ]
+        checker = CoverageChecker(rules)
+        teacher_of = Atom.of("teacher_of", X, Y).predicate
+        faculty = Atom.of("faculty", X).predicate
+        employee = Atom.of("employee", X).predicate
+        assert checker.reaches(teacher_of, employee)
+        assert checker.reaches(faculty, employee)
+        assert not checker.reaches(employee, faculty)
+        assert not checker.reaches(employee, employee)
+
+    def test_unreachable_pairs_have_no_chain(self):
+        # Every chain ends in a rule whose head predicate is the target's,
+        # and consecutive rules share a predicate, so a pair the table
+        # rejects is one the chain search rejects too.
+        rules = list(normalize(stock_exchange_example.tgds()).rules)
+        checker = CoverageChecker(rules, memoise=False)
+        query = stock_exchange_example.running_query()
+        rejected = 0
+        for source in query.body:
+            for target in query.body:
+                if source != target and not checker.reaches(
+                    source.predicate, target.predicate
+                ):
+                    rejected += 1
+                    shared = checker._relevant_terms(target, query)
+                    assert checker._find_chain(source, target, shared) is None
+        assert rejected > 0
+
+
+class TestChainMemo:
+    def test_rule_constants_are_told_apart(self):
+        # σ2 of Example 6 needs the constant c at r[3]: r(A, B, c) covers
+        # s(A, B, B) but r(A, B, d) does not.  A memo keying every constant
+        # by identity alone would serve the c query the d query's answer.
+        warm = CoverageChecker(example6_rules())
+        fresh = CoverageChecker(example6_rules(), memoise=False)
+        outcomes = []
+        for value in ("d", "c", "e", "c"):
+            query = ConjunctiveQuery(
+                [Atom.of("r", A, B, Constant(value)), Atom.of("s", A, B, B)], (A, B)
+            )
+            source, target = query.body
+            witness = warm.covers(source, target, query)
+            assert (witness is None) == (fresh.covers(source, target, query) is None)
+            outcomes.append(witness is not None)
+        assert outcomes == [False, True, False, True]
+        assert warm.chain_searches == 2
+
+    def test_concurrent_callers_get_the_fresh_answers(self):
+        # The memo is shared without a lock: a race may compute an entry
+        # twice, but no caller may ever see another shape's chain.  The
+        # TGD-rewrite rewritings of S keep their covered atoms, so both
+        # outcomes occur.
+        workload = get_workload("S")
+        engine = TGDRewriter(workload.theory.tgds)
+        queries = [
+            member
+            for name in workload.query_names
+            for member in engine.rewrite(workload.query(name)).ucq.queries
+        ]
+        pairs = [
+            (source, target, query)
+            for query in queries
+            for source in query.body
+            for target in query.body
+            if source != target
+        ]
+        fresh = CoverageChecker(engine.rules, memoise=False)
+        expected = [_chain(fresh.covers(*pair)) for pair in pairs]
+        assert any(chain is not None for chain in expected)
+        shared = CoverageChecker(engine.rules)
+        mismatches = []
+
+        def check(offset):
+            for step in range(len(pairs)):
+                index = (offset + step) % len(pairs)
+                if _chain(shared.covers(*pairs[index])) != expected[index]:
+                    mismatches.append(index)
+
+        workers = [
+            threading.Thread(target=check, args=(k * len(pairs) // 8,)) for k in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert mismatches == []
+
+
+def _chain(witness):
+    return None if witness is None else witness.chain
+
+
+@pytest.mark.parametrize("workload_name", ["V", "S", "U", "A", "P5"])
+class TestMemoSoundness:
+    """The chain memo never changes a coverage answer."""
+
+    def test_warm_checker_agrees_with_a_fresh_one_on_every_pair(self, workload_name):
+        # Compile the workload under TGD-rewrite*, which warms the engine's
+        # checker, then decide every ordered atom pair of every CQ of the
+        # rewritings both through it and through a checker with no memo
+        # (one that is empty on every call): same witness chain, or none.
+        # The TGD-rewrite rewritings of the same queries are checked too:
+        # their CQs still hold the covered atoms that elimination drops,
+        # so they exercise the pairs that do have a witness.
+        workload = get_workload(workload_name)
+        engine = TGDRewriter(workload.theory.tgds, use_elimination=True)
+        plain = TGDRewriter(workload.theory.tgds)
+        queries = []
+        for name in workload.query_names:
+            for rewriter in (engine, plain):
+                result = rewriter.rewrite(workload.query(name))
+                queries.extend(result.ucq.queries)
+                queries.extend(result.auxiliary_queries)
+        warm = engine.eliminator.checker
+        fresh = CoverageChecker(engine.rules, memoise=False)
+        pairs = witnesses = 0
+        for query in queries:
+            for source in query.body:
+                for target in query.body:
+                    if source == target:
+                        continue
+                    pairs += 1
+                    warm_witness = warm.covers(source, target, query)
+                    fresh_witness = fresh.covers(source, target, query)
+                    assert (warm_witness is None) == (fresh_witness is None)
+                    if warm_witness is not None:
+                        witnesses += 1
+                        assert warm_witness.chain == fresh_witness.chain
+        assert pairs > 0
+        if workload_name != "V":  # Vicodi's rules form no coverage chains
+            assert witnesses > 0
+        assert len(warm.memo) <= warm.chain_searches

@@ -84,6 +84,15 @@ class TestEliminatorValidation:
         with pytest.raises(ValueError):
             eliminator.eliminate_atoms(query, strategy=query.body[:1])
 
+    def test_strategy_repeating_an_atom_is_rejected(self):
+        # (r, r, p, s) covers the body as a set but is no permutation of it;
+        # accepting it would report r as eliminated twice.
+        eliminator = QueryEliminator(example6_rules())
+        query = example7_query()
+        p_atom, r_atom, s_atom = query.body
+        with pytest.raises(ValueError):
+            eliminator.eliminate_atoms(query, strategy=(r_atom, r_atom, p_atom, s_atom))
+
     def test_query_without_redundancy_is_unchanged(self):
         # The arguments of r are swapped w.r.t. what σ1 would produce, and the
         # equality type of body(σ2) requires the constant c at r[3], so no

@@ -1,10 +1,10 @@
 """Engine memoisation: identical rewritings, fewer unifications.
 
-The rename-apart pool and the applicability memo are pure caches: with
-them on or off the engine must produce rewritings of exactly the same
-sizes (the members may differ in variable naming only, which interning
-treats as equal).  These tests pin that equivalence and the soundness of
-the profile-keyed memo itself.
+The rename-apart pool, the applicability memo and the coverage memo are
+pure caches: with them on or off the engine must produce byte-identical
+rewritings.  These tests pin that equivalence, the soundness of the
+profile-keyed memo itself, and that the shape keys keep the memos bounded
+when queries differ only in their constants.
 """
 
 import pytest
@@ -18,7 +18,7 @@ from repro.core.applicability import (
 from repro.core.rewriter import TGDRewriter
 from repro.dependencies.tgd import tgd
 from repro.logic.atoms import Atom
-from repro.logic.terms import Variable, VariableFactory
+from repro.logic.terms import Constant, Variable, VariableFactory
 from repro.logic.unification import UnificationMemo, atom_sequence_profile
 from repro.queries.parser import parse_query
 from repro.workloads import get_workload, stock_exchange_example
@@ -44,11 +44,27 @@ class TestAtomSequenceProfile:
         )
 
     def test_constants_kept_by_identity(self):
-        from repro.logic.terms import Constant
-
         acme = [Atom.of("p", X, Constant("acme"))]
         ibm = [Atom.of("p", X, Constant("ibm"))]
         assert atom_sequence_profile(acme) != atom_sequence_profile(ibm)
+
+    def test_constants_outside_the_kept_set_are_kept_by_identity_only(self):
+        acme = [Atom.of("p", X, Constant("acme")), Atom.of("q", Constant("acme"))]
+        ibm = [Atom.of("p", X, Constant("ibm")), Atom.of("q", Constant("ibm"))]
+        split = [Atom.of("p", X, Constant("acme")), Atom.of("q", Constant("ibm"))]
+        kept = frozenset({Constant("nasdaq")})
+        profile = atom_sequence_profile(acme, kept_constants=kept)
+        assert atom_sequence_profile(ibm, kept_constants=kept) == profile
+        # Which constants are equal to each other still matters.
+        assert atom_sequence_profile(split, kept_constants=kept) != profile
+
+    def test_kept_constants_keep_their_value(self):
+        acme = [Atom.of("p", X, Constant("acme"))]
+        ibm = [Atom.of("p", X, Constant("ibm"))]
+        kept = frozenset({Constant("acme")})
+        assert atom_sequence_profile(acme, kept_constants=kept) != atom_sequence_profile(
+            ibm, kept_constants=kept
+        )
 
 
 class TestUnificationMemo:
@@ -125,21 +141,50 @@ class TestApplicabilityMemoSoundness:
                 checked += 1
         assert checked == 2 * len(rules)
 
+    def test_rule_constants_are_told_apart(self):
+        # The head r(X, c) unifies with r(A, c) but not with r(A, d): the
+        # memo keeps c, a rule constant, by value.  Other constants are
+        # interchangeable, so d and e share one entry.
+        rule = tgd(Atom.of("p", X), Atom.of("r", X, Constant("c")))
+        memo = ApplicabilityMemo(rule.constants)
+        outcomes = []
+        for value in ("d", "c", "e"):
+            query = parse_query(f"q(A) :- r(A, {value}), s(A)")
+            direct = list(applicable_atom_sets(rule, query))
+            assert list(applicable_atom_sets(rule, query, memo=memo, rule_key=0)) == direct
+            outcomes.append(bool(direct))
+        assert outcomes == [False, True, False]
+        assert (memo.hits, memo.misses, len(memo)) == (1, 2, 2)
 
-@pytest.mark.parametrize("workload_name", ["S", "P5"])
+
+@pytest.mark.parametrize("workload_name", ["V", "S", "U", "A", "P5"])
 class TestMemoisationPreservesSizes:
     def test_identical_rewriting_sizes_with_and_without_memo(self, workload_name):
+        # Byte-identical, not only equal in size: members and auxiliaries,
+        # under TGD-rewrite and TGD-rewrite* (where the coverage memo runs).
         workload = get_workload(workload_name)
-        with_memo = TGDRewriter(workload.theory.tgds, use_memoisation=True)
-        without_memo = TGDRewriter(workload.theory.tgds, use_memoisation=False)
-        for name in workload.query_names:
-            query = workload.query(name)
-            memoised = with_memo.rewrite(query)
-            plain = without_memo.rewrite(query)
-            assert len(memoised.ucq) == len(plain.ucq), name
-            assert memoised.statistics.unification_memo_hits >= 0
-            assert plain.statistics.unification_memo_hits == 0
-            assert plain.statistics.rename_cache_hits == 0
+        for elimination in (False, True):
+            with_memo = TGDRewriter(
+                workload.theory.tgds, use_elimination=elimination, use_memoisation=True
+            )
+            without_memo = TGDRewriter(
+                workload.theory.tgds, use_elimination=elimination, use_memoisation=False
+            )
+            for name in workload.query_names:
+                query = workload.query(name)
+                memoised = with_memo.rewrite(query)
+                plain = without_memo.rewrite(query)
+                label = (name, elimination)
+                assert len(memoised.ucq) == len(plain.ucq), label
+                assert repr(memoised.ucq.queries) == repr(plain.ucq.queries), label
+                assert repr(memoised.auxiliary_queries) == repr(
+                    plain.auxiliary_queries
+                ), label
+                assert memoised.statistics.unification_memo_hits >= 0
+                assert plain.statistics.unification_memo_hits == 0
+                assert plain.statistics.rename_cache_hits == 0
+            if elimination:
+                assert without_memo.eliminator.checker.memo is None
 
     def test_memo_actually_fires_across_a_workload(self, workload_name):
         workload = get_workload(workload_name)
@@ -150,3 +195,25 @@ class TestMemoisationPreservesSizes:
             total_hits += statistics.unification_memo_hits
             total_hits += statistics.rename_cache_hits
         assert total_hits > 0
+
+
+class TestMemosStayBounded:
+    """Queries that differ only in their constants share every memo entry."""
+
+    def test_constant_only_variants_add_no_entries(self):
+        # Adolena q5 with its existential variable B bound to 30 different
+        # constants: keying constants by value would add a full set of
+        # applicability entries per constant (27 -> 810).
+        workload = get_workload("A")
+        query = workload.query("q5")
+        engine = TGDRewriter(workload.theory.tgds, use_elimination=True)
+        coverage_memo = engine.eliminator.checker.memo
+        sizes = []
+        for index in range(30):
+            variant = query.apply({Variable("B"): Constant(f"device_{index}")})
+            result = engine.rewrite(variant)
+            sizes.append(
+                (len(engine.applicability_memo), len(coverage_memo), len(result.ucq))
+            )
+        assert sizes[0][0] > 0 and sizes[0][1] > 0
+        assert sizes == [sizes[0]] * len(sizes)
