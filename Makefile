@@ -15,7 +15,8 @@
 # and recovery invariants); `make perf-smoke` pins the hot-path floor
 # (auto-strategy rewritings byte-identical to sequential on the running
 # example, flat canonical-key kernel never slower than the reference,
-# coverage-memo chain searches on P5 under a pinned ceiling).
+# coverage-memo chain searches on P5 under a pinned ceiling, SQLite
+# snapshot loads and maintainer refreshes pinned over 20 mutations).
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest
@@ -91,7 +92,11 @@ chaos-smoke:
 # slower than the object-walking reference it replaced, and a TGD-rewrite*
 # compile of P5 must give the same members with memoisation on and off
 # while the memoised engine stays under a pinned count of coverage chain
-# searches (a work counter, not a timing).  The exhaustive
+# searches (a work counter, not a timing), and 20 seeded single-fact
+# mutations of workload S on the SQLite backend must be patched in by
+# both change-log consumers: exactly 1 full and 20 incremental snapshot
+# loads and maintainer refreshes, with poll() answers equal to
+# execute() answers after every step.  The exhaustive
 # hot-path benchmark (all Table 1 workloads + generated triples,
 # homomorphism and MGU paths, the autotuner epsilon invariant) is
 # benchmarks/bench_hotpaths.py under `make bench-json`.

@@ -16,6 +16,13 @@ Three hard checks, cheap enough to gate every CI run:
    members, and the memoised engine must run at most
    :data:`COVERAGE_SEARCH_CEILING` coverage chain searches (memo misses).
    A counter, not a timing, so the check is exact on any host.
+4. **Shared change-log reader** — on workload S with the SQLite
+   backend, a seeded sequence of :data:`CHANGE_LOG_MUTATIONS`
+   single-fact mutations, each followed by ``execute()`` and ``poll()``
+   of one prepared query, must patch rather than rebuild: the backend's
+   full/incremental snapshot loads and the maintainer's full/incremental
+   refreshes must both be exactly 1/20, and the polled answers must equal
+   the executed ones after every step.  Counters again, exact anywhere.
 
 The exhaustive version of the first two checks — all five Table 1
 ontologies, generated fuzzing triples, homomorphism and MGU paths, the
@@ -28,6 +35,7 @@ The script is import-safe for test collectors; it only runs under
 
 from __future__ import annotations
 
+import random
 import sys
 import time
 from pathlib import Path
@@ -36,7 +44,9 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.api import OBDASystem  # noqa: E402
 from repro.core.rewriter import TGDRewriter  # noqa: E402
+from repro.logic.atoms import Atom  # noqa: E402
 from repro.logic.canonical import (  # noqa: E402
     canonical_fingerprint,
     canonical_fingerprint_reference,
@@ -54,6 +64,12 @@ SPEEDUP_FLOOR = 1.0
 #: per distinct pair shape the reachability table lets through (22 when
 #: pinned; the unmemoised engine runs 1118).
 COVERAGE_SEARCH_CEILING = 22
+#: Check 4's seeded mutation script on workload S, and the pinned
+#: (full, incremental) counts of both change-log consumers: one initial
+#: full load/refresh, then one incremental patch per mutation.
+CHANGE_LOG_MUTATIONS = 20
+CHANGE_LOG_SEED = 7
+CHANGE_LOG_COUNTS = (1, CHANGE_LOG_MUTATIONS)
 
 
 def _best_of(function, repeats: int = REPEATS) -> float:
@@ -99,6 +115,56 @@ def coverage_memo_check() -> bool:
     if not identical:
         print("error: the coverage memo changed a rewriting", file=sys.stderr)
     return identical
+
+
+def change_log_reader_check() -> bool:
+    """Check 4: single-fact mutations are patched in, never rebuilt."""
+    workload = get_workload("S")
+    system = OBDASystem(workload.theory, database=workload.abox(), backend="sqlite")
+    database = system.database
+    prepared = system.prepare(workload.query("q2"))
+    rng = random.Random(CHANGE_LOG_SEED)
+    predicates = sorted(database.predicates(), key=lambda p: (p.name, p.arity))
+    constants = sorted(database.constants(), key=lambda c: repr(c.value))
+    agreed = prepared.execute().tuples == frozenset(prepared.poll().added)
+    for _ in range(CHANGE_LOG_MUTATIONS):
+        changed = False
+        while not changed:  # retry until the fact set really changes
+            facts = sorted(database.facts, key=repr)
+            if facts and rng.random() < 0.4:
+                changed = database.remove(rng.choice(facts))
+            else:
+                predicate = rng.choice(predicates)
+                changed = database.add(
+                    Atom(
+                        predicate,
+                        tuple(rng.choice(constants) for _ in range(predicate.arity)),
+                    )
+                )
+        answers = prepared.execute().tuples
+        prepared.poll()
+        agreed = agreed and answers == prepared.maintained_answers
+    backend = system.backend_for("sqlite")
+    counters = prepared.maintainer().counters
+    loads = (backend.full_loads, backend.incremental_loads)
+    refreshes = (counters.full_refreshes, counters.incremental_refreshes)
+    system.close()
+    print(
+        f"change-log reader on S (sqlite, {CHANGE_LOG_MUTATIONS} mutations): "
+        f"full/incremental loads {loads[0]}/{loads[1]}, refreshes "
+        f"{refreshes[0]}/{refreshes[1]} (pinned {CHANGE_LOG_COUNTS[0]}/"
+        f"{CHANGE_LOG_COUNTS[1]})"
+    )
+    if not agreed:
+        print("error: poll() and execute() answers diverged", file=sys.stderr)
+        return False
+    if loads != CHANGE_LOG_COUNTS or refreshes != CHANGE_LOG_COUNTS:
+        print(
+            "error: a change-log consumer rebuilt instead of patching",
+            file=sys.stderr,
+        )
+        return False
+    return True
 
 
 def main() -> int:
@@ -166,9 +232,12 @@ def main() -> int:
         return 1
     if not coverage_memo_check():
         return 1
+    if not change_log_reader_check():
+        return 1
     print(
         "# perf smoke: auto byte-identical with sequential; flat canonical "
-        f"kernel {speedup:.2f}x; coverage memo within its search ceiling"
+        f"kernel {speedup:.2f}x; coverage memo within its search ceiling; "
+        "change-log consumers patch every single-fact mutation"
     )
     return 0
 

@@ -151,8 +151,8 @@ class PreparedQuery:
         """The cost-aware plan for the system's current database state.
 
         Delegates to :meth:`ExecutionPlan.explain`: chosen join order per
-        disjunct, disjunct execution order and the estimated cardinalities
-        behind both (``repro answer --explain`` prints this).
+        disjunct and the estimated cardinalities behind it (``repro
+        answer --explain`` prints this).
         """
         return self._plan.explain(self._system.database)
 
@@ -230,8 +230,10 @@ class PreparedQuery:
         Shared by every subscription on this prepared handle; full
         (re-)executions run through the backend plan's per-disjunct path,
         incremental steps evaluate pinned residual joins over the
-        instance.  Independent of the :meth:`execute` answer cache: the
-        two paths cross-check each other in the differential tests.
+        instance.  :meth:`poll` refreshes it under the same freshness key
+        as the :meth:`execute` answer cache (the backend's
+        ``data_epoch``), so both see the same data; they share no answer
+        state and cross-check each other in the differential tests.
         """
         if self._maintained is None:
             self._maintained = MaintainedAnswerSet(
@@ -245,8 +247,14 @@ class PreparedQuery:
         Returns the :class:`~repro.incremental.maintain.AnswerDelta` since
         the previous poll (the first poll reports the full answer set as
         added).  Read the current set from :attr:`maintained_answers`.
+        Keyed like :meth:`execute`, on the backend's ``data_epoch``: a
+        change the instance's change log cannot see (a commit to an
+        attached SQLite file) is picked up by a full refresh.
         """
-        return self.maintainer().refresh(self._system.database)
+        database = self._system.database
+        return self.maintainer().refresh(
+            database, self._backend.data_epoch(database)
+        )
 
     @property
     def maintained_answers(self) -> frozenset[tuple]:

@@ -67,28 +67,17 @@ class ExecutionPlan(ABC):
         """A human-readable account of the plan (SQL text, join order, ...)."""
 
     def explain(self, database: "RelationalInstance") -> str:
-        """The plan as it would run on *database*: orders and cost estimates.
+        """The plan as it would run on *database*: join orders and costs.
 
         Unlike :attr:`description` (static, database-independent) the
         explanation reflects the cost-aware choices the backend makes for
-        the current database state — chosen join order per disjunct,
-        disjunct execution order, estimated cardinalities.  The default
-        falls back to the static description for backends without a
-        planner.
+        the current database state — chosen join order per disjunct and
+        estimated cardinalities.  The default falls back to the static
+        description for backends without a planner.
         """
         return self.description
 
-    @property
-    def disjunct_count(self) -> int | None:
-        """Number of individually executable disjuncts, or ``None``.
-
-        ``None`` means the plan is opaque — it can only execute the whole
-        union — and consumers needing per-disjunct answers (the
-        incremental maintainer's full-refresh path) must evaluate the
-        rewriting themselves.  Both shipped backends report a count.
-        """
-        return None
-
+    @abstractmethod
     def execute_disjunct(
         self,
         database: "RelationalInstance",
@@ -97,16 +86,12 @@ class ExecutionPlan(ABC):
     ) -> frozenset[tuple]:
         """Answers of disjunct *index* alone, as tuples of constants.
 
-        UCQ answering is a union over independent CQs, so a plan that can
-        execute one disjunct at a time supports per-disjunct consumers:
-        the incremental maintainer's support counts
-        (:mod:`repro.incremental.maintain`) and, eventually, sharded
-        scatter-gather answering.  The default raises — override together
-        with :attr:`disjunct_count`.
+        *index* is the disjunct's position in the rewriting.  UCQ
+        answering is a union over independent CQs, so the union of every
+        disjunct's answers is :meth:`execute`'s; the incremental
+        maintainer's support counts (:mod:`repro.incremental.maintain`)
+        are built from them.
         """
-        raise BackendError(
-            f"{type(self).__name__} does not support per-disjunct execution"
-        )
 
 
 class ExecutionBackend(ABC):

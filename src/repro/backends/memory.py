@@ -3,18 +3,18 @@
 Wraps :class:`repro.database.evaluator.QueryEvaluator` behind the
 :class:`~repro.backends.base.ExecutionBackend` protocol.  What ``prepare``
 buys over calling the evaluator directly is a *reusable plan*: the
-cost-aware join order of each disjunct's body and the cheapest-first
-execution order over the disjuncts (:mod:`repro.database.planning`) are
-computed once per database epoch and replayed for every execution at that
-epoch (both depend on relation statistics, so they are refreshed when the
-data changes).  Constant bindings are applied atom-wise to the ordered
-body, so a rebound execution reuses the same order — binding changes which
-facts match, not the join structure.
+cost-aware join order of each disjunct's body
+(:mod:`repro.database.planning`) is computed once per database epoch and
+replayed for every execution at that epoch (it depends on relation
+statistics, so it is refreshed when the data changes).  Constant bindings
+are applied atom-wise to the ordered body, so a rebound execution reuses
+the same order — binding changes which facts match, not the join
+structure.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 from ..database.evaluator import QueryEvaluator
 from ..database.instance import RelationalInstance
@@ -37,31 +37,28 @@ class InMemoryPlan(ExecutionPlan):
         # a time, and older epochs can never come back.
         self._order_key: Hashable | None = None
         self._plans: tuple[JoinPlan, ...] = ()
-        #: Disjunct execution order, cheapest estimated cost first.
-        self._disjunct_order: tuple[int, ...] = ()
 
     def _plan(self, database: RelationalInstance) -> tuple[JoinPlan, ...]:
         key = (id(database), database.epoch)
         if key != self._order_key:
             estimator = CardinalityEstimator(database)
-            self._disjunct_order, self._plans = estimator.order_disjuncts(
-                [body for body, _ in self._disjuncts]
+            self._plans = tuple(
+                estimator.plan_body(body) for body, _ in self._disjuncts
             )
             self._order_key = key
         return self._plans
 
-    def execute(
+    def _answers(
         self,
         database: RelationalInstance,
-        bindings: Mapping[Constant, Constant] | None = None,
+        indexes: Iterable[int],
+        bindings: Mapping[Constant, Constant] | None,
     ) -> frozenset[tuple]:
+        """Union of the answers of the disjuncts at *indexes*, under *bindings*."""
         plans = self._plan(database)
         evaluator = QueryEvaluator(database)
         answers: set[tuple] = set()
-        # Cheapest-first over the union: the answer set is order
-        # independent, but small disjuncts populate the answer set (and
-        # the caller's caches) before the expensive ones run.
-        for index in self._disjunct_order:
+        for index in indexes:
             ordered: list[Atom] | tuple[Atom, ...] = plans[index].order
             _, answer_terms = self._disjuncts[index]
             if bindings:
@@ -73,9 +70,12 @@ class InMemoryPlan(ExecutionPlan):
             answers |= evaluator.answers_for_order(ordered, answer_terms)
         return frozenset(answers)
 
-    @property
-    def disjunct_count(self) -> int:
-        return len(self._disjuncts)
+    def execute(
+        self,
+        database: RelationalInstance,
+        bindings: Mapping[Constant, Constant] | None = None,
+    ) -> frozenset[tuple]:
+        return self._answers(database, range(len(self._disjuncts)), bindings)
 
     def execute_disjunct(
         self,
@@ -83,22 +83,7 @@ class InMemoryPlan(ExecutionPlan):
         index: int,
         bindings: Mapping[Constant, Constant] | None = None,
     ) -> frozenset[tuple]:
-        """Answers of disjunct *index* alone, with the same cached join order.
-
-        *index* is the disjunct's **original** position in the rewriting —
-        the cheapest-first execution order is internal to :meth:`execute`,
-        so per-disjunct consumers (the incremental maintainer's support
-        counts) keep stable indexes.
-        """
-        ordered: list[Atom] | tuple[Atom, ...] = self._plan(database)[index].order
-        _, answer_terms = self._disjuncts[index]
-        if bindings:
-            ordered = [atom.apply(bindings) for atom in ordered]
-            answer_terms = tuple(
-                term if is_variable(term) else bindings.get(term, term)
-                for term in answer_terms
-            )
-        return QueryEvaluator(database).answers_for_order(ordered, answer_terms)
+        return self._answers(database, (index,), bindings)
 
     @property
     def description(self) -> str:
@@ -109,14 +94,8 @@ class InMemoryPlan(ExecutionPlan):
         return "\n".join(lines)
 
     def explain(self, database: RelationalInstance) -> str:
-        plans = self._plan(database)
-        lines = [
-            "backend: memory (index nested-loop)",
-            f"disjunct order (cheapest estimated cost first): "
-            f"{list(self._disjunct_order)}",
-        ]
-        for index in self._disjunct_order:
-            plan = plans[index]
+        lines = ["backend: memory (index nested-loop)"]
+        for index, plan in enumerate(self._plan(database)):
             order = " -> ".join(atom.name for atom in plan.order) or "<empty body>"
             lines.append(
                 f"disjunct {index}: cost ~{plan.cost:.1f} rows; join {order}"

@@ -13,12 +13,11 @@ Two modes:
   (in-memory or at ``path``) and loads the :class:`RelationalInstance`
   into it on first execution; the loaded snapshot is keyed by the
   instance's epoch, so an unchanged database is never reloaded.  On an
-  epoch bump the backend asks the instance for its change log
-  (:meth:`RelationalInstance.changes_since`) and applies the *delta* —
-  row inserts and deletes since the loaded epoch — instead of dropping
-  and reloading every table; it falls back to a full reload when the log
-  does not reach back to the loaded epoch or the delta is larger than
-  the instance itself (``full_loads`` / ``incremental_loads`` count the
+  epoch bump the backend asks the instance for the net change since the
+  loaded epoch (:meth:`RelationalInstance.net_changes_since`) and deletes
+  and inserts those rows instead of dropping and reloading every table;
+  it falls back to a full reload when the instance says its change log
+  cannot be used (``full_loads`` / ``incremental_loads`` count the
   split).
 * **attached mode** (``attach=True``) — the backend executes against an
   existing SQLite file maintained outside this library; the instance is
@@ -44,11 +43,11 @@ import sqlite3
 import weakref
 from typing import Hashable, Mapping, Sequence
 
-from ..database.instance import RelationalInstance
+from ..database.instance import LogGap, RelationalInstance
 from ..database.planning import CardinalityEstimator
 from ..database.schema import RelationalSchema
 from ..database.sql import ParameterizedSQL, ucq_to_parameterized_sql
-from ..logic.atoms import Predicate, atoms_predicates
+from ..logic.atoms import Atom, Predicate, atoms_predicates
 from ..logic.terms import Constant, Null, Term, is_null
 from ..queries.ucq import UnionOfConjunctiveQueries
 from .base import BackendError, ExecutionBackend, ExecutionPlan
@@ -109,7 +108,7 @@ class SQLitePlan(ExecutionPlan):
         referenced: frozenset[Predicate],
         arity: int,
         schema: RelationalSchema | None,
-        queries: Sequence = (),
+        queries: Sequence,
     ) -> None:
         self._backend = backend
         self._statements = tuple(statements)
@@ -120,12 +119,6 @@ class SQLitePlan(ExecutionPlan):
         # SQL rendered lazily on first use (most plans never need it).
         self._queries = tuple(queries)
         self._disjunct_statements: dict[int, ParameterizedSQL] = {}
-        # Cost-ordered statements for the current database epoch (only
-        # rendered when the cheapest-first order differs from the
-        # rewriting's own order).
-        self._ordered_key: object = None
-        self._ordered_statements: tuple[ParameterizedSQL, ...] = ()
-        self._last_order: tuple[int, ...] | None = None
 
     @property
     def sql(self) -> str:
@@ -154,50 +147,13 @@ class SQLitePlan(ExecutionPlan):
     def description(self) -> str:
         return self.sql
 
-    def _execution_statements(
-        self, database: RelationalInstance
-    ) -> tuple[ParameterizedSQL, ...]:
-        """The statements to run, cheapest disjunct first where possible.
-
-        In snapshot mode the :class:`RelationalInstance` *is* the data, so
-        its statistics order the member CQs by estimated cost and the SQL
-        is re-rendered in that order (cached per epoch).  Attached mode
-        executes external tables the instance knows nothing about, so the
-        pre-rendered statements run as-is.  Either way the answer set is
-        identical — UNION results are deduplicated in Python.
-        """
-        if self._backend.attached or len(self._queries) <= 1:
-            self._last_order = None
-            return self._statements
-        key = (id(database), database.epoch)
-        if key == self._ordered_key:
-            return self._ordered_statements
-        estimator = CardinalityEstimator(database)
-        order, _ = estimator.order_disjuncts(
-            [query.body for query in self._queries]
-        )
-        self._last_order = order
-        if order == tuple(range(len(order))):
-            statements = self._statements
-        else:
-            reordered = [self._queries[index] for index in order]
-            limit = self._backend._compound_select_limit()
-            statements = tuple(
-                ucq_to_parameterized_sql(
-                    reordered[start : start + limit], schema=self._schema
-                )
-                for start in range(0, len(reordered), limit)
-            )
-        self._ordered_key = key
-        self._ordered_statements = statements
-        return statements
-
-    def execute(
+    def _answers(
         self,
         database: RelationalInstance,
-        bindings: Mapping[Constant, Constant] | None = None,
+        statements: Sequence[ParameterizedSQL],
+        bindings: Mapping[Constant, Constant] | None,
     ) -> frozenset[tuple]:
-        statements = self._execution_statements(database)
+        """Run *statements* under *bindings*; their decoded rows as answers."""
         connection = self._backend.ensure_ready(
             database, self._referenced, self._schema
         )
@@ -225,9 +181,12 @@ class SQLitePlan(ExecutionPlan):
             answers.add(decoded)
         return frozenset(answers)
 
-    @property
-    def disjunct_count(self) -> int | None:
-        return len(self._queries) or None
+    def execute(
+        self,
+        database: RelationalInstance,
+        bindings: Mapping[Constant, Constant] | None = None,
+    ) -> frozenset[tuple]:
+        return self._answers(database, self._statements, bindings)
 
     def execute_disjunct(
         self,
@@ -236,57 +195,25 @@ class SQLitePlan(ExecutionPlan):
         bindings: Mapping[Constant, Constant] | None = None,
     ) -> frozenset[tuple]:
         """Run one member CQ of the union on its own, as SQL."""
-        if not self._queries:
-            raise BackendError(
-                "this SQLitePlan was built without its member queries and "
-                "cannot execute single disjuncts"
-            )
         statement = self._disjunct_statements.get(index)
         if statement is None:
             # Raises IndexError for out-of-range indexes, like a sequence.
             query = self._queries[index]
             statement = ucq_to_parameterized_sql([query], schema=self._schema)
             self._disjunct_statements[index] = statement
-        connection = self._backend.ensure_ready(
-            database, self._referenced, self._schema
-        )
-        parameters = [
-            encode_term(bindings.get(constant, constant) if bindings else constant)
-            for constant in statement.parameters
-        ]
-        try:
-            rows = connection.execute(statement.sql, parameters).fetchall()
-        except sqlite3.Error as error:
-            raise BackendError(f"SQLite execution failed: {error}") from error
-        if self._arity == 0:
-            return frozenset({()}) if rows else frozenset()
-        answers: set[tuple] = set()
-        for row in rows:
-            decoded = tuple(decode_value(value) for value in row)
-            if any(is_null(term) for term in decoded):
-                continue
-            answers.add(decoded)
-        return frozenset(answers)
+        return self._answers(database, (statement,), bindings)
 
     def explain(self, database: RelationalInstance) -> str:
         lines = ["backend: sqlite"]
         if self._backend.attached:
             lines.append(
                 "attached mode: executing external tables; instance "
-                "statistics do not apply, disjuncts run in rewriting order"
+                "statistics do not apply"
             )
-        elif len(self._queries) <= 1:
-            lines.append("single disjunct: nothing to reorder")
         else:
             estimator = CardinalityEstimator(database)
-            order, plans = estimator.order_disjuncts(
-                [query.body for query in self._queries]
-            )
-            lines.append(
-                f"disjunct order (cheapest estimated cost first): {list(order)}"
-            )
-            for index in order:
-                plan = plans[index]
+            for index, query in enumerate(self._queries):
+                plan = estimator.plan_body(query.body)
                 join = " -> ".join(atom.name for atom in plan.order) or "<empty body>"
                 lines.append(
                     f"disjunct {index}: cost ~{plan.cost:.1f} rows; join {join}"
@@ -386,17 +313,15 @@ class SQLiteBackend(ExecutionBackend):
             self._loaded_instance() if self._loaded_instance is not None else None
         )
         if loaded is not database or self._loaded_epoch != database.epoch:
-            delta = None
+            changes = LogGap.TRUNCATED  # nothing of this instance is loaded
             if loaded is database and self._loaded_epoch is not None:
-                delta = database.changes_since(self._loaded_epoch)
-            # A delta larger than the instance means patching costs more
-            # than rebuilding (e.g. the database was mostly replaced).
-            if delta is not None and len(delta) <= len(database):
-                self._apply_delta(connection, delta, schema)
-                self.incremental_loads += 1
-            else:
+                changes = database.net_changes_since(self._loaded_epoch)
+            if isinstance(changes, LogGap):
                 self._load(connection, database, referenced, schema)
                 self.full_loads += 1
+            else:
+                self._apply_delta(connection, *changes, schema)
+                self.incremental_loads += 1
             self._loaded_instance = weakref.ref(database)
             self._loaded_epoch = database.epoch
         known = set(self._predicates_by_table.values())
@@ -514,34 +439,41 @@ class SQLiteBackend(ExecutionBackend):
     def _apply_delta(
         self,
         connection: sqlite3.Connection,
-        delta: list[tuple[bool, "object"]],
+        added: set[Atom],
+        removed: set[Atom],
         schema: RelationalSchema | None,
     ) -> None:
-        """Patch the loaded snapshot with an instance change log slice.
+        """Patch the loaded snapshot with the instance's net change.
 
-        Applied in log order, so a fact removed and re-added nets out
-        correctly.  Tables for predicates first seen in the delta are
-        created on the fly; deletes match every column (encoded values
-        are never SQL ``NULL``, so ``=`` comparisons are exact).
+        The net sets are disjoint, so deleting *removed* and inserting
+        *added* reproduces the instance whatever the order of the
+        underlying mutations.  Tables for predicates first seen in the
+        change are created first; deletes match every column (encoded
+        values are never SQL ``NULL``, so ``=`` comparisons are exact).
         """
-        for added, fact in delta:
-            predicate = fact.predicate
-            known = self._predicates_by_table.get(predicate.name)
-            if known is None or known.arity != predicate.arity:
-                self._create_tables(connection, {predicate}, schema)
-            table = self._quoted(predicate.name)
-            values = tuple(encode_term(term) for term in fact.terms)
-            if added:
-                placeholders = ", ".join("?" for _ in range(predicate.arity))
-                connection.execute(
-                    f"INSERT INTO {table} VALUES ({placeholders})", values
-                )
-            else:
-                columns = self._columns(predicate, schema)
-                condition = " AND ".join(
-                    f"{self._quoted(column)} = ?" for column in columns
-                )
-                connection.execute(f"DELETE FROM {table} WHERE {condition}", values)
+        unknown = {
+            fact.predicate
+            for facts in (added, removed)
+            for fact in facts
+            if self._predicates_by_table.get(fact.predicate.name) != fact.predicate
+        }
+        if unknown:
+            self._create_tables(connection, unknown, schema)
+        for fact in removed:
+            condition = " AND ".join(
+                f"{self._quoted(column)} = ?"
+                for column in self._columns(fact.predicate, schema)
+            )
+            connection.execute(
+                f"DELETE FROM {self._quoted(fact.name)} WHERE {condition}",
+                tuple(encode_term(term) for term in fact.terms),
+            )
+        for fact in added:
+            placeholders = ", ".join("?" for _ in fact.terms)
+            connection.execute(
+                f"INSERT INTO {self._quoted(fact.name)} VALUES ({placeholders})",
+                tuple(encode_term(term) for term in fact.terms),
+            )
         connection.commit()
 
     @staticmethod

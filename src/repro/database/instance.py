@@ -11,12 +11,47 @@ joins by :mod:`repro.database.evaluator`.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from ..logic.atoms import Atom, Predicate
 from ..logic.terms import Constant, Term, is_constant
 from ..dependencies.constraints import KeyDependency
 from .schema import RelationalSchema
+
+
+def net_changes(
+    log: Iterable[tuple[bool, Atom]],
+) -> tuple[set[Atom], set[Atom]]:
+    """Collapse a change-log slice into net ``(added, removed)`` fact sets.
+
+    A fact removed and re-added (or vice versa) within the slice cancels
+    out; the result is exactly "present now but not at the base epoch"
+    and "present at the base epoch but not now".
+    """
+    added: set[Atom] = set()
+    removed: set[Atom] = set()
+    for was_added, fact in log:
+        if was_added:
+            if fact in removed:
+                removed.discard(fact)
+            else:
+                added.add(fact)
+        else:
+            if fact in added:
+                added.discard(fact)
+            else:
+                removed.add(fact)
+    return added, removed
+
+
+class LogGap(Enum):
+    """Why :meth:`RelationalInstance.net_changes_since` cannot explain a change."""
+
+    #: The log no longer reaches back to the epoch (or never did).
+    TRUNCATED = "truncated"
+    #: The raw slice is longer than the instance: rebuilding is cheaper.
+    OVERSIZE = "oversize"
 
 
 class RelationalInstance:
@@ -31,12 +66,11 @@ class RelationalInstance:
 
     The instance additionally keeps a bounded *change log*: the last
     :data:`MAX_TRACKED_CHANGES` genuine mutations, one per epoch step.
-    :meth:`changes_since` replays the exact delta between two epochs,
-    which is what lets the SQLite backend apply incremental updates to a
-    loaded snapshot instead of dropping and reloading every table; when
-    the log no longer reaches back far enough, it reports so and the
-    consumer falls back to a full reload — correctness never depends on
-    the log.
+    :meth:`net_changes_since` reads it for both of its consumers — the
+    SQLite backend patching a loaded snapshot and the incremental
+    maintainer patching an answer set — and decides for both when the log
+    cannot be used, in which case they fall back to a full reload or
+    re-execution: correctness never depends on the log.
     """
 
     #: Default bound on the change log; one entry per genuine mutation.
@@ -107,6 +141,24 @@ class RelationalInstance:
         if epoch < self._change_floor:
             return None
         return list(self._changes)[epoch - self._change_floor :]
+
+    def net_changes_since(
+        self, epoch: int
+    ) -> tuple[set[Atom], set[Atom]] | LogGap:
+        """The net ``(added, removed)`` fact sets from *epoch* to now.
+
+        Returns a :class:`LogGap` instead when the change log cannot be
+        used: it no longer reaches back to *epoch*, or the raw slice since
+        then is longer than the instance (patching would cost more than
+        rebuilding).  The caller must then treat the whole instance as
+        changed.
+        """
+        log = self.changes_since(epoch)
+        if log is None:
+            return LogGap.TRUNCATED
+        if len(log) > len(self._facts):
+            return LogGap.OVERSIZE
+        return net_changes(log)
 
     def add(self, fact: Atom) -> bool:
         """Insert a ground atom; returns ``True`` if it was new."""

@@ -1,4 +1,4 @@
-"""Cost-aware join and disjunct planning over relational instances.
+"""Cost-aware join planning over relational instances.
 
 The evaluator's original join ordering was purely structural (more bound
 terms first, smaller relation as tie-break).  This module replaces the
@@ -11,20 +11,19 @@ uniform values).  Distinct counts come from
 which caches them per epoch — statistics are collected once per database
 state, not once per query.
 
-Two consumers:
+:meth:`CardinalityEstimator.plan_body` orders one CQ body greedily by
+estimated output rows (ties broken by bound-term count, relation size,
+then original position, so planning is deterministic) and reports the
+plan's total estimated work: the sum of the cumulative
+intermediate-result sizes along the join.  The evaluator and the
+in-memory backend join in that order; both backends' ``explain`` print
+it per disjunct.  Disjuncts themselves run in rewriting order: every
+disjunct of a UCQ is evaluated in full, so no order over them changes
+the work done.
 
-* **join order** — :meth:`CardinalityEstimator.plan_body` orders one CQ
-  body greedily by estimated output rows (ties broken by bound-term count,
-  relation size, then original position, so planning is deterministic);
-* **disjunct order** — :meth:`CardinalityEstimator.order_disjuncts` ranks
-  a UCQ's member CQs by total estimated work (the sum of cumulative
-  intermediate-result sizes along the join), so both backends execute
-  cheap disjuncts first.
-
-Ordering never changes *what* is answered — UCQ answers are a set union
-and CQ answers are order-independent — which is why the existing
-backend-agreement differential tests double as the safety net for this
-module.
+Ordering never changes *what* is answered — CQ answers are
+order-independent — which is why the existing backend-agreement
+differential tests double as the safety net for this module.
 """
 
 from __future__ import annotations
@@ -129,20 +128,3 @@ class CardinalityEstimator:
             cumulative.append(frontier)
             bound_variables.update(t for t in atom.terms if is_variable(t))
         return JoinPlan(tuple(order), tuple(step_rows), tuple(cumulative), cost)
-
-    def order_disjuncts(
-        self, bodies: Sequence[Sequence[Atom]]
-    ) -> tuple[tuple[int, ...], tuple[JoinPlan, ...]]:
-        """Cheapest-first execution order over a UCQ's member bodies.
-
-        Returns ``(order, plans)`` where *order* lists original disjunct
-        indexes sorted by estimated cost (stable: equal costs keep their
-        original relative order) and *plans* is indexed by the original
-        position, so callers can keep original-index semantics for
-        per-disjunct consumers.
-        """
-        plans = tuple(self.plan_body(body) for body in bodies)
-        order = tuple(
-            sorted(range(len(plans)), key=lambda index: (plans[index].cost, index))
-        )
-        return order, plans

@@ -24,7 +24,6 @@ from .maintain import (
     MaintainedAnswerSet,
     MaintenanceCounters,
     derives,
-    net_changes,
     pinned_answers,
     unify_fact,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "SubscriptionPool",
     "UnknownSubscriptionError",
     "derives",
-    "net_changes",
     "pinned_answers",
     "unify_fact",
 ]

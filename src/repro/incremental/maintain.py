@@ -26,51 +26,27 @@ answer still derived by another.  A support transition ``0 → >0`` is an
 added answer, ``>0 → 0`` a removed one; that transition stream is the
 subscription delta surfaced by the serving tier.
 
-When :meth:`RelationalInstance.changes_since` returns ``None`` (the log
-was truncated) or the delta outweighs the data, the maintainer falls back
-to re-executing every disjunct from scratch — the same policy the SQLite
-incremental loader applies to its table snapshots.  Correctness never
-depends on the log.
+The change log is read through :meth:`RelationalInstance.net_changes_since`,
+which also decides when it cannot be used (truncated, or the delta
+outweighs the data) — the one policy the SQLite snapshot loader shares.
+Then, and whenever the data changed somewhere the instance log does not
+see (an attached SQLite file), the maintainer re-executes every disjunct
+from scratch.  Correctness never depends on the log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from ..database.evaluator import QueryEvaluator
-from ..database.instance import RelationalInstance
+from ..database.instance import LogGap, RelationalInstance
 from ..logic.atoms import Atom
 from ..logic.terms import Term, is_variable
 from ..queries.conjunctive_query import ConjunctiveQuery
 from ..queries.ucq import UnionOfConjunctiveQueries
 from .relevance import RelevanceIndex
 from .view import OverlayInstance
-
-
-def net_changes(
-    log: Iterable[tuple[bool, Atom]],
-) -> tuple[set[Atom], set[Atom]]:
-    """Collapse a change-log slice into net ``(added, removed)`` fact sets.
-
-    A fact removed and re-added (or vice versa) within the slice cancels
-    out; the result is exactly "present now but not at the base epoch"
-    and "present at the base epoch but not now".
-    """
-    added: set[Atom] = set()
-    removed: set[Atom] = set()
-    for was_added, fact in log:
-        if was_added:
-            if fact in removed:
-                removed.discard(fact)
-            else:
-                added.add(fact)
-        else:
-            if fact in added:
-                added.discard(fact)
-            else:
-                removed.add(fact)
-    return added, removed
 
 
 def unify_fact(atom: Atom, fact: Atom) -> dict[Term, Term] | None:
@@ -158,7 +134,7 @@ class AnswerDelta:
 
     ``mode`` records how the refresh was computed: ``"full"`` (initial
     computation or fallback re-execution), ``"incremental"`` (change-log
-    replay) or ``"noop"`` (epoch unchanged).  Regardless of mode, *added*
+    replay) or ``"noop"`` (data unchanged).  Regardless of mode, *added*
     and *removed* describe the combined answer set's transition since the
     previous refresh.
     """
@@ -201,7 +177,8 @@ class MaintainedAnswerSet:
     the prepared backend's per-disjunct path
     (:meth:`repro.backends.base.ExecutionPlan.execute_disjunct`);
     incremental steps always evaluate pinned residual joins directly over
-    the instance, which is the source of truth for every backend.
+    the instance, so they run only while the instance is the data the
+    answers are read from (see :meth:`refresh`).
     """
 
     def __init__(
@@ -219,6 +196,8 @@ class MaintainedAnswerSet:
         self._per_disjunct: list[set[tuple]] = [set() for _ in queries]
         self._support: dict[tuple, int] = {}
         self._epoch: int | None = None
+        # The freshness key of the last refresh (see refresh()).
+        self._key: Hashable = None
         # Strong reference, for identity only: the owning PreparedQuery's
         # system keeps the database alive anyway, and an `is` check can
         # never confuse two instances the way a recycled id() could.
@@ -257,28 +236,47 @@ class MaintainedAnswerSet:
 
     # -- refresh ---------------------------------------------------------------
 
-    def refresh(self, database: RelationalInstance) -> AnswerDelta:
-        """Bring the answer set up to *database*'s epoch; report the delta."""
+    def refresh(
+        self, database: RelationalInstance, key: Hashable = None
+    ) -> AnswerDelta:
+        """Bring the answer set up to *database*'s data; report the delta.
+
+        *key* says when the data the answers are read from changed: the
+        executing backend's :meth:`~repro.backends.base.ExecutionBackend.
+        data_epoch` (what :meth:`repro.api.PreparedQuery.poll` passes),
+        by default the instance epoch.  An unchanged key is a no-op.  The
+        instance's change log explains a change only when the key is the
+        instance epoch, at the last refresh and now; any other change —
+        an attached SQLite file committed to by another connection — is
+        a full refresh.
+        """
+        if key is None:
+            key = database.epoch
         if self._epoch is None or self._instance is not database:
-            return self._full_refresh(database)
-        if database.epoch == self._epoch:
+            delta = self._full_refresh(database)
+        elif key == self._key:
             self.counters.noop_refreshes += 1
             return AnswerDelta(self._epoch, frozenset(), frozenset(), "noop")
-        log = database.changes_since(self._epoch)
-        if log is None:
-            # Log truncated: treat as "everything may have changed", never
-            # as an error — the same contract the SQLite loader follows.
-            self.counters.truncation_fallbacks += 1
-            return self._full_refresh(database)
-        if len(log) > len(database):
-            self.counters.oversize_fallbacks += 1
-            return self._full_refresh(database)
-        return self._incremental_refresh(database, log)
+        elif self._key != self._epoch or key != database.epoch:
+            # The data moved outside the instance; its log cannot say how.
+            delta = self._full_refresh(database)
+        else:
+            changes = database.net_changes_since(self._epoch)
+            if changes is LogGap.TRUNCATED:
+                self.counters.truncation_fallbacks += 1
+                delta = self._full_refresh(database)
+            elif changes is LogGap.OVERSIZE:
+                self.counters.oversize_fallbacks += 1
+                delta = self._full_refresh(database)
+            else:
+                delta = self._incremental_refresh(database, changes)
+        self._key = key
+        return delta
 
     def _execute_disjunct(
         self, database: RelationalInstance, index: int
     ) -> frozenset[tuple]:
-        if self._plan is not None and getattr(self._plan, "disjunct_count", None):
+        if self._plan is not None:
             return self._plan.execute_disjunct(database, index)
         body, answer_terms = self._disjuncts[index]
         evaluator = QueryEvaluator(database)
@@ -319,9 +317,11 @@ class MaintainedAnswerSet:
                 del self._support[answer]
 
     def _incremental_refresh(
-        self, database: RelationalInstance, log: list[tuple[bool, Atom]]
+        self,
+        database: RelationalInstance,
+        changes: tuple[set[Atom], set[Atom]],
     ) -> AnswerDelta:
-        added, removed = net_changes(log)
+        added, removed = changes
         before = frozenset(self._support)
         affected = self._relevance.affected(
             {fact.predicate for fact in added} | {fact.predicate for fact in removed}

@@ -532,6 +532,28 @@ class ServingApp:
         finally:
             self.gate.release(tenant.name, leader)
 
+    async def _answer_phase(
+        self, tenant: Tenant, deadline: Deadline, what: str, work
+    ):
+        """Run *work* on the tenant's executor within the answer budget.
+
+        The hop every answering endpoint makes after its compile phase:
+        bounded by ``answer_timeout`` and the request's remaining
+        deadline, with a 504 when the budget runs out first.
+        """
+        budget = deadline.phase_budget(self.config.answer_timeout)
+        future = asyncio.get_running_loop().run_in_executor(tenant.executor, work)
+        try:
+            if budget is None:
+                return await future
+            return await asyncio.wait_for(future, budget)
+        except asyncio.TimeoutError:
+            raise ServingError(
+                504,
+                "timeout",
+                f"{what} did not finish within its {budget:.3f}s budget",
+            ) from None
+
     # -- endpoint handlers -------------------------------------------------
 
     async def _register(self, payload: dict, headers: dict) -> ServingResponse:
@@ -601,9 +623,10 @@ class ServingApp:
             source, coalesced = await self._ensure_compiled(
                 tenant, epoch, query, deadline
             )
-            loop = asyncio.get_running_loop()
-            prepared = await loop.run_in_executor(
-                tenant.executor,
+            prepared = await self._answer_phase(
+                tenant,
+                deadline,
+                "prepare",
                 lambda: tenant.prepare_blocking(query, epoch.system),
             )
         finally:
@@ -650,9 +673,10 @@ class ServingApp:
                     tenant, epoch, query, deadline
                 )
                 results.append({"source": source, "coalesced": coalesced})
-            loop = asyncio.get_running_loop()
-            prepared = await loop.run_in_executor(
-                tenant.executor,
+            prepared = await self._answer_phase(
+                tenant,
+                deadline,
+                "prepare-batch",
                 lambda: tenant.prepare_batch_blocking(queries, epoch.system),
             )
         finally:
@@ -687,25 +711,12 @@ class ServingApp:
             source, coalesced = await self._ensure_compiled(
                 tenant, epoch, query, deadline
             )
-            loop = asyncio.get_running_loop()
-            budget = deadline.phase_budget(self.config.answer_timeout)
-            work = loop.run_in_executor(
-                tenant.executor,
+            subscription, answers, epoch_counter, mode = await self._answer_phase(
+                tenant,
+                deadline,
+                "subscribe",
                 lambda: tenant.subscribe_blocking(query, epoch.system),
             )
-            try:
-                if budget is not None:
-                    subscription, answers, epoch_counter, mode = await asyncio.wait_for(
-                        work, budget
-                    )
-                else:
-                    subscription, answers, epoch_counter, mode = await work
-            except asyncio.TimeoutError:
-                raise ServingError(
-                    504,
-                    "timeout",
-                    f"subscribe did not finish within its {budget:.3f}s budget",
-                ) from None
         finally:
             tenant.release_epoch(epoch)
         return ServingResponse(
@@ -746,23 +757,12 @@ class ServingApp:
             source, coalesced = await self._ensure_compiled(
                 tenant, epoch, query, deadline
             )
-            loop = asyncio.get_running_loop()
-            budget = deadline.phase_budget(self.config.answer_timeout)
-            work = loop.run_in_executor(
-                tenant.executor,
+            poll = await self._answer_phase(
+                tenant,
+                deadline,
+                "poll",
                 lambda: tenant.changes_blocking(cursor, epoch.system),
             )
-            try:
-                if budget is not None:
-                    poll = await asyncio.wait_for(work, budget)
-                else:
-                    poll = await work
-            except asyncio.TimeoutError:
-                raise ServingError(
-                    504,
-                    "timeout",
-                    f"poll did not finish within its {budget:.3f}s budget",
-                ) from None
         finally:
             tenant.release_epoch(epoch)
         return ServingResponse(
@@ -809,23 +809,13 @@ class ServingApp:
             source, coalesced = await self._ensure_compiled(
                 tenant, epoch, query, deadline
             )
-            loop = asyncio.get_running_loop()
-            budget = deadline.phase_budget(self.config.answer_timeout)
-            execution = loop.run_in_executor(
-                tenant.executor,
-                lambda: tenant.answer_blocking(query, bindings, epoch.system),
-            )
             try:
-                if budget is not None:
-                    tuples, cached = await asyncio.wait_for(execution, budget)
-                else:
-                    tuples, cached = await execution
-            except asyncio.TimeoutError:
-                raise ServingError(
-                    504,
-                    "timeout",
-                    f"answer did not finish within its {budget:.3f}s budget",
-                ) from None
+                tuples, cached = await self._answer_phase(
+                    tenant,
+                    deadline,
+                    "answer",
+                    lambda: tenant.answer_blocking(query, bindings, epoch.system),
+                )
             except ValueError as error:
                 raise ServingError(400, "bad-bindings", str(error)) from error
             epoch_counter = epoch.system.database.epoch

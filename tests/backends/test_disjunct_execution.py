@@ -49,10 +49,8 @@ class TestExecuteDisjunct:
         backend = make_backend(backend_name)
         instance = make_instance()
         plan = backend.prepare(UCQ, schema=instance.schema)
-        assert plan.disjunct_count == 2
         per_disjunct = [
-            plan.execute_disjunct(instance, index)
-            for index in range(plan.disjunct_count)
+            plan.execute_disjunct(instance, index) for index in range(len(UCQ))
         ]
         assert per_disjunct[0] == {(Constant("ann"),), (Constant("bob"),)}
         assert per_disjunct[1] == {(Constant("bob"),), (Constant("carol"),)}
@@ -103,7 +101,7 @@ class TestExecuteDisjunct:
         backend.close()
 
 
-def test_base_plan_declines_disjunct_execution():
+def test_plans_must_execute_single_disjuncts():
     class OpaquePlan(ExecutionPlan):
         def execute(self, database, bindings=None):
             return frozenset()
@@ -112,7 +110,5 @@ def test_base_plan_declines_disjunct_execution():
         def description(self):
             return "opaque"
 
-    plan = OpaquePlan()
-    assert plan.disjunct_count is None
-    with pytest.raises(BackendError):
-        plan.execute_disjunct(RelationalInstance(), 0)
+    with pytest.raises(TypeError, match="execute_disjunct"):
+        OpaquePlan()

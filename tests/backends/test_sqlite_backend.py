@@ -195,6 +195,29 @@ class TestAttachedMode:
         assert (Constant("lee"),) in answers
         system.close()
 
+    def test_poll_sees_external_commits_like_execute(self, tmp_path):
+        path = tmp_path / "external.db"
+        self.setup_database(path)
+        backend = SQLiteBackend(str(path), attach=True, create_missing=True)
+        system = OBDASystem(simple_theory(), backend=backend)
+        prepared = system.prepare(ConjunctiveQuery([Atom.of("person", A)], (A,)))
+        assert prepared.poll().added == frozenset({(Constant("kim"),)})
+
+        other = sqlite3.connect(path)
+        other.execute("INSERT INTO student VALUES ('lee')")
+        other.commit()
+        other.close()
+
+        # The instance epoch did not move; the file's data_version did,
+        # and the instance change log cannot explain that change.
+        delta = prepared.poll()
+        assert delta.mode == "full"
+        assert delta.added == frozenset({(Constant("lee"),)})
+        assert delta.removed == frozenset()
+        assert prepared.maintained_answers == prepared.execute().tuples
+        assert prepared.poll().mode == "noop"
+        system.close()
+
 
 class TestBackendRegistry:
     def test_create_backend_by_name(self):

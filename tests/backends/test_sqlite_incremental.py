@@ -6,7 +6,7 @@ from repro.backends.sqlite import SQLiteBackend
 from repro.database.instance import RelationalInstance
 from repro.dependencies.tgd import tgd
 from repro.dependencies.theory import OntologyTheory
-from repro.logic.atoms import Atom
+from repro.logic.atoms import Atom, Predicate
 from repro.logic.terms import Variable
 from repro.api import OBDASystem
 from repro.queries.parser import parse_query
@@ -51,7 +51,7 @@ class TestIncrementalLoading:
         system.database.remove_tuple("person", ["bob"])
         assert _answers(system) == {"alice"}
         assert backend.incremental_loads == 1
-        # Remove-then-re-add nets out through the ordered log.
+        # Remove-then-re-add nets out.
         system.database.add_tuple("person", ["bob"])
         assert _answers(system) == {"alice", "bob"}
         assert backend.incremental_loads == 2
@@ -150,4 +150,32 @@ class TestBackendAgreementUnderMutation:
             assert memory == sqlite, f"disagreement after {action} {relation}"
         backend = system.backend_for("sqlite")
         assert backend.incremental_loads >= 4
+        system.close()
+
+    def test_one_slice_of_cancelling_mutations_applies_its_net_change(self):
+        theory = OntologyTheory(
+            tgds=[tgd(Atom.of("works_for", X, Y), Atom.of("person", X))]
+        )
+        system = OBDASystem(theory, use_nc_pruning=False)
+        database = system.database
+        for name in ("a", "b", "c", "d"):
+            database.add_tuple("person", [name])
+        database.add_tuple("works_for", ["e", "acme"])
+        query = parse_query("q(A) :- person(A)")
+        system.answer(query, backend="sqlite")
+        # One slice, shorter than the instance: a fact removed and
+        # re-added, another added and removed again.
+        database.remove_tuple("person", ["a"])
+        database.add_tuple("person", ["a"])
+        database.add_tuple("person", ["f"])
+        database.remove_tuple("person", ["f"])
+        memory = system.answer(query, backend="memory").tuples
+        sqlite = system.answer(query, backend="sqlite").tuples
+        assert memory == sqlite
+        backend = system.backend_for("sqlite")
+        assert backend.incremental_loads == 1
+        (rows,) = backend.connection.execute(
+            'SELECT COUNT(*) FROM "person"'
+        ).fetchone()
+        assert rows == database.relation_size(Predicate("person", 1))
         system.close()

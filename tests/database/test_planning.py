@@ -1,4 +1,4 @@
-"""Cost-aware planning: estimates, join order, disjunct order, explain."""
+"""Cost-aware planning: estimates, join order, explain."""
 
 from repro.api import OBDASystem
 from repro.database.evaluator import QueryEvaluator, evaluate
@@ -66,6 +66,13 @@ class TestJoinOrder:
         assert plan.cumulative_rows == (1.0, 2.0)
         assert plan.cost == 3.0
 
+    def test_costs_rank_disjunct_bodies(self):
+        estimator = CardinalityEstimator(_skewed_database())
+        chain = estimator.plan_body([Atom.of("big", A, B), Atom.of("big", B, C)])
+        single = estimator.plan_body([Atom.of("tiny", A)])
+        assert single.order[0].predicate.name == "tiny"
+        assert chain.cost > single.cost
+
     def test_empty_body_plans_to_nothing(self):
         plan = CardinalityEstimator(_skewed_database()).plan_body([])
         assert plan == JoinPlan((), (), (), 0.0)
@@ -98,26 +105,6 @@ class TestJoinOrder:
         }
 
 
-class TestDisjunctOrder:
-    def test_cheapest_disjunct_runs_first(self):
-        estimator = CardinalityEstimator(_skewed_database())
-        bodies = [
-            [Atom.of("big", A, B), Atom.of("big", B, C)],
-            [Atom.of("tiny", A)],
-        ]
-        order, plans = estimator.order_disjuncts(bodies)
-        assert order == (1, 0)
-        # Plans stay indexed by the original disjunct position.
-        assert plans[1].order[0].predicate.name == "tiny"
-        assert plans[0].cost > plans[1].cost
-
-    def test_equal_costs_keep_original_order(self):
-        estimator = CardinalityEstimator(_skewed_database())
-        bodies = [[Atom.of("tiny", A)], [Atom.of("tiny", B)]]
-        order, _ = estimator.order_disjuncts(bodies)
-        assert order == (0, 1)
-
-
 class TestExplain:
     def _prepared(self, backend):
         system = OBDASystem(
@@ -128,15 +115,26 @@ class TestExplain:
     def test_memory_explain_reports_costs_and_order(self):
         text = self._prepared("memory").explain()
         assert "backend: memory" in text
-        assert "disjunct order" in text
-        assert "cost ~" in text
+        assert "disjunct 0: cost ~" in text
         assert "matching rows" in text
 
     def test_sqlite_explain_reports_costs_and_sql(self):
         text = self._prepared("sqlite").explain()
         assert "backend: sqlite" in text
-        assert "disjunct order" in text
+        assert "disjunct 0: cost ~" in text
         assert "sql:" in text
+
+    def test_explain_lists_every_disjunct_in_rewriting_order(self):
+        for backend in ("memory", "sqlite"):
+            prepared = self._prepared(backend)
+            listed = [
+                line.split(":")[0]
+                for line in prepared.explain().splitlines()
+                if line.startswith("disjunct ")
+            ]
+            assert listed == [
+                f"disjunct {index}" for index in range(len(prepared.rewriting.ucq))
+            ]
 
     def test_explain_reflects_database_growth(self):
         system = OBDASystem(theory(), database=sample_database())

@@ -10,13 +10,12 @@ oversize delta, instance swap, noop).
 import pytest
 
 from repro.database.evaluator import evaluate_ucq
-from repro.database.instance import RelationalInstance
+from repro.database.instance import RelationalInstance, net_changes
 from repro.incremental import (
     MaintainedAnswerSet,
     OverlayInstance,
     RelevanceIndex,
     derives,
-    net_changes,
     pinned_answers,
     unify_fact,
 )

@@ -300,6 +300,60 @@ class TestCompileTimeout:
 
         serve(body)
 
+    @pytest.mark.parametrize(
+        "endpoint", ("answer", "prepare", "prepare-batch", "subscribe", "changes")
+    )
+    def test_deadline_bounds_the_tenant_executor_hop(self, endpoint):
+        async def body():
+            app = ServingApp()
+            release = threading.Event()
+            busy = None
+            try:
+                await register(app, "acme")
+                # Compile warm and open a cursor before wedging the executor.
+                subscribed = await app.request(
+                    "POST", "/tenants/acme/subscribe", {"query": QUERY["query"]}
+                )
+                assert subscribed.status == 201, subscribed.payload
+                method, path, payload = {
+                    "answer": ("POST", "/answer", QUERY),
+                    "prepare": ("POST", "/prepare", QUERY),
+                    "prepare-batch": (
+                        "POST",
+                        "/tenants/acme/prepare-batch",
+                        {"queries": [QUERY["query"]]},
+                    ),
+                    "subscribe": (
+                        "POST",
+                        "/tenants/acme/subscribe",
+                        {"query": QUERY["query"]},
+                    ),
+                    "changes": (
+                        "GET",
+                        "/tenants/acme/changes",
+                        {"cursor": subscribed.payload["cursor"]},
+                    ),
+                }[endpoint]
+                busy = asyncio.get_running_loop().run_in_executor(
+                    app.registry.get("acme").executor,
+                    lambda: release.wait(timeout=5.0),
+                )
+                started = time.monotonic()
+                response = await app.request(
+                    method, path, payload, headers={"x-deadline-ms": "100"}
+                )
+                elapsed = time.monotonic() - started
+                assert response.status == 504, response.payload
+                assert response.payload["error"]["code"] == "timeout"
+                assert elapsed < 2.0
+            finally:
+                release.set()
+                if busy is not None:
+                    await busy
+                await app.aclose()
+
+        serve(body)
+
 
 class TestLoadShedding:
     def test_global_bound_sheds_new_leaders_but_not_warm_requests(self):

@@ -580,8 +580,8 @@ class TestAnswerExplain:
         ) == 0
         output = capsys.readouterr().out
         assert "backend: memory" in output
-        assert "disjunct order (cheapest estimated cost first)" in output
-        assert "cost ~" in output
+        assert "disjunct 0: cost ~" in output
+        assert "matching rows" in output
 
     def test_explain_covers_both_backends(self, capsys):
         assert main(
