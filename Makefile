@@ -16,7 +16,8 @@
 # (auto-strategy rewritings byte-identical to sequential on the running
 # example, flat canonical-key kernel never slower than the reference,
 # coverage-memo chain searches on P5 under a pinned ceiling, SQLite
-# snapshot loads and maintainer refreshes pinned over 20 mutations).
+# snapshot loads and maintainer refreshes pinned over 20 mutations,
+# delta-rule plans of Vicodi q1-q4 pinned over 20 churn rounds).
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest
@@ -96,7 +97,11 @@ chaos-smoke:
 # mutations of workload S on the SQLite backend must be patched in by
 # both change-log consumers: exactly 1 full and 20 incremental snapshot
 # loads and maintainer refreshes, with poll() answers equal to
-# execute() answers after every step.  The exhaustive
+# execute() answers after every step, and 20 seeded rounds of 4 deletes +
+# 4 inserts on the Vicodi sample ABox, each followed by a poll of q1-q4,
+# must join-order exactly the pinned number of delta rules (at most one
+# plan per rule of the four rewritings), with the maintained answers
+# equal to re-evaluation at the end.  The exhaustive
 # hot-path benchmark (all Table 1 workloads + generated triples,
 # homomorphism and MGU paths, the autotuner epsilon invariant) is
 # benchmarks/bench_hotpaths.py under `make bench-json`.

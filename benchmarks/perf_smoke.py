@@ -1,6 +1,6 @@
 """The ``make perf-smoke`` gate: the hot-path rewrite must never regress.
 
-Three hard checks, cheap enough to gate every CI run:
+Five hard checks, cheap enough to gate every CI run:
 
 1. **Autotuner byte-identity** — compiling the paper's running example
    (StockExchange, Section 2) and every Figure 1 query under
@@ -23,6 +23,13 @@ Three hard checks, cheap enough to gate every CI run:
    full/incremental snapshot loads and the maintainer's full/incremental
    refreshes must both be exactly 1/20, and the polled answers must equal
    the executed ones after every step.  Counters again, exact anywhere.
+5. **Delta rules planned once** — on the Vicodi sample ABox, queries
+   q1–q4 are prepared and polled, then :data:`DELTA_RULES_ROUNDS` seeded
+   rounds of 4 deletes and 4 inserts each are followed by a poll of all
+   four.  The maintainers must join-order exactly
+   :data:`DELTA_RULES_PLANS` delta rules in all — each rule at most once,
+   so never more than the rewritings have rules — and the maintained
+   answers must equal re-evaluating the rewritings at the end.
 
 The exhaustive version of the first two checks — all five Table 1
 ontologies, generated fuzzing triples, homomorphism and MGU paths, the
@@ -46,6 +53,7 @@ if _SRC not in sys.path:
 
 from repro.api import OBDASystem  # noqa: E402
 from repro.core.rewriter import TGDRewriter  # noqa: E402
+from repro.database.evaluator import evaluate_ucq  # noqa: E402
 from repro.logic.atoms import Atom  # noqa: E402
 from repro.logic.canonical import (  # noqa: E402
     canonical_fingerprint,
@@ -70,6 +78,13 @@ COVERAGE_SEARCH_CEILING = 22
 CHANGE_LOG_MUTATIONS = 20
 CHANGE_LOG_SEED = 7
 CHANGE_LOG_COUNTS = (1, CHANGE_LOG_MUTATIONS)
+#: Check 5's seeded churn script on Vicodi, and the pinned number of
+#: delta-rule plans it makes (planning each pinned body per changed fact
+#: instead takes 1,928 plans).
+DELTA_RULES_QUERIES = ("q1", "q2", "q3", "q4")
+DELTA_RULES_ROUNDS = 20
+DELTA_RULES_SEED = 15
+DELTA_RULES_PLANS = 774
 
 
 def _best_of(function, repeats: int = REPEATS) -> float:
@@ -167,6 +182,56 @@ def change_log_reader_check() -> bool:
     return True
 
 
+def delta_rules_check() -> bool:
+    """Check 5: churn polls reuse their delta-rule plans."""
+    workload = get_workload("V")
+    system = OBDASystem(workload.theory, database=workload.abox())
+    database = system.database
+    prepared = [system.prepare(workload.query(name)) for name in DELTA_RULES_QUERIES]
+    rules = sum(
+        len(query.body) + 1 for handle in prepared for query in handle.rewriting.ucq
+    )
+    for handle in prepared:
+        handle.poll()
+    rng = random.Random(DELTA_RULES_SEED)
+    predicates = sorted(database.predicates(), key=lambda p: (p.name, p.arity))
+    constants = sorted(database.constants(), key=lambda c: repr(c.value))
+    for _ in range(DELTA_RULES_ROUNDS):
+        for _ in range(4):
+            database.remove(rng.choice(sorted(database.facts, key=repr)))
+        for _ in range(4):
+            predicate = rng.choice(predicates)
+            database.add(
+                Atom(
+                    predicate,
+                    tuple(rng.choice(constants) for _ in range(predicate.arity)),
+                )
+            )
+        for handle in prepared:
+            handle.poll()
+    plans = sum(handle.maintainer().counters.delta_plans for handle in prepared)
+    agreed = all(
+        handle.maintained_answers == evaluate_ucq(handle.rewriting.ucq, database)
+        for handle in prepared
+    )
+    system.close()
+    print(
+        f"delta rules on V q1-q4 ({DELTA_RULES_ROUNDS} rounds of 4+4 "
+        f"mutations): {plans} plans of {rules} rules (pinned {DELTA_RULES_PLANS})"
+    )
+    if not agreed:
+        print("error: maintained answers differ from re-evaluation", file=sys.stderr)
+        return False
+    if plans > rules or plans != DELTA_RULES_PLANS:
+        print(
+            f"error: {plans} delta-rule plans, pinned {DELTA_RULES_PLANS} "
+            f"(at most one per rule, {rules})",
+            file=sys.stderr,
+        )
+        return False
+    return True
+
+
 def main() -> int:
     example = theory()
     queries = {"running": running_query()}
@@ -234,10 +299,13 @@ def main() -> int:
         return 1
     if not change_log_reader_check():
         return 1
+    if not delta_rules_check():
+        return 1
     print(
         "# perf smoke: auto byte-identical with sequential; flat canonical "
         f"kernel {speedup:.2f}x; coverage memo within its search ceiling; "
-        "change-log consumers patch every single-fact mutation"
+        "change-log consumers patch every single-fact mutation; delta "
+        "rules planned once"
     )
     return 0
 

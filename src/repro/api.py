@@ -229,7 +229,7 @@ class PreparedQuery:
 
         Shared by every subscription on this prepared handle; full
         (re-)executions run through the backend plan's per-disjunct path,
-        incremental steps evaluate pinned residual joins over the
+        incremental steps run the maintainer's delta rules over the
         instance.  :meth:`poll` refreshes it under the same freshness key
         as the :meth:`execute` answer cache (the backend's
         ``data_epoch``), so both see the same data; they share no answer

@@ -17,7 +17,7 @@ iff the empty tuple is an answer.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..logic.atoms import Atom
 from ..logic.terms import Term, is_constant, is_variable
@@ -40,16 +40,22 @@ class QueryEvaluator:
         return self.answers_for_order(self.join_order(query.body), query.answer_terms)
 
     def answers_for_order(
-        self, ordered_body: Sequence[Atom], answer_terms: Sequence[Term]
+        self,
+        ordered_body: Sequence[Atom],
+        answer_terms: Sequence[Term],
+        seed: Mapping[Term, Term] | None = None,
     ) -> frozenset[tuple[Term, ...]]:
         """Answers of a CQ whose join order has already been fixed.
 
         This is the execution half of :meth:`evaluate`, split out so a
         prepared plan (:class:`repro.backends.memory.InMemoryBackend`) can
-        compute the join order once and replay it across executions.
+        compute the join order once and replay it across executions.  The
+        search starts from *seed*, a binding of some variables to values
+        (a delta rule's unifier, see :mod:`repro.incremental.maintain`);
+        answer terms read their values from it like from any binding.
         """
         answers: set[tuple[Term, ...]] = set()
-        for binding in self._search(list(ordered_body), 0, {}):
+        for binding in self._search(ordered_body, 0, seed or {}):
             answer = tuple(
                 binding.get(term, term) if is_variable(term) else term
                 for term in answer_terms
@@ -57,6 +63,17 @@ class QueryEvaluator:
             if all(is_constant(value) for value in answer):
                 answers.add(answer)
         return frozenset(answers)
+
+    def satisfiable(
+        self, ordered_body: Sequence[Atom], seed: Mapping[Term, Term] | None = None
+    ) -> bool:
+        """``True`` iff some binding extending *seed* satisfies the ordered body.
+
+        Stops at the first binding found: the existence check of the
+        maintainer's rederive step (:func:`repro.incremental.maintain.
+        derives`).
+        """
+        return next(self._search(ordered_body, 0, seed or {}), None) is not None
 
     def evaluate_ucq(
         self, ucq: UnionOfConjunctiveQueries | Iterable[ConjunctiveQuery]
@@ -108,7 +125,7 @@ class QueryEvaluator:
         return list(CardinalityEstimator(self._instance).plan_body(body).order)
 
     def _search(
-        self, atoms: list[Atom], index: int, binding: dict[Term, Term]
+        self, atoms: Sequence[Atom], index: int, binding: Mapping[Term, Term]
     ) -> Iterator[dict[Term, Term]]:
         if index == len(atoms):
             yield dict(binding)

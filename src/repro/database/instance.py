@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from enum import Enum
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from ..logic.atoms import Atom, Predicate
@@ -136,11 +137,13 @@ class RelationalInstance:
         reproduces the current fact set exactly (a fact removed and
         re-added contributes both entries).
         """
-        if epoch > self._epoch:
+        if not self._change_floor <= epoch <= self._epoch:
             return None
-        if epoch < self._change_floor:
-            return None
-        return list(self._changes)[epoch - self._change_floor :]
+        # The log holds one entry per epoch step, so the delta is its last
+        # `_epoch - epoch` entries; walk only those, not the whole log.
+        tail = list(islice(reversed(self._changes), self._epoch - epoch))
+        tail.reverse()
+        return tail
 
     def net_changes_since(
         self, epoch: int
@@ -153,12 +156,11 @@ class RelationalInstance:
         rebuilding).  The caller must then treat the whole instance as
         changed.
         """
-        log = self.changes_since(epoch)
-        if log is None:
+        if not self._change_floor <= epoch <= self._epoch:
             return LogGap.TRUNCATED
-        if len(log) > len(self._facts):
+        if self._epoch - epoch > len(self._facts):
             return LogGap.OVERSIZE
-        return net_changes(log)
+        return net_changes(self.changes_since(epoch))
 
     def add(self, fact: Atom) -> bool:
         """Insert a ground atom; returns ``True`` if it was new."""

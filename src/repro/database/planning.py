@@ -19,7 +19,8 @@ intermediate-result sizes along the join.  The evaluator and the
 in-memory backend join in that order; both backends' ``explain`` print
 it per disjunct.  Disjuncts themselves run in rewriting order: every
 disjunct of a UCQ is evaluated in full, so no order over them changes
-the work done.
+the work done.  The incremental maintainer plans its delta rules here
+too, passing the variables a changed fact will bind as ``bound``.
 
 Ordering never changes *what* is answered — CQ answers are
 order-independent — which is why the existing backend-agreement
@@ -28,7 +29,7 @@ differential tests double as the safety net for this module.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ..logic.atoms import Atom
 from ..logic.terms import Term, is_constant, is_variable
@@ -84,20 +85,28 @@ class CardinalityEstimator:
                     estimate /= distinct
         return estimate
 
-    def plan_body(self, body: Sequence[Atom]) -> JoinPlan:
+    def plan_body(
+        self, body: Sequence[Atom], bound: Iterable[Term] = ()
+    ) -> JoinPlan:
         """Greedy cost-ordered join plan for one CQ body.
 
         At each step the atom with the fewest estimated matches (under the
         bindings accumulated so far) is joined next; ties fall back to the
         structural heuristic the evaluator used before (more bound terms,
         smaller relation), then to the original body position, so the plan
-        is a deterministic function of ``(body, database state)``.
+        is a deterministic function of ``(body, bound, database state)``.
+
+        *bound* names variables the search will already have values for
+        when the join starts — a delta rule's seed (see
+        :mod:`repro.incremental.maintain`).  They weigh exactly like
+        constants, so a body planned with a seed bound orders like the same
+        body with the seed's values substituted in.
         """
         atoms = list(body)
         if not atoms:
             return JoinPlan((), (), (), 0.0)
         remaining = list(range(len(atoms)))
-        bound_variables: set[Term] = set()
+        bound_variables: set[Term] = set(bound)
         order: list[Atom] = []
         step_rows: list[float] = []
         cumulative: list[float] = []

@@ -4,8 +4,10 @@ Standing queries for the serving tier: a compiled UCQ rewriting is a
 non-recursive relational query, so its answer set can be *maintained*
 under single-tuple inserts and deletes instead of recomputed — semi-naive
 pinned deltas for inserts, DRed-style over-delete + rederive for deletes,
-support counts across disjuncts, and an unconditional fallback to full
-re-execution whenever the change log cannot vouch for the delta.
+both run as delta rules whose join orders are planned once and reused
+across polls, support counts across disjuncts, and an unconditional
+fallback to full re-execution whenever the change log cannot vouch for
+the delta.
 
 Modules
 -------

@@ -4,9 +4,10 @@ DRed-style deletion must over-approximate the answers lost to a batch of
 removed facts by evaluating pinned disjuncts over the *pre-deletion* state
 — the current database plus the facts that just disappeared.  Materialising
 that state would copy the instance; instead :class:`OverlayInstance`
-presents ``base ∪ extra`` through exactly the two methods the query
-evaluator consumes (:meth:`relation` and :meth:`matching`), delegating to
-the live instance's indexes and scanning the (small) overlay linearly.
+presents ``base ∪ extra`` through exactly what the maintainer's seeded
+search consumes (:meth:`relation`, :meth:`matching` and a membership
+test), delegating to the live instance's indexes and scanning the (small)
+overlay linearly.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from ..logic.terms import Term
 class OverlayInstance:
     """``base ∪ extra`` exposed through the :class:`QueryEvaluator` protocol.
 
-    Only :meth:`relation`, :meth:`matching` and the planner statistics
-    (:meth:`relation_size`, :meth:`position_cardinalities`) are provided —
-    they are the whole surface
-    :class:`repro.database.evaluator.QueryEvaluator` touches
-    (``join_order`` estimates selectivities, ``_search`` probes indexes).
-    The overlay is expected to be small (a net deletion batch), so
-    membership filtering over it is a linear scan per probe and the
-    statistics are recomputed per call rather than epoch-cached.
+    Only :meth:`relation`, :meth:`matching` and ``in`` are provided: the
+    evaluator's search probes indexes, and
+    :func:`repro.incremental.maintain.pinned_answers` checks that the
+    pinned fact is in the view.  There are no planner statistics: delta
+    rules are planned against the base instance, which differs from the
+    overlay only by one poll's removed facts.  The overlay is expected to
+    be small (a net deletion batch), so filtering it is a linear scan per
+    probe.
     """
 
     def __init__(self, base, extra: Iterable[Atom]) -> None:
@@ -39,6 +40,9 @@ class OverlayInstance:
             grouped[fact.predicate].append(fact)
         self._extra = {predicate: tuple(facts) for predicate, facts in grouped.items()}
 
+    def __contains__(self, fact: Atom) -> bool:
+        return fact in self._base or fact in self._extra.get(fact.predicate, ())
+
     def relation(self, predicate: Predicate) -> frozenset[Atom]:
         """All atoms of *predicate* in the overlaid view."""
         extra = self._extra.get(predicate)
@@ -46,18 +50,6 @@ class OverlayInstance:
         if not extra:
             return base
         return base | frozenset(extra)
-
-    def relation_size(self, predicate: Predicate) -> int:
-        """Number of atoms of *predicate* in the overlaid view."""
-        return len(self.relation(predicate))
-
-    def position_cardinalities(self, predicate: Predicate) -> tuple[int, ...]:
-        """Distinct values at each position of *predicate*, overlay included."""
-        facts = self.relation(predicate)
-        return tuple(
-            len({fact.terms[position] for fact in facts})
-            for position in range(predicate.arity)
-        )
 
     def matching(self, predicate: Predicate, bound: dict[int, Term]) -> frozenset[Atom]:
         """Atoms of *predicate* agreeing with the bound (1-based) positions."""

@@ -66,6 +66,20 @@ class TestSingleQueryEvaluation:
         query = ConjunctiveQuery([Atom.of("works_for", A, Constant("ghost"))], (A,))
         assert evaluate(query, _sample_database()) == frozenset()
 
+    def test_seeded_search_extends_the_seed(self):
+        evaluator = QueryEvaluator(_sample_database())
+        body = [Atom.of("works_for", A, B), Atom.of("company", B)]
+        ann = Constant("ann")
+        # The seed binds A like a constant would; answer terms read it.
+        assert evaluator.answers_for_order(body, (A, B), {A: ann}) == {
+            (ann, Constant("acme"))
+        }
+        assert evaluator.answers_for_order(body, (A,), {A: Constant("eve")}) == set()
+        assert evaluator.satisfiable(body, {A: ann})
+        assert not evaluator.satisfiable(body, {A: Constant("eve")})
+        # An empty body is satisfied by the seed alone.
+        assert evaluator.answers_for_order((), (A,), {A: ann}) == {(ann,)}
+
     def test_boolean_query_entailment(self):
         evaluator = QueryEvaluator(_sample_database())
         assert evaluator.entails(ConjunctiveQuery([Atom.of("company", A)], ()))

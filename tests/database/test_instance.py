@@ -212,6 +212,24 @@ class TestChangeLog:
         # And the current epoch is always an empty (non-None) delta.
         assert instance.changes_since(instance.epoch) == []
 
+    def test_full_log_yields_ordered_tails(self):
+        # At the default capacity the log is full and has overflowed once:
+        # every tail, up to the whole log, comes back oldest first.
+        instance = RelationalInstance()
+        capacity = instance.max_tracked_changes
+        facts = [Atom.of("r", Constant(f"v{index}")) for index in range(capacity + 1)]
+        for fact in facts:
+            instance.add(fact)
+        instance.remove(facts[0])
+        logged = [(True, fact) for fact in facts[2:]] + [(False, facts[0])]
+        assert instance.changes_since(instance.epoch - capacity) == logged
+        assert instance.changes_since(instance.epoch - capacity - 1) is None
+        assert instance.changes_since(instance.epoch - 8) == logged[-8:]
+        assert instance.net_changes_since(instance.epoch - 8) == (
+            set(facts[-7:]),
+            {facts[0]},
+        )
+
     def test_zero_capacity_keeps_no_log(self):
         instance = RelationalInstance(max_tracked_changes=0)
         instance.add(Atom.of("r", a))

@@ -88,6 +88,30 @@ class TestJoinOrder:
         # Equal cost estimates fall back to the original body position.
         assert [atom.predicate.name for atom in first.order] == ["s", "r"]
 
+    def test_bound_variables_weigh_like_constants(self):
+        estimator = CardinalityEstimator(_skewed_database())
+        chain = [Atom.of("big", B, C), Atom.of("big", A, B)]
+        # Unbound, the two atoms tie and body position decides.
+        assert estimator.plan_body(chain).order == tuple(chain)
+        # With A bound (a delta rule's seed), big(A, B) is the selective one.
+        seeded = estimator.plan_body(chain, bound=(A,))
+        assert seeded.order == (chain[1], chain[0])
+        assert seeded.step_rows == (2.0, 2.0)
+        # Exactly the plan of the body with a value substituted for A.
+        substituted = [atom.apply({A: Constant("s1")}) for atom in chain]
+        plan = estimator.plan_body(substituted)
+        assert plan.order == (substituted[1], substituted[0])
+        assert (plan.step_rows, plan.cost) == (seeded.step_rows, seeded.cost)
+
+    def test_no_bound_variables_is_the_default_plan(self):
+        system = OBDASystem(theory(), database=sample_database())
+        estimator = CardinalityEstimator(system.database)
+        for query in system.prepare(running_query()).rewriting.ucq:
+            assert estimator.plan_body(query.body, bound=()) == (
+                estimator.plan_body(query.body)
+            )
+        system.close()
+
     def test_evaluator_join_order_is_the_planned_order(self):
         database = _skewed_database()
         body = (Atom.of("big", A, B), Atom.of("tiny", A))

@@ -1,10 +1,12 @@
 """Unit tests for delta maintenance of UCQ answer sets.
 
 Covers the building blocks (relevance index, overlay view, net-change
-collapse, pinning, rederivation) and the :class:`MaintainedAnswerSet`
-refresh modes: initial full computation, incremental insert/delete
-maintenance with support counting, and every fallback (truncated log,
-oversize delta, instance swap, noop).
+collapse, pinning, rederivation), the delta rules' seeded searches and
+plan lifetime (made on first use, reused, dropped by full refreshes and
+by drift), and the :class:`MaintainedAnswerSet` refresh modes: initial
+full computation, incremental insert/delete maintenance with support
+counting, and every fallback (truncated log, oversize delta, instance
+swap, noop).
 """
 
 import pytest
@@ -22,7 +24,7 @@ from repro.incremental import (
 from repro.logic.atoms import Atom, Predicate
 from repro.logic.terms import Constant, Variable
 
-X, Y = Variable("X"), Variable("Y")
+X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 
 
@@ -142,6 +144,110 @@ class TestDerives:
         body, answer_terms = WORKS_IN_DEPT.body, WORKS_IN_DEPT.answer_terms
         assert derives(body, answer_terms, (a,), instance)
         assert not derives(body, answer_terms, (c,), instance)
+
+
+class TestDeltaRules:
+    """Seeded delta rules: their answers, and the lifetime of their plans."""
+
+    def test_fact_absent_from_the_view_pins_nothing(self):
+        instance = RelationalInstance([Atom.of("works", a, b), Atom.of("dept", b)])
+        body, answer_terms = WORKS_IN_DEPT.body, WORKS_IN_DEPT.answer_terms
+        absent = Atom.of("works", c, b)
+        # The rest of the body, dept(b), holds: only the membership check
+        # keeps the absent fact from pinning (c,).
+        assert pinned_answers(body, answer_terms, absent, instance) == frozenset()
+        view = OverlayInstance(instance, [absent])
+        assert pinned_answers(body, answer_terms, absent, view) == {(c,)}
+
+    def test_self_join_pinned_through_one_fact(self):
+        # q(X, Z) :- r(X, Y), r(Y, Z): r(a, a) matches either atom.
+        self_join = cq([Atom.of("r", X, Y), Atom.of("r", Y, Z)], (X, Z))
+        body, answer_terms = self_join.body, self_join.answer_terms
+        instance = RelationalInstance(
+            [Atom.of("r", a, a), Atom.of("r", a, b), Atom.of("r", c, a)]
+        )
+        pinned = {(a, a), (a, b), (c, a)}  # (c, b) does not use r(a, a)
+        fact = Atom.of("r", a, a)
+        assert pinned_answers(body, answer_terms, fact, instance) == pinned
+        # The maintainer runs the same rules with its planned orders.
+        maintained = MaintainedAnswerSet((self_join,))
+        maintained.refresh(instance)
+        instance.remove(fact)
+        delta = maintained.refresh(instance)
+        assert delta.mode == "incremental"
+        assert delta.removed == pinned and not delta.added
+        instance.add(fact)
+        delta = maintained.refresh(instance)
+        assert delta.added == pinned and not delta.removed
+        assert maintained.tuples == evaluate_ucq((self_join,), instance)
+
+    def _works_in_dept(self, padding: int, **instance_kwargs):
+        """WORKS_IN_DEPT over a few facts plus *padding* unrelated ones."""
+        instance = RelationalInstance(
+            [Atom.of("works", a, b), Atom.of("dept", b), Atom.of("dept", c)]
+            + [Atom.of("other", Constant(f"o{i}")) for i in range(padding)],
+            **instance_kwargs,
+        )
+        maintained = MaintainedAnswerSet((WORKS_IN_DEPT,))
+        maintained.refresh(instance)
+        return instance, maintained
+
+    def assert_current(self, instance, maintained):
+        assert maintained.tuples == evaluate_ucq((WORKS_IN_DEPT,), instance)
+
+    def test_plans_are_made_on_first_use_and_reused(self):
+        instance, maintained = self._works_in_dept(padding=10)
+        counters = maintained.counters
+        assert counters.delta_plans == 0  # subscribing plans nothing
+        instance.add(Atom.of("works", c, c))
+        maintained.refresh(instance)
+        assert counters.delta_plans == 1  # the rule pinning works(X, Y)
+        instance.add(Atom.of("works", b, c))
+        maintained.refresh(instance)
+        assert counters.delta_plans == 1  # same rule, same plan
+        instance.remove(Atom.of("dept", c))
+        maintained.refresh(instance)
+        # The rule pinning dept(Y), plus the rederive rule for the
+        # over-deleted answers.
+        assert counters.delta_plans == 3
+        instance.add(Atom.of("dept", c))
+        instance.remove(Atom.of("works", b, c))
+        maintained.refresh(instance)
+        assert counters.delta_plans == 3
+        assert counters.incremental_refreshes == 4
+        self.assert_current(instance, maintained)
+
+    def test_full_refresh_drops_the_plans(self):
+        # A log too short for two mutations between polls.
+        instance, maintained = self._works_in_dept(padding=10, max_tracked_changes=1)
+        instance.add(Atom.of("works", c, c))
+        maintained.refresh(instance)
+        assert maintained.counters.delta_plans == 1
+        instance.add(Atom.of("works", b, c))
+        instance.add(Atom.of("works", b, b))
+        maintained.refresh(instance)
+        assert maintained.counters.truncation_fallbacks == 1
+        instance.add(Atom.of("works", c, b))
+        maintained.refresh(instance)
+        # The truncation fallback emptied the cache: the rule is re-planned.
+        assert maintained.counters.delta_plans == 2
+        self.assert_current(instance, maintained)
+
+    def test_drift_drops_the_plans(self):
+        # 4 facts at the full refresh; one fact per incremental poll.
+        instance, maintained = self._works_in_dept(padding=1)
+        assert len(instance) == 4
+        for index in range(4):
+            instance.add(Atom.of("works", Constant(f"w{index}"), c))
+            assert maintained.refresh(instance).mode == "incremental"
+        assert maintained.counters.delta_plans == 1
+        # The fifth applied fact outnumbers the instance the plans were
+        # made on: the cache is emptied and the rule re-planned.
+        instance.add(Atom.of("works", Constant("w4"), c))
+        assert maintained.refresh(instance).mode == "incremental"
+        assert maintained.counters.delta_plans == 2
+        assert maintained.counters.full_refreshes == 1
+        self.assert_current(instance, maintained)
 
 
 class TestMaintainedAnswerSet:
