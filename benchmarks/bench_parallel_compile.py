@@ -11,13 +11,14 @@ trajectory of the repository is tracked by artifacts instead of prose:
 * batch wall-clock and speedup for the parallel run, plus the two
   invariants that make the speedup trustworthy: identical sizes and
   byte-identical stores under every worker count;
-* the **intra-query axis**: the slowest ontology recompiled with its
-  frontier generations split across the pool
+* the **intra-query axis**: the slowest ontology recompiled through
+  ``compile_many(queries, workers=N, strategy=...)`` with its frontier
+  generations split across the pool
   (:class:`repro.scheduling.ChunkedProcessStrategy`), together with the
   per-query granularity ceiling (``ontology total / slowest query``)
-  that intra-query scheduling exists to break — on a single-CPU host
-  the recorded speedups degenerate to ≤1, so read them alongside the
-  recorded ``cpu_count``;
+  that intra-query scheduling exists to break — with few cores the
+  recorded speedups fall below 1, so read them alongside the recorded
+  ``cpu_count``;
 * warm wall-clock (the compile-once serving layer, for scale).
 
 The headline configuration is the plain ``TGD-rewrite`` engine (the NY
@@ -181,9 +182,9 @@ def run(workers: int | None, use_elimination: bool) -> dict:
         queries = [workload.query(q) for q in workload.query_names]
         started = time.perf_counter()
         try:
-            intra_results = compile_workloads(
-                [(system, queries)], workers=workers, strategy=strategy
-            )[0]
+            intra_results = system.compile_many(
+                queries, workers=workers, strategy=strategy
+            )
         finally:
             strategy.close()
         intra_total = time.perf_counter() - started

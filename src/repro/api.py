@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .backends import ExecutionBackend, ExecutionPlan, create_backend
+from .cache.checkpoint import FrontierCheckpoint
 from .cache.fingerprint import theory_fingerprint
 from .cache.store import RewritingStore
 from .chase.chase import certain_answers as chase_certain_answers
@@ -560,9 +561,9 @@ class OBDASystem:
         Returns the served ``(result, source)`` — installed in the
         in-process cache, with its hit counters updated — or ``None`` on a
         genuine miss (the caller then owes the engine a run).  This is the
-        *only* implementation of the serving order; the sequential
-        :meth:`compile` and the parallel pre-scan of
-        :func:`repro.parallel.compile_workloads` both go through it.
+        *only* implementation of the serving order; :meth:`compile`,
+        :meth:`compile_many` and the parallel pre-scan of
+        :func:`repro.parallel.compile_workloads` all go through it.
         """
         cached = self._rewriting_cache.get(query)
         if cached is not None:
@@ -642,91 +643,68 @@ class OBDASystem:
         All queries go through the shared cache layers and one persistent
         store, so a warm store turns a whole workload run into a sequence
         of lookups.  Results are returned in input order (duplicated or
-        variant inputs each get their — shared — result).
-
-        ``workers`` controls cold-compile parallelism: ``None`` (default)
-        uses one worker process per CPU, ``workers=1`` keeps the
-        sequential in-process path.  ``strategy`` selects *intra-query*
-        parallelism for the cold path — each slow query's frontier
-        generations are split across the pool instead of one query per
-        task; when omitted, the intra-query mode kicks in automatically
-        when a single cold query meets a multi-worker pool (see
-        :func:`repro.parallel.compile_workloads`).  Cache probes and
-        store writes always happen in the parent, in input order, so the
-        stored bytes — and the pinned Table 1 sizes — are identical
-        under every worker count and strategy.  After the call,
+        variant inputs each get their — shared — result).  Cache probes
+        and store writes always happen in this process, in input order,
+        so the stored bytes — and the pinned Table 1 sizes — are
+        identical under every worker count and strategy.  After the call,
         :attr:`last_batch_statistics` holds the merged per-workload
         totals.
 
-        ``checkpoint_dir`` makes the batch resumable: each cold query
-        runs under its own frontier checkpoint (saved every
-        ``checkpoint_every`` generations) and a
-        :class:`~repro.cache.checkpoint.BatchCheckpoint` manifest tracks
-        which members completed, so a killed batch rerun redoes only the
-        interrupted member's remaining generations (completed members are
-        served from the caches or the persistent store).  Checkpointed
-        batches run member-by-member in the parent process — *strategy*
-        still applies intra-query, but *workers* does not fan members out.
+        ``workers`` (default: one per CPU) fans cold queries out to a
+        process pool, one query per task (see
+        :func:`repro.parallel.compile_workloads`).  ``workers=1``, an
+        explicit ``strategy`` or a ``checkpoint_dir`` instead compile one
+        member at a time in this process, each probing the caches first.
+        A ``strategy`` name is built with *workers*; an instance is used
+        as given and left open.
+
+        ``checkpoint_dir`` makes the batch resumable: each cold member
+        runs under :meth:`FrontierCheckpoint.for_query
+        <repro.cache.checkpoint.FrontierCheckpoint.for_query>`, saved
+        every ``checkpoint_every`` generations, so a rerun of a killed
+        batch resumes the interrupted member.  Members that completed
+        before the kill are skipped only when the caches hold them (the
+        persistent store, in a new process); otherwise they run again.
         """
         from .parallel import compile_workloads, resolve_workers
 
         queries = list(queries)
-        if checkpoint_dir is not None and queries:
-            return self._compile_many_checkpointed(
-                queries, strategy, checkpoint_dir, checkpoint_every
-            )
-        if (resolve_workers(workers) == 1 and strategy is None) or not queries:
-            results = [self.compile(query) for query in queries]
-            self._record_batch_statistics(results)
-            return results
-        return compile_workloads([(self, queries)], workers=workers, strategy=strategy)[0]
-
-    def _compile_many_checkpointed(
-        self,
-        queries: "list[ConjunctiveQuery]",
-        strategy: "str | SchedulingStrategy | None",
-        checkpoint_dir: "str | os.PathLike",
-        checkpoint_every: int,
-    ) -> list[RewritingResult]:
-        """The resumable member-by-member path of :meth:`compile_many`."""
-        from .cache.checkpoint import BatchCheckpoint
-
-        batch = BatchCheckpoint(checkpoint_dir, every=checkpoint_every)
-        batch.begin(self._fingerprint, queries)
-        run_strategy = create_strategy(strategy) if strategy is not None else None
+        if checkpoint_dir is not None and checkpoint_every < 1:
+            raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+        if resolve_workers(workers) > 1 and strategy is None and checkpoint_dir is None:
+            return compile_workloads([(self, queries)], workers=workers)[0]
+        run_strategy = (
+            create_strategy(strategy, workers=workers) if strategy is not None else None
+        )
         results = []
         try:
             for query in queries:
                 served = self._serve_from_caches(query)
                 if served is not None:
                     results.append(served[0])
-                    batch.mark_completed(query)
                     continue
-                checkpoint = batch.checkpoint_for(query)
-                if run_strategy is not None:
-                    result = self._rewriter.rewrite(
-                        query, strategy=run_strategy, checkpoint=checkpoint
+                checkpoint = (
+                    FrontierCheckpoint.for_query(
+                        checkpoint_dir, self._fingerprint, query, checkpoint_every
                     )
-                else:
-                    result = self._rewriter.rewrite(query, checkpoint=checkpoint)
-                results.append(self._absorb_fresh_result(query, result))
-                batch.mark_completed(
-                    query, resumed_generation=checkpoint.resumed_generation
+                    if checkpoint_dir is not None
+                    else None
                 )
+                result = self._rewriter.rewrite(
+                    query, strategy=run_strategy, checkpoint=checkpoint
+                )
+                results.append(self._absorb_fresh_result(query, result))
         finally:
-            if run_strategy is not None and not isinstance(
-                strategy, SchedulingStrategy
-            ):
+            if run_strategy is not None and not isinstance(strategy, SchedulingStrategy):
                 run_strategy.close()
-        batch.finish()
         self._record_batch_statistics(results)
         return results
 
     def _record_batch_statistics(self, results: Sequence[RewritingResult]) -> None:
         """Fold a batch's per-result statistics into merged workload totals.
 
-        Shared results (duplicated inputs) count once; used by both the
-        sequential loop and :func:`repro.parallel.compile_workloads`.
+        Shared results (duplicated inputs) count once; used by both
+        :meth:`compile_many` and :func:`repro.parallel.compile_workloads`.
         """
         unique = {id(result): result.statistics for result in results}
         self._last_batch_statistics = RewritingStatistics.merge_all(unique.values())

@@ -31,7 +31,10 @@ The package provides three pieces:
 * :mod:`repro.cache.checkpoint` — :class:`FrontierCheckpoint`, which
   persists the frontier kernel's state between rewriting generations so
   a killed compilation resumes from its last completed generation (with
-  a byte-identical final result) instead of restarting.
+  a byte-identical final result) instead of restarting.  In a checkpoint
+  directory each file is named by ``compile_digest`` (fingerprint +
+  canonical key), the one naming the serving tier and
+  ``OBDASystem.compile_many(checkpoint_dir=...)`` share.
 
 Cache-key invariants
 --------------------

@@ -9,7 +9,7 @@ each completed generation, so a compilation killed at generation ``n``
 resumes from ``n`` rather than from scratch — and because the kernel's
 merge order is deterministic, the resumed run finishes with a result
 byte-identical to an uninterrupted one (pinned by
-``tests/core/test_checkpoint.py``).
+``tests/cache/test_checkpoint.py``).
 
 Validity is structural, like the rewriting store's: the checkpoint records
 the theory fingerprint (rules + engine options + engine version, see
@@ -18,10 +18,16 @@ Loading against a different engine or query returns ``None`` — the run
 simply starts fresh — so a stale checkpoint file can never corrupt a
 result.  Writes are atomic (temp file + ``os.replace``); a crash while
 checkpointing leaves the previous checkpoint intact.
+
+Inside a checkpoint directory each compile's file is named by
+:func:`compile_digest` (:meth:`FrontierCheckpoint.for_query`).  The
+serving tier and :meth:`repro.api.OBDASystem.compile_many` both name
+files this way, so a compile killed under one resumes under the other.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -44,6 +50,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.rewriter import TGDRewriter
 
 logger = logging.getLogger(__name__)
+
+
+def compile_digest(query: ConjunctiveQuery, fingerprint: str) -> str:
+    """Content address of one compilation: canonical key + fingerprint.
+
+    Names the checkpoint file and the serving tier's single-flight key, so
+    variants of one query coalesce onto one compile and one resumable
+    checkpoint, exactly as they share one entry in the rewriting store.
+    """
+    key, _ = query.canonical_fingerprint
+    payload = f"{fingerprint}\n{key!r}"
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class FrontierCheckpoint:
@@ -75,6 +93,22 @@ class FrontierCheckpoint:
         self.saves = 0
         self.save_failures = 0
         self.resumed_generation: int | None = None
+
+    @classmethod
+    def for_query(
+        cls,
+        directory: str | os.PathLike,
+        fingerprint: str,
+        query: ConjunctiveQuery,
+        every: int = 1,
+    ) -> "FrontierCheckpoint":
+        """The checkpoint of *query*'s compile inside *directory*.
+
+        The file is ``<compile_digest>.json``: one name per ``(theory
+        fingerprint, canonical key)``, whoever runs the compile.
+        """
+        digest = compile_digest(query, fingerprint)
+        return cls(Path(directory) / f"{digest}.json", every=every)
 
     @property
     def path(self) -> Path:
@@ -210,172 +244,3 @@ class FrontierCheckpoint:
             self._path.unlink()
         except OSError:
             pass
-
-
-class BatchCheckpoint:
-    """Resume manifest plus per-query frontier checkpoints for a batch compile.
-
-    :meth:`repro.api.OBDASystem.compile_many` with ``checkpoint_dir`` set
-    runs each cold query under its own :class:`FrontierCheckpoint`, named
-    by a digest of ``(theory fingerprint, canonical key)``, and maintains
-    one ``manifest.json`` recording which batch members already completed.
-    A killed multi-query compile therefore resumes per query: members
-    finished before the kill are served from the system's caches or
-    persistent store (their frontier checkpoints were cleared on
-    completion), and the member in flight resumes from its last persisted
-    frontier generation instead of from scratch.
-
-    The manifest is bookkeeping, not a result store — it records progress
-    (``completed`` flags, the generation a resumed member restarted from)
-    so operators and tests can see what a rerun actually redid; result
-    bytes always come from the deterministic engine or the attached
-    store.  A manifest written for a different theory fingerprint or
-    query set is discarded wholesale, mirroring the structural-validity
-    rule of the other cache layers.
-    """
-
-    #: On-disk manifest format; bump on any incompatible change.
-    FORMAT_VERSION = 1
-    #: Manifest file name inside the checkpoint directory.
-    MANIFEST_NAME = "manifest.json"
-
-    def __init__(self, directory: str | os.PathLike, every: int = 1) -> None:
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
-        self._directory = Path(directory)
-        self._every = every
-        self._fingerprint: str | None = None
-        self._entries: list[dict] = []
-        self._by_digest: dict[str, list[dict]] = {}
-        #: Digests that were already marked completed when :meth:`begin`
-        #: loaded an existing manifest (i.e. work a rerun did not redo).
-        self.completed_on_load: frozenset[str] = frozenset()
-
-    @property
-    def directory(self) -> Path:
-        """The directory holding the manifest and the per-query checkpoints."""
-        return self._directory
-
-    @property
-    def manifest_path(self) -> Path:
-        return self._directory / self.MANIFEST_NAME
-
-    @staticmethod
-    def digest(fingerprint: str, query: ConjunctiveQuery) -> str:
-        """Content address of one member compile: fingerprint + canonical key.
-
-        Canonical keys are variant-invariant, so renamed-apart copies of
-        one query share a digest — and therefore one frontier checkpoint —
-        exactly as they share one entry in the rewriting store.
-        """
-        import hashlib
-
-        key, _ = query.canonical_fingerprint
-        payload = f"{fingerprint}\n{key!r}"
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    def begin(
-        self, fingerprint: str, queries: list[ConjunctiveQuery]
-    ) -> frozenset[str]:
-        """Open (or adopt) the manifest for this batch; returns resumed digests.
-
-        An existing manifest is adopted only when it describes the same
-        fingerprint and the same multiset of query digests; its
-        ``completed`` flags then carry over.  Anything else — no file,
-        unreadable JSON, different batch — starts a fresh manifest.
-        """
-        self._fingerprint = fingerprint
-        digests = [self.digest(fingerprint, query) for query in queries]
-        previous: dict[str, dict] = {}
-        try:
-            payload = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-            if (
-                isinstance(payload, dict)
-                and payload.get("format") == self.FORMAT_VERSION
-                and payload.get("fingerprint") == fingerprint
-                and sorted(
-                    entry["digest"] for entry in payload.get("entries", ())
-                )
-                == sorted(digests)
-            ):
-                previous = {
-                    entry["digest"]: entry for entry in payload["entries"]
-                }
-        except (OSError, json.JSONDecodeError, KeyError, TypeError):
-            previous = {}
-        self._entries = []
-        self._by_digest = {}
-        for query, digest in zip(queries, digests):
-            adopted = previous.get(digest, {})
-            entry = {
-                "digest": digest,
-                "query": repr(query),
-                "completed": bool(adopted.get("completed", False)),
-                "resumed_generation": adopted.get("resumed_generation"),
-            }
-            self._entries.append(entry)
-            # Duplicate (or variant) queries share a digest and a
-            # checkpoint; completing the digest completes every position.
-            self._by_digest.setdefault(digest, []).append(entry)
-        self.completed_on_load = frozenset(
-            entry["digest"] for entry in self._entries if entry["completed"]
-        )
-        self._write()
-        return self.completed_on_load
-
-    def checkpoint_for(self, query: ConjunctiveQuery) -> FrontierCheckpoint:
-        """The per-query frontier checkpoint backing one member compile."""
-        if self._fingerprint is None:
-            raise RuntimeError("BatchCheckpoint.begin() must be called first")
-        digest = self.digest(self._fingerprint, query)
-        return FrontierCheckpoint(
-            self._directory / f"{digest}.ckpt.json", every=self._every
-        )
-
-    def mark_completed(
-        self, query: ConjunctiveQuery, resumed_generation: int | None = None
-    ) -> None:
-        """Record one member as done (and where its rerun resumed, if it did)."""
-        if self._fingerprint is None:
-            raise RuntimeError("BatchCheckpoint.begin() must be called first")
-        digest = self.digest(self._fingerprint, query)
-        entries = self._by_digest.get(digest)
-        if entries is None:  # pragma: no cover - queries outside begin()'s batch
-            return
-        for entry in entries:
-            entry["completed"] = True
-            if resumed_generation is not None:
-                entry["resumed_generation"] = resumed_generation
-        self._write()
-
-    def finish(self) -> None:
-        """Remove the manifest once every member completed.
-
-        Leaves it in place while any member is still open, so a partial
-        batch keeps its resume state; filesystem failures are tolerated
-        like :meth:`FrontierCheckpoint.clear`.
-        """
-        if any(not entry["completed"] for entry in self._entries):
-            return
-        try:
-            self.manifest_path.unlink()
-        except OSError:
-            pass
-
-    def _write(self) -> None:
-        """Atomically persist the manifest; failures degrade to no manifest."""
-        payload = {
-            "format": self.FORMAT_VERSION,
-            "fingerprint": self._fingerprint,
-            "entries": self._entries,
-        }
-        temporary = self.manifest_path.with_name(self.MANIFEST_NAME + ".tmp")
-        try:
-            temporary.parent.mkdir(parents=True, exist_ok=True)
-            with temporary.open("w", encoding="utf-8") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
-            os.replace(temporary, self.manifest_path)
-        except OSError as error:
-            logger.warning(
-                "batch manifest save to %s failed: %s", self.manifest_path, error
-            )

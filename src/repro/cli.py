@@ -13,20 +13,23 @@ Six small commands expose the library without writing Python:
     rewrite one conjunctive query and print the resulting UCQ (optionally as
     SQL).  ``--strategy threaded|chunked`` expands frontier generations in
     parallel (identical output, different wall-clock); ``--checkpoint FILE``
-    persists the frontier between generations and ``--resume`` continues a
-    killed run from its last completed generation.
+    persists the frontier between generations, and a rerun with the same
+    file continues a killed run from its last completed generation (a file
+    from another TBox, query or engine option is ignored).
 
 ``compile (--tbox FILE | --workload NAME) [--queries FILE] [--cache DIR]``
     Batch-compile a whole query workload through one engine — optionally
     against a persistent rewriting cache, so a second invocation with the
     same ``--cache`` directory serves every rewriting from disk.
-    ``--workers N`` compiles cold misses on a process pool (default: one
-    worker per CPU; the stored bytes are identical under any worker
-    count), and ``--strategy chunked`` switches the pool to intra-query
-    granularity — each slow query's frontier generations are split across
-    the workers.  With ``--fail-on-miss`` the command reports every query
-    not served from the cache and exits non-zero (the warm-run assertion
-    used in CI).
+    ``--workers N`` compiles cold misses on a process pool, one query per
+    task (default: one worker per CPU; the stored bytes are identical
+    under any worker count).  ``--strategy chunked`` compiles the queries
+    one after another instead, splitting each query's frontier
+    generations across N workers; ``--checkpoint-dir DIR`` also compiles
+    one query at a time, each under a frontier checkpoint in DIR, so a
+    rerun resumes the query a kill interrupted.  With ``--fail-on-miss``
+    the command reports every query not served from the cache and exits
+    non-zero (the warm-run assertion used in CI).
 
 ``cache compact --cache DIR --max-entries N``
     Bound a persistent rewriting cache to its N most-recently-served
@@ -122,9 +125,6 @@ def _cmd_rewrite(arguments: argparse.Namespace) -> int:
     from .cache.checkpoint import FrontierCheckpoint
     from .scheduling import create_strategy
 
-    if arguments.resume and not arguments.checkpoint:
-        print("error: --resume requires --checkpoint FILE", file=sys.stderr)
-        return 2
     tbox_text = Path(arguments.tbox).read_text(encoding="utf-8")
     theory = to_theory(parse_ontology(tbox_text, name=Path(arguments.tbox).stem))
     query = parse_query(arguments.query)
@@ -140,9 +140,6 @@ def _cmd_rewrite(arguments: argparse.Namespace) -> int:
         checkpoint = FrontierCheckpoint(
             arguments.checkpoint, every=arguments.checkpoint_every
         )
-        if not arguments.resume:
-            # A leftover file from an unrelated run must not seed this one.
-            checkpoint.clear()
     try:
         result = rewriter.rewrite(query, checkpoint=checkpoint)
     finally:
@@ -698,13 +695,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="threads/processes for a parallel --strategy "
                          "(default: one per CPU)")
     rewrite.add_argument("--checkpoint", metavar="FILE",
-                         help="checkpoint the frontier between generations so a "
-                         "killed run can be resumed")
+                         help="checkpoint the frontier between generations; a "
+                         "rerun resumes from FILE when it matches this TBox "
+                         "and query (otherwise it starts fresh)")
     rewrite.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
                          help="generations between checkpoint saves (default 1)")
-    rewrite.add_argument("--resume", action="store_true",
-                         help="resume from --checkpoint FILE if it matches this "
-                         "TBox and query (otherwise start fresh)")
     rewrite.set_defaults(handler=_cmd_rewrite)
 
     compile_ = commands.add_parser(
@@ -728,14 +723,16 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: one per CPU; 1 = sequential)")
     compile_.add_argument("--strategy", choices=list(_strategy_choices()),
                           default=None,
-                          help="intra-query scheduling: split each query's "
-                          "frontier across the pool instead of one query per "
-                          "task (same stored bytes either way)")
+                          help="intra-query scheduling: compile one query at a "
+                          "time, splitting its frontier across --workers "
+                          "instead of one query per task (same stored bytes "
+                          "either way)")
     compile_.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                          help="make the batch resumable: per-query frontier "
-                          "checkpoints plus a manifest in DIR, so a killed "
-                          "compile rerun redoes only the interrupted query's "
-                          "remaining generations")
+                          help="make the batch resumable: compile one query at "
+                          "a time under a frontier checkpoint in DIR, so a "
+                          "rerun resumes the interrupted query; queries "
+                          "finished before the kill are skipped only when "
+                          "--cache holds them")
     compile_.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
                           help="checkpoint cadence in frontier generations "
                           "(default 1)")

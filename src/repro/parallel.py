@@ -29,18 +29,13 @@ schedules all their tasks through one pool: compiling the five Table 1
 ontologies this way overlaps the long tail of one ontology with the
 queries of the next, which is where most of the multi-core speedup
 comes from (a single skewed query otherwise bounds its workload's
-makespan).
+makespan).  With one pending query, or ``workers=1``, nothing is fanned
+out: the pending queries are compiled in the parent, without a pool.
 
-Per-query tasks cap the speedup at ``total / slowest-query`` — the
-granularity ceiling PR 3 measured at ≈2.6× on Table 1.  The frontier
-kernel removes that ceiling: with a :mod:`repro.scheduling` strategy
-(``strategy="chunked"``, or automatically whenever there are fewer
-pending queries than workers) the pending queries are compiled in the
-parent and each *frontier generation* is split across the worker pool
-instead, so the pool keeps helping all the way through the slowest
-query's longest chain of TGD-rewrite steps.  Both modes write the same
-bytes — expansion is pure and the merge point is ordered — so choosing a
-mode trades wall-clock only.
+Intra-query parallelism — one query's frontier generations split across
+processes by a :mod:`repro.scheduling` strategy — is not chosen here: it
+is requested explicitly through ``OBDASystem.compile_many(strategy=...)``,
+which compiles member by member in the calling process.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core.rewriter import RewritingResult, TGDRewriter
 from .queries.conjunctive_query import ConjunctiveQuery
-from .scheduling import SchedulingStrategy, create_strategy, resolve_workers
+from .scheduling import resolve_workers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .api import OBDASystem
@@ -119,25 +114,15 @@ def _compile_in_worker(
 def compile_workloads(
     jobs: Iterable[tuple["OBDASystem", Sequence[ConjunctiveQuery]]],
     workers: int | None = None,
-    strategy: "SchedulingStrategy | str | None" = None,
 ) -> list[list[RewritingResult]]:
     """Compile many ``(system, queries)`` jobs through one process pool.
 
     Returns one result list per job, in input order, exactly as the
-    corresponding ``system.compile_many(queries)`` would — same cache
-    counters on warm paths, same bytes appended to each persistent store.
-    With ``workers=1`` (or when everything is served from a cache) no
-    pool is created and compilation happens in the parent.
-
-    *strategy* selects **intra-query** parallelism instead of the default
-    one-query-per-task fan-out: pending queries are compiled in the
-    parent, each frontier generation split across the pool by the given
-    :class:`~repro.scheduling.SchedulingStrategy` (a name such as
-    ``"chunked"``, or a configured instance, which the caller then owns
-    and closes).  When no strategy is given but exactly one query is
-    pending — the regime where per-query granularity has nothing to
-    parallelise — the chunked strategy is applied automatically.  Either
-    mode produces byte-identical stores and results.
+    corresponding ``system.compile_many(queries, workers=1)`` would —
+    same cache counters on warm paths, same bytes appended to each
+    persistent store.  With ``workers=1``, a single pending query, or
+    everything served from a cache, no pool is created and compilation
+    happens in the parent.
     """
     jobs = [(system, list(queries)) for system, queries in jobs]
     workers = resolve_workers(workers)
@@ -170,32 +155,7 @@ def compile_workloads(
 
     if pending:
         effective = min(workers, len(pending))
-        if strategy is None and workers > 1 and len(pending) == 1:
-            # A single pending query gives per-query granularity nothing
-            # to parallelise: split its frontier across the workers
-            # instead.  (With several pending queries the per-query pool
-            # still offers len(pending)-wide parallelism, which beats
-            # intra-query scheduling when frontier generations are small
-            # — callers who know their frontiers are deep opt in with an
-            # explicit strategy.)
-            strategy = "chunked"
-        if strategy is not None:
-            # Intra-query mode: compile in the parent, expand each
-            # frontier generation across the pool.  The chunked strategy
-            # rebinds its pool when the engine changes, so one instance
-            # serves every job of the batch (jobs arrive grouped).
-            owned = not isinstance(strategy, SchedulingStrategy)
-            resolved = create_strategy(strategy, workers=workers)
-            try:
-                for job, position, query in pending:
-                    system = jobs[job][0]
-                    outputs[job][position] = system._rewriter.rewrite(
-                        query, strategy=resolved
-                    )
-            finally:
-                if owned:
-                    resolved.close()
-        elif effective <= 1:
+        if effective <= 1:
             for job, position, query in pending:
                 system = jobs[job][0]
                 outputs[job][position] = system._rewriter.rewrite(query)

@@ -17,8 +17,8 @@ free choice — that choice is a :class:`SchedulingStrategy`:
   builds it parallelises for real.
 * :class:`ChunkedProcessStrategy` — expand a generation in chunks across
   worker processes, each holding a deterministic replica of the engine
-  built from the rewriter's pickled specification.  This is the strategy
-  :func:`repro.parallel.compile_workloads` reuses to split one slow
+  built from the rewriter's pickled specification.  Requested with
+  ``OBDASystem.compile_many(strategy="chunked")``, it splits one slow
   query's frontier across workers instead of idling behind it.
 * :class:`AutoStrategy` — pick one of the above per generation from
   observable telemetry (worker count, frontier width, rule fan-out,

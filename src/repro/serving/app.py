@@ -58,6 +58,7 @@ import time
 from dataclasses import dataclass
 
 from ..backends.base import BackendError
+from ..cache.checkpoint import compile_digest
 from ..cache.serialization import (
     atom_from_json,
     query_from_json,
@@ -88,7 +89,6 @@ from .tenants import (
     TenantEpoch,
     TenantRegistry,
     UnknownTenantError,
-    compile_digest,
 )
 
 #: ``POST /tenants/{name}/theory`` — the first parameterised route

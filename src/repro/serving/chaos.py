@@ -48,13 +48,12 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..cache.checkpoint import FrontierCheckpoint
+from ..cache.checkpoint import FrontierCheckpoint, compile_digest
 from ..cache.serialization import query_to_json
 from ..fuzzing.generator import FRAGMENTS, GeneratorConfig, WorkloadGenerator
 from ..queries.parser import parse_query
 from .app import ServingApp
 from .resilience import ResilienceConfig
-from .tenants import compile_digest
 
 #: Fault kinds a plan can inject, in budget order.
 FAULT_KINDS = ("stall", "kill", "backend", "store", "checkpoint")

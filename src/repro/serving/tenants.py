@@ -44,14 +44,13 @@ Two resilience mechanisms live at this layer (PR 8):
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from ..api import OBDASystem, RewritingResult
-from ..cache.checkpoint import FrontierCheckpoint
+from ..cache.checkpoint import FrontierCheckpoint, compile_digest
 from ..cache.fingerprint import theory_fingerprint
 from ..cache.serialization import query_from_json, result_from_json
 from ..cache.store import RewritingStore
@@ -84,17 +83,6 @@ class DuplicateTenantError(RegistryError):
 
 class RegistryFullError(RegistryError):
     """Admission control: the ``max_tenants`` bound would be exceeded."""
-
-
-def compile_digest(query: ConjunctiveQuery, fingerprint: str) -> str:
-    """Content address of one compilation: canonical key + fingerprint.
-
-    Names the checkpoint file and the single-flight key, so variants of
-    one query coalesce onto one compile and one resumable checkpoint.
-    """
-    key, _ = query.canonical_fingerprint
-    payload = f"{fingerprint}\n{key!r}"
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class SharedArtifacts:
@@ -193,8 +181,9 @@ class SharedArtifacts:
         if self._checkpoint_directory is None:
             return None
         self._checkpoint_directory.mkdir(parents=True, exist_ok=True)
-        digest = compile_digest(query, self.fingerprint)
-        return FrontierCheckpoint(self._checkpoint_directory / f"{digest}.json")
+        return FrontierCheckpoint.for_query(
+            self._checkpoint_directory, self.fingerprint, query
+        )
 
     def compile_blocking(
         self, query: ConjunctiveQuery, scope: CancelScope | None = None

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.cache.checkpoint import FrontierCheckpoint
+from repro.cache.checkpoint import FrontierCheckpoint, compile_digest
 from repro.core.rewriter import RewritingStatistics, TGDRewriter
 from repro.queries.parser import parse_query
 from repro.scheduling import SequentialStrategy
@@ -100,6 +100,34 @@ class TestKillAndResume:
     def test_every_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
             FrontierCheckpoint(tmp_path / "x.json", every=0)
+
+
+class TestForQuery:
+    """One file name per (fingerprint, canonical key), whoever compiles."""
+
+    def test_variants_share_one_file(self, tmp_path, workload):
+        query = workload.query("q5")
+        variant = query.rename_variables(prefix="VV")
+        assert variant != query
+        assert (
+            FrontierCheckpoint.for_query(tmp_path, "fp", query).path
+            == FrontierCheckpoint.for_query(tmp_path, "fp", variant).path
+            == tmp_path / f"{compile_digest(query, 'fp')}.json"
+        )
+
+    def test_fingerprints_and_queries_get_their_own_files(self, tmp_path, workload):
+        paths = {
+            FrontierCheckpoint.for_query(tmp_path, fingerprint, workload.query(name)).path
+            for fingerprint in ("fp", "other-fp")
+            for name in ("q1", "q5")
+        }
+        assert len(paths) == 4
+
+    def test_every_is_passed_through(self, tmp_path, workload):
+        query = workload.query("q5")
+        assert FrontierCheckpoint.for_query(tmp_path, "fp", query, 3).every == 3
+        with pytest.raises(ValueError):
+            FrontierCheckpoint.for_query(tmp_path, "fp", query, 0)
 
 
 class TestCheckpointValidity:

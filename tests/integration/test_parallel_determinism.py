@@ -103,6 +103,39 @@ class TestParallelServingSemantics:
         assert len(system.rewriting_store) == 1
         assert len(second.ucq) == len(first.ucq)
 
+    @pytest.mark.parametrize("explicit_strategy", [False, True])
+    def test_in_batch_variant_runs_the_engine_once(
+        self, tmp_path, explicit_strategy
+    ):
+        # The in-process loop probes the caches before every compile, so
+        # a variant of an earlier member is served from the record that
+        # member just stored, whether or not a strategy was requested.
+        from repro.scheduling import SequentialStrategy
+
+        class CountingStrategy(SequentialStrategy):
+            def __init__(self) -> None:
+                self.runs = 0
+
+            def begin_run(self, engine, query, generation=0):
+                self.runs += 1
+
+        workload = get_workload("A")
+        query = workload.query("q5")
+        variant = query.rename_variables(prefix="VV")
+        counter = CountingStrategy()
+        if explicit_strategy:
+            system = OBDASystem(workload.theory, cache=tmp_path)
+            first, second = system.compile_many(
+                [query, variant], workers=1, strategy=counter
+            )
+        else:
+            system = OBDASystem(workload.theory, cache=tmp_path, strategy=counter)
+            first, second = system.compile_many([query, variant], workers=1)
+        assert counter.runs == 1
+        assert second.statistics.persistent_cache_hits == 1
+        assert len(system.rewriting_store) == 1
+        assert len(second.ucq) == len(first.ucq)
+
     def test_duplicate_queries_share_one_result_object(self, tmp_path):
         workload = get_workload("S")
         query = workload.query("q2")
@@ -186,18 +219,15 @@ class TestIntraQueryInvariance:
             repr(result.ucq) for result in sequential_results
         ]
 
-    def test_single_pending_query_auto_splits_its_frontier(
-        self, tmp_path, monkeypatch
-    ):
-        # One pending query with a multi-worker pool cannot use per-query
-        # granularity; compile_many must actually engage the chunked
-        # strategy (not fall back to plain sequential) and still write
-        # the sequential bytes.
+    def test_single_pending_query_starts_no_pool(self, tmp_path, monkeypatch):
+        # One cold query has nothing to fan out: compile_many(workers=2)
+        # compiles it in this process, without a per-query pool and
+        # without switching to a process-chunked strategy on its own.
         import repro.parallel as parallel_module
-        from repro.scheduling import create_strategy as real_create_strategy
+        import repro.scheduling as scheduling_module
 
-        workload = get_workload("S")
-        query = workload.query("q2")
+        workload = get_workload("A")
+        query = workload.query("q5")  # generations up to 30 wide
 
         sequential_dir = tmp_path / "sequential"
         sequential = OBDASystem(
@@ -205,21 +235,16 @@ class TestIntraQueryInvariance:
         )
         sequential.compile_many([query], workers=1)
 
-        engaged = []
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
 
-        def recording_create_strategy(strategy, workers=None):
-            engaged.append((strategy, workers))
-            return real_create_strategy(strategy, workers=workers)
-
-        monkeypatch.setattr(
-            parallel_module, "create_strategy", recording_create_strategy
-        )
-        auto_dir = tmp_path / "auto"
-        system = OBDASystem(workload.theory, use_nc_pruning=False, cache=auto_dir)
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(scheduling_module, "ProcessPoolExecutor", no_pool)
+        single_dir = tmp_path / "single"
+        system = OBDASystem(workload.theory, use_nc_pruning=False, cache=single_dir)
         results = system.compile_many([query], workers=2)
-        assert engaged == [("chunked", 2)]
         assert len(results) == 1
-        assert (auto_dir / "rewritings.jsonl").read_bytes() == (
+        assert (single_dir / "rewritings.jsonl").read_bytes() == (
             sequential_dir / "rewritings.jsonl"
         ).read_bytes()
 

@@ -391,13 +391,6 @@ class TestRewriteCheckpointFlags:
         assert not checkpoint.exists()
         assert "perfect rewriting" in capsys.readouterr().out
 
-    def test_resume_requires_checkpoint(self, tbox_file, capsys):
-        assert main([
-            "rewrite", "--tbox", tbox_file, "--query", "q(A) :- Person(A)",
-            "--resume",
-        ]) == 2
-        assert "--resume requires --checkpoint" in capsys.readouterr().err
-
     def test_stale_checkpoint_is_discarded_without_resume(self, tbox_file, tmp_path, capsys):
         checkpoint = tmp_path / "frontier.json"
         checkpoint.write_text("{stale", encoding="utf-8")
@@ -408,13 +401,56 @@ class TestRewriteCheckpointFlags:
         assert not checkpoint.exists()
 
     def test_resume_flag_accepts_a_missing_file(self, tbox_file, tmp_path, capsys):
+        # There is no resume flag: a matching file is always resumed, and
+        # a missing one simply means a fresh run.
         checkpoint = tmp_path / "frontier.json"
         assert main([
             "rewrite", "--tbox", tbox_file, "--query", "q(A) :- Person(A)",
-            "--checkpoint", str(checkpoint), "--resume",
+            "--checkpoint", str(checkpoint),
         ]) == 0
         output = capsys.readouterr().out
         assert "resumed" not in output
+
+    def test_leftover_checkpoint_of_the_same_run_is_resumed(
+        self, tbox_file, tmp_path, capsys
+    ):
+        from repro.cache.checkpoint import FrontierCheckpoint
+        from repro.core.rewriter import TGDRewriter
+        from repro.ontology.parser import parse_ontology
+        from repro.ontology.translation import to_theory
+        from repro.queries.parser import parse_query
+        from tests.cache.test_checkpoint import KillingStrategy, SimulatedKill
+
+        query = "q(A) :- Person(A)"
+        assert main(["rewrite", "--tbox", tbox_file, "--query", query]) == 0
+        clean = capsys.readouterr().out.splitlines()
+
+        # Die after one generation with the engine the command builds.
+        checkpoint = tmp_path / "frontier.json"
+        theory = to_theory(parse_ontology(self.TBOX, name="university"))
+        engine = TGDRewriter(
+            theory,
+            use_elimination=theory.classification.linear,
+            use_nc_pruning=bool(theory.negative_constraints),
+        )
+        with pytest.raises(SimulatedKill):
+            engine.rewrite(
+                parse_query(query),
+                strategy=KillingStrategy(1),
+                checkpoint=FrontierCheckpoint(checkpoint),
+            )
+        assert checkpoint.exists()
+
+        assert main([
+            "rewrite", "--tbox", tbox_file, "--query", query,
+            "--checkpoint", str(checkpoint),
+        ]) == 0
+        output = capsys.readouterr().out.splitlines()
+        assert "# resumed from checkpoint at generation 1" in output
+        assert [line for line in output if not line.startswith("#")] == [
+            line for line in clean if not line.startswith("#")
+        ]
+        assert not checkpoint.exists()
 
 
 class TestFuzzCommand:
@@ -622,10 +658,9 @@ class TestCompileCheckpointFlags:
         ) == 0
         output = capsys.readouterr().out
         assert "# compiled" in output
-        # The batch completed, so the manifest and the per-query frontier
-        # checkpoints were all cleared.
-        assert not (directory / "manifest.json").exists()
-        assert not list(directory.glob("*.ckpt.json"))
+        # The batch completed, so every per-query frontier checkpoint was
+        # cleared.
+        assert not list(directory.glob("*.json"))
 
     def test_checkpoint_parser_defaults(self):
         arguments = build_parser().parse_args(["compile", "--workload", "S"])
