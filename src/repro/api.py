@@ -37,7 +37,7 @@ import logging
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .backends import ExecutionBackend, ExecutionPlan, create_backend
 from .cache.checkpoint import FrontierCheckpoint
@@ -315,6 +315,38 @@ class RewritingCacheInfo:
     persistent_write_failures: int = 0
 
 
+class EngineOptions(NamedTuple):
+    """The engine options a theory is compiled with, and their fingerprint."""
+
+    use_elimination: bool
+    use_nc_pruning: bool
+    fingerprint: str
+
+
+def resolve_engine_options(
+    theory: OntologyTheory,
+    use_elimination: bool = True,
+    use_nc_pruning: bool = True,
+) -> EngineOptions:
+    """The options the engine actually runs with on *theory*.
+
+    An optimisation is on only when it is asked for and applies:
+    elimination (``TGD-rewrite*``) needs linear TGDs, NC pruning needs
+    negative constraints.  The fingerprint hashes the resolved options, so
+    every caller resolving here — :class:`OBDASystem`, the serving tier
+    and the CLI — keys one theory's rewritings under one fingerprint.
+    """
+    use_elimination = use_elimination and theory.classification.linear
+    use_nc_pruning = use_nc_pruning and bool(theory.negative_constraints)
+    fingerprint = theory_fingerprint(
+        theory.tgds,
+        theory.negative_constraints,
+        use_elimination=use_elimination,
+        use_nc_pruning=use_nc_pruning,
+    )
+    return EngineOptions(use_elimination, use_nc_pruning, fingerprint)
+
+
 class OBDASystem:
     """Ontology-based data access over an in-memory relational database.
 
@@ -325,8 +357,10 @@ class OBDASystem:
     database:
         The underlying instance; an empty one is created when omitted.
     use_elimination / use_nc_pruning:
-        Engine optimisations (``TGD-rewrite*``); elimination is silently
-        dropped for non-linear theories, where it is not available.
+        Engine optimisations (``TGD-rewrite*`` and NC pruning), resolved
+        by :func:`resolve_engine_options`: elimination is dropped for
+        non-linear theories, where it is not available, and pruning for
+        theories without negative constraints, where it does nothing.
     cache:
         Optional persistent rewriting cache: a
         :class:`~repro.cache.store.RewritingStore`, or a directory path
@@ -381,15 +415,15 @@ class OBDASystem:
         self._theory = theory
         self._database = database if database is not None else RelationalInstance(schema=schema)
         self._schema = schema if schema is not None else self._database.schema
-        use_elimination = use_elimination and theory.classification.linear
-        self._use_elimination = use_elimination
-        self._use_nc_pruning = use_nc_pruning
+        self._use_elimination, self._use_nc_pruning, self._fingerprint = (
+            resolve_engine_options(theory, use_elimination, use_nc_pruning)
+        )
         self._owns_strategy = not isinstance(strategy, SchedulingStrategy)
         self._strategy = create_strategy(strategy)
         self._rewriter = TGDRewriter(
             theory,
-            use_elimination=use_elimination,
-            use_nc_pruning=use_nc_pruning,
+            use_elimination=self._use_elimination,
+            use_nc_pruning=self._use_nc_pruning,
             strategy=self._strategy,
         )
         self._last_batch_statistics: RewritingStatistics | None = None
@@ -402,12 +436,6 @@ class OBDASystem:
         if cache is not None and not isinstance(cache, RewritingStore):
             cache = RewritingStore(cache)
         self._store: RewritingStore | None = cache
-        self._fingerprint = theory_fingerprint(
-            theory.tgds,
-            theory.negative_constraints,
-            use_elimination=use_elimination,
-            use_nc_pruning=use_nc_pruning,
-        )
         self._default_backend = backend
         self._backends: dict[str, ExecutionBackend] = {}
         self._prepared: OrderedDict[tuple[ConjunctiveQuery, int], PreparedQuery] = (

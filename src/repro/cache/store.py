@@ -16,10 +16,11 @@ directory.  Each line is a self-contained record::
      "result": {"query": ..., "ucq": [...], "auxiliary": [...],
                 "statistics": {...}}}
 
-* ``digest`` is the SHA-256 of ``(canonical query key, theory
-  fingerprint)`` — the content address of the entry.  All records sharing
-  a digest form one bucket (buckets exceed one entry only when two
-  non-variant queries collide on a non-exact canonical key).
+* ``digest`` is :func:`~repro.cache.checkpoint.compile_digest`, the
+  SHA-256 of ``(canonical query key, theory fingerprint)`` — the content
+  address of the entry.  All records sharing a digest form one bucket
+  (buckets exceed one entry only when two non-variant queries collide on
+  a non-exact canonical key).
 * ``format`` is the store's on-disk version; records written by an
   incompatible version are skipped (and counted) at load time, never
   misread.
@@ -47,7 +48,6 @@ alone, non-exact keys are confirmed against the stored query with
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -61,6 +61,7 @@ from typing import Iterator, Sequence
 from ..core.rewriter import RewritingResult
 from ..dependencies.tgd import TGD
 from ..queries.conjunctive_query import ConjunctiveQuery
+from .checkpoint import compile_digest
 from .serialization import (
     UnserializableQueryError,
     query_from_json,
@@ -245,8 +246,8 @@ class RewritingStore:
         """
         statistics = self.statistics
         statistics.lookups += 1
-        key, exact = query.canonical_fingerprint
-        digest = self._digest(key, fingerprint)
+        exact = query.canonical_fingerprint[1]
+        digest = compile_digest(query, fingerprint)
         bucket = self._bucket(digest)
         for record in bucket:
             record_exact = bool(record["exact"])
@@ -279,8 +280,8 @@ class RewritingStore:
         entry for a variant of *query* already exists or the query is not
         exactly serialisable (non-scalar constant values).
         """
-        key, exact = query.canonical_fingerprint
-        digest = self._digest(key, fingerprint)
+        exact = query.canonical_fingerprint[1]
+        digest = compile_digest(query, fingerprint)
         try:
             payload = result_to_json(result)
         except UnserializableQueryError:
@@ -505,17 +506,6 @@ class RewritingStore:
         return removed
 
     # -- internals ---------------------------------------------------------
-
-    @staticmethod
-    def _digest(canonical_key: tuple, fingerprint: str) -> str:
-        """Content address of an entry: hash of canonical key + fingerprint.
-
-        ``repr`` of a canonical key is deterministic (nested tuples of
-        strings and ints), so equal keys — and only equal keys, up to
-        SHA-256 collisions — share a digest under one fingerprint.
-        """
-        payload = f"{fingerprint}\n{canonical_key!r}"
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     #: Fast-path prefix of records exactly as :meth:`put` writes them; used
     #: to index lines by digest at load time without parsing their payload.

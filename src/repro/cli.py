@@ -83,7 +83,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .api import OBDASystem
+from .api import OBDASystem, resolve_engine_options
 from .core.rewriter import TGDRewriter
 from .database.sql import ucq_to_sql
 from .dependencies.theory import OntologyTheory
@@ -129,10 +129,13 @@ def _cmd_rewrite(arguments: argparse.Namespace) -> int:
     theory = to_theory(parse_ontology(tbox_text, name=Path(arguments.tbox).stem))
     query = parse_query(arguments.query)
     strategy = create_strategy(arguments.strategy, workers=arguments.workers)
+    options = resolve_engine_options(
+        theory, use_elimination=not arguments.no_elimination
+    )
     rewriter = TGDRewriter(
         theory,
-        use_elimination=not arguments.no_elimination and theory.classification.linear,
-        use_nc_pruning=bool(theory.negative_constraints),
+        use_elimination=options.use_elimination,
+        use_nc_pruning=options.use_nc_pruning,
         strategy=strategy,
     )
     checkpoint = None
@@ -228,7 +231,6 @@ def _cmd_compile(arguments: argparse.Namespace) -> int:
     system = OBDASystem(
         theory,
         use_elimination=not arguments.no_elimination,
-        use_nc_pruning=bool(theory.negative_constraints),
         cache=arguments.cache,
     )
     results = system.compile_many(
@@ -381,7 +383,7 @@ def _cmd_answer(arguments: argparse.Namespace) -> int:
         backends=backends,
         seed=arguments.seed,
         facts_per_relation=arguments.facts_per_relation,
-        use_nc_pruning=bool(workload.theory.negative_constraints),
+        use_nc_pruning=True,
         database=database,
     )
     print(

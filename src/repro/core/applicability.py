@@ -156,16 +156,14 @@ class RenameApartCache:
     variables)`` no matter how many threads expand at once.
     """
 
-    __slots__ = ("_pools", "_pool_size", "_lock", "hits", "misses")
+    __slots__ = ("_pools", "_lock", "hits", "misses")
 
-    def __init__(self, pool_size: int = 8) -> None:
+    def __init__(self) -> None:
         import threading
 
-        # ``pool_size`` is kept for API compatibility; pools now grow on
-        # demand (they stay tiny in practice: one copy per nesting level of
-        # the same rule in a derivation).
+        # Pools grow on demand; they stay tiny in practice: one copy per
+        # nesting level of the same rule in a derivation.
         self._pools: dict[object, list[tuple[TGD, frozenset[Variable]]]] = {}
-        self._pool_size = pool_size
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -194,15 +192,12 @@ class RenameApartCache:
                 return copy
             position += 1
 
-    def rename(
-        self, rule_key: object, rule: TGD, avoid: frozenset[Variable], factory=None
-    ) -> TGD:
+    def rename(self, rule_key: object, rule: TGD, avoid: frozenset[Variable]) -> TGD:
         """A copy of *rule* whose variables are disjoint from *avoid*.
 
         *rule_key* must identify the rule stably across calls (the rule's
-        position in the rewriter's rule tuple).  *factory* is accepted for
-        backwards compatibility and ignored: copies are minted from the
-        deterministic per-``(rule_key, position)`` namespace instead, so the
+        position in the rewriter's rule tuple).  Copies are minted from the
+        deterministic per-``(rule_key, position)`` namespace, so the
         returned copy does not depend on the engine's history.
         """
         with self._lock:

@@ -29,6 +29,10 @@ Request lifecycle of ``/answer`` (the hot path):
 4. execute on the tenant's executor: plan cache + epoch-keyed answer
    cache make a warm execute two dictionary probes.
 
+Steps 2–4 are one frame, :meth:`ServingApp._run_pinned`, shared by
+every endpoint that compiles and answers: it pins the tenant epoch the
+request runs on from the first compile to the end of the tenant work.
+
 Errors are structured and *classified*:
 ``{"error": {"code": ..., "message": ...}}`` with a meaningful HTTP
 status and a machine-readable code — 400 malformed (``bad-request`` /
@@ -90,11 +94,6 @@ from .tenants import (
     TenantRegistry,
     UnknownTenantError,
 )
-
-#: ``POST /tenants/{name}/theory`` — the first parameterised route
-#: (kept as a module name for backward compatibility; the app now routes
-#: every ``/tenants/{name}/...`` endpoint through ``_tenant_routes``).
-_TENANT_THEORY_ROUTE = re.compile(r"/tenants/([^/]+)/theory")
 
 
 @dataclass(frozen=True)
@@ -217,7 +216,7 @@ class ServingApp:
         # Parameterised per-tenant routes: (pattern, method, handler).
         # Handlers take (name, payload, headers).
         self._tenant_routes = (
-            (_TENANT_THEORY_ROUTE, "POST", self._update_theory),
+            (re.compile(r"/tenants/([^/]+)/theory"), "POST", self._update_theory),
             (re.compile(r"/tenants/([^/]+)/subscribe"), "POST", self._subscribe),
             (re.compile(r"/tenants/([^/]+)/changes"), "GET", self._changes),
             (re.compile(r"/tenants/([^/]+)/unsubscribe"), "POST", self._unsubscribe),
@@ -532,27 +531,47 @@ class ServingApp:
         finally:
             self.gate.release(tenant.name, leader)
 
-    async def _answer_phase(
-        self, tenant: Tenant, deadline: Deadline, what: str, work
-    ):
-        """Run *work* on the tenant's executor within the answer budget.
+    async def _run_pinned(
+        self,
+        tenant: Tenant,
+        headers: dict,
+        queries: list[ConjunctiveQuery],
+        what: str,
+        work,
+    ) -> tuple[list[tuple[str, bool]], object, float]:
+        """The frame of every endpoint that compiles and then answers.
 
-        The hop every answering endpoint makes after its compile phase:
-        bounded by ``answer_timeout`` and the request's remaining
-        deadline, with a 504 when the budget runs out first.
+        Pins the tenant's epoch for the whole request, compiles each of
+        *queries* against its artifacts through :meth:`_ensure_compiled`,
+        then runs ``work(system)`` with the epoch's system on the tenant's
+        executor, bounded by ``answer_timeout`` and the request's
+        remaining deadline (504 when the budget runs out first).  Returns
+        each query's ``(source, coalesced)``, the work's result and the
+        elapsed milliseconds.
         """
-        budget = deadline.phase_budget(self.config.answer_timeout)
-        future = asyncio.get_running_loop().run_in_executor(tenant.executor, work)
+        started = time.perf_counter()
+        deadline = Deadline.from_header(headers)
+        epoch = tenant.retain_epoch()
         try:
-            if budget is None:
-                return await future
-            return await asyncio.wait_for(future, budget)
-        except asyncio.TimeoutError:
-            raise ServingError(
-                504,
-                "timeout",
-                f"{what} did not finish within its {budget:.3f}s budget",
-            ) from None
+            compiled = [
+                await self._ensure_compiled(tenant, epoch, query, deadline)
+                for query in queries
+            ]
+            budget = deadline.phase_budget(self.config.answer_timeout)
+            future = asyncio.get_running_loop().run_in_executor(
+                tenant.executor, work, epoch.system
+            )
+            try:
+                result = await asyncio.wait_for(future, budget)
+            except asyncio.TimeoutError:
+                raise ServingError(
+                    504,
+                    "timeout",
+                    f"{what} did not finish within its {budget:.3f}s budget",
+                ) from None
+        finally:
+            tenant.release_epoch(epoch)
+        return compiled, result, (time.perf_counter() - started) * 1000.0
 
     # -- endpoint handlers -------------------------------------------------
 
@@ -616,21 +635,13 @@ class ServingApp:
     async def _prepare(self, payload: dict, headers: dict) -> ServingResponse:
         tenant = self._tenant(payload)
         query = self._decode_query(payload)
-        started = time.perf_counter()
-        deadline = Deadline.from_header(headers)
-        epoch = tenant.retain_epoch()
-        try:
-            source, coalesced = await self._ensure_compiled(
-                tenant, epoch, query, deadline
-            )
-            prepared = await self._answer_phase(
-                tenant,
-                deadline,
-                "prepare",
-                lambda: tenant.prepare_blocking(query, epoch.system),
-            )
-        finally:
-            tenant.release_epoch(epoch)
+        [(source, coalesced)], prepared, elapsed_ms = await self._run_pinned(
+            tenant,
+            headers,
+            [query],
+            "prepare",
+            lambda system: tenant.prepare_blocking(query, system),
+        )
         return ServingResponse(
             200,
             {
@@ -638,7 +649,7 @@ class ServingApp:
                 "source": source,
                 "coalesced": coalesced,
                 "cqs": len(prepared.rewriting.ucq),
-                "elapsed_ms": (time.perf_counter() - started) * 1000.0,
+                "elapsed_ms": elapsed_ms,
             },
         )
 
@@ -663,33 +674,24 @@ class ServingApp:
             self._decode_query(item if isinstance(item, dict) else {"query": item})
             for item in raw
         ]
-        started = time.perf_counter()
-        deadline = Deadline.from_header(headers)
-        epoch = tenant.retain_epoch()
-        try:
-            results = []
-            for query in queries:
-                source, coalesced = await self._ensure_compiled(
-                    tenant, epoch, query, deadline
-                )
-                results.append({"source": source, "coalesced": coalesced})
-            prepared = await self._answer_phase(
-                tenant,
-                deadline,
-                "prepare-batch",
-                lambda: tenant.prepare_batch_blocking(queries, epoch.system),
-            )
-        finally:
-            tenant.release_epoch(epoch)
-        for entry, handle in zip(results, prepared):
-            entry["cqs"] = len(handle.rewriting.ucq)
+        compiled, prepared, elapsed_ms = await self._run_pinned(
+            tenant,
+            headers,
+            queries,
+            "prepare-batch",
+            lambda system: tenant.prepare_batch_blocking(queries, system),
+        )
+        results = [
+            {"source": source, "coalesced": coalesced, "cqs": len(handle.rewriting.ucq)}
+            for (source, coalesced), handle in zip(compiled, prepared)
+        ]
         return ServingResponse(
             200,
             {
                 "tenant": tenant.name,
                 "prepared": len(prepared),
                 "results": results,
-                "elapsed_ms": (time.perf_counter() - started) * 1000.0,
+                "elapsed_ms": elapsed_ms,
             },
         )
 
@@ -704,21 +706,14 @@ class ServingApp:
         """
         tenant = self.registry.get(name)
         query = self._decode_query(payload)
-        started = time.perf_counter()
-        deadline = Deadline.from_header(headers)
-        epoch = tenant.retain_epoch()
-        try:
-            source, coalesced = await self._ensure_compiled(
-                tenant, epoch, query, deadline
-            )
-            subscription, answers, epoch_counter, mode = await self._answer_phase(
-                tenant,
-                deadline,
-                "subscribe",
-                lambda: tenant.subscribe_blocking(query, epoch.system),
-            )
-        finally:
-            tenant.release_epoch(epoch)
+        [(source, coalesced)], opened, elapsed_ms = await self._run_pinned(
+            tenant,
+            headers,
+            [query],
+            "subscribe",
+            lambda system: tenant.subscribe_blocking(query, system),
+        )
+        subscription, answers, epoch_counter, mode = opened
         return ServingResponse(
             201,
             {
@@ -730,7 +725,7 @@ class ServingApp:
                 "mode": mode,
                 "source": source,
                 "coalesced": coalesced,
-                "elapsed_ms": (time.perf_counter() - started) * 1000.0,
+                "elapsed_ms": elapsed_ms,
             },
         )
 
@@ -750,21 +745,13 @@ class ServingApp:
         if not isinstance(cursor, str):
             raise ServingError(400, "bad-request", "'cursor' must be a string")
         query = tenant.subscriptions.query_for(cursor)
-        started = time.perf_counter()
-        deadline = Deadline.from_header(headers)
-        epoch = tenant.retain_epoch()
-        try:
-            source, coalesced = await self._ensure_compiled(
-                tenant, epoch, query, deadline
-            )
-            poll = await self._answer_phase(
-                tenant,
-                deadline,
-                "poll",
-                lambda: tenant.changes_blocking(cursor, epoch.system),
-            )
-        finally:
-            tenant.release_epoch(epoch)
+        [(source, coalesced)], poll, elapsed_ms = await self._run_pinned(
+            tenant,
+            headers,
+            [query],
+            "poll",
+            lambda system: tenant.changes_blocking(cursor, system),
+        )
         return ServingResponse(
             200,
             {
@@ -778,7 +765,7 @@ class ServingApp:
                 "polls": poll.polls,
                 "source": source,
                 "coalesced": coalesced,
-                "elapsed_ms": (time.perf_counter() - started) * 1000.0,
+                "elapsed_ms": elapsed_ms,
             },
         )
 
@@ -802,25 +789,17 @@ class ServingApp:
         bindings = payload.get("bindings")
         if bindings is not None and not isinstance(bindings, dict):
             raise ServingError(400, "bad-bindings", "'bindings' must be an object")
-        started = time.perf_counter()
-        deadline = Deadline.from_header(headers)
-        epoch = tenant.retain_epoch()
-        try:
-            source, coalesced = await self._ensure_compiled(
-                tenant, epoch, query, deadline
-            )
+
+        def answer(system):
             try:
-                tuples, cached = await self._answer_phase(
-                    tenant,
-                    deadline,
-                    "answer",
-                    lambda: tenant.answer_blocking(query, bindings, epoch.system),
-                )
+                return tenant.answer_blocking(query, bindings, system)
             except ValueError as error:
                 raise ServingError(400, "bad-bindings", str(error)) from error
-            epoch_counter = epoch.system.database.epoch
-        finally:
-            tenant.release_epoch(epoch)
+
+        [(source, coalesced)], answered, elapsed_ms = await self._run_pinned(
+            tenant, headers, [query], "answer", answer
+        )
+        tuples, cached, epoch_counter = answered
         return ServingResponse(
             200,
             {
@@ -831,7 +810,7 @@ class ServingApp:
                 "coalesced": coalesced,
                 "answer_cached": cached,
                 "epoch": epoch_counter,
-                "elapsed_ms": (time.perf_counter() - started) * 1000.0,
+                "elapsed_ms": elapsed_ms,
             },
         )
 
@@ -845,21 +824,23 @@ class ServingApp:
             )
         loop = asyncio.get_running_loop()
 
-        def mutate() -> tuple[int, int]:
-            return (
-                tenant.add_facts(added_facts),
-                tenant.remove_facts(removed_facts),
-            )
+        def mutate() -> tuple[int, int, int, int]:
+            added = tenant.add_facts(added_facts)
+            removed = tenant.remove_facts(removed_facts)
+            database = tenant.system.database
+            return added, removed, len(database), database.epoch
 
-        added, removed = await loop.run_in_executor(tenant.executor, mutate)
+        added, removed, facts, epoch = await loop.run_in_executor(
+            tenant.executor, mutate
+        )
         return ServingResponse(
             200,
             {
                 "tenant": tenant.name,
                 "added": added,
                 "removed": removed,
-                "facts": len(tenant.system.database),
-                "epoch": tenant.system.database.epoch,
+                "facts": facts,
+                "epoch": epoch,
             },
         )
 

@@ -49,9 +49,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ..api import OBDASystem, RewritingResult
+from ..api import OBDASystem, RewritingResult, resolve_engine_options
 from ..cache.checkpoint import FrontierCheckpoint, compile_digest
-from ..cache.fingerprint import theory_fingerprint
 from ..cache.serialization import query_from_json, result_from_json
 from ..cache.store import RewritingStore
 from ..database.instance import RelationalInstance
@@ -109,15 +108,9 @@ class SharedArtifacts:
         self.rewriting_cache: dict[ConjunctiveQuery, RewritingResult] = {}
         # Every compile runs under the interruptible wrapper so deadlines,
         # shutdown and chaos faults all share one generation-boundary seam.
-        # The serving tier defaults to the autotuner: per-query telemetry
-        # picks the scheduling, and the choice degrades to sequential on
-        # one-CPU deployments (same bytes either way).
-        if strategy is None:
-            strategy = "auto"
         self.strategy = InterruptibleStrategy(create_strategy(strategy))
         self.system = OBDASystem(
             theory,
-            use_nc_pruning=bool(theory.negative_constraints),
             cache=store,
             strategy=self.strategy,
             rewriting_cache=self.rewriting_cache,
@@ -266,8 +259,12 @@ class SharedArtifacts:
         self.strategy.shutdown()
 
     def describe(self) -> dict:
-        """The stats-endpoint view of this artifact set."""
-        info = self.system.rewriting_cache_info()
+        """The stats-endpoint view of this artifact set.
+
+        Counts this fingerprint's compiles by the layer that served them;
+        the server-wide store's totals are the top-level ``store`` block
+        of ``/stats``.
+        """
         return {
             "fingerprint": self.fingerprint,
             "tenants": sorted(self.tenant_names),
@@ -276,11 +273,6 @@ class SharedArtifacts:
             "served_store": self.served_store,
             "warmed_rewritings": self.warmed,
             "rewritings": len(self.rewriting_cache),
-            "cache": {"hits": info.hits, "misses": info.misses},
-            "persistent": {
-                "hits": info.persistent_hits,
-                "misses": info.persistent_misses,
-            },
         }
 
     def close(self) -> None:
@@ -340,21 +332,10 @@ class Tenant:
         self.executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"tenant-{name}"
         )
-        # Built on the executor thread: thread-affine backends (SQLite
-        # connections) must live on the thread that will run the plans.
-        system = self.executor.submit(
-            lambda: OBDASystem(
-                artifacts.theory,
-                database=RelationalInstance(
-                    max_tracked_changes=max_tracked_changes
-                ),
-                use_nc_pruning=bool(artifacts.theory.negative_constraints),
-                backend=backend,
-                rewriting_cache=artifacts.rewriting_cache,
-            )
-        ).result()
         self._epoch_lock = threading.Lock()
-        self._epoch = TenantEpoch(artifacts, system)
+        self._epoch = self._open_epoch(
+            artifacts, RelationalInstance(max_tracked_changes=max_tracked_changes)
+        )
         self._live_epochs: list[TenantEpoch] = [self._epoch]
         # Standing-query cursors; survives theory updates because it keys
         # on the query, not on any epoch's prepared handle.
@@ -396,26 +377,35 @@ class Tenant:
         if drained:
             self._close_epoch(epoch)
 
-    def adopt(self, artifacts: SharedArtifacts) -> None:
-        """Swap this tenant onto *artifacts* (a live theory update).
+    def _open_epoch(
+        self, artifacts: SharedArtifacts, database: RelationalInstance
+    ) -> TenantEpoch:
+        """An epoch answering over *database* with *artifacts*' rewritings.
 
-        The new execution system is built on the tenant's executor thread
-        over the *same* database instance — facts and the epoch counter
-        survive the update.  The old epoch keeps serving its in-flight
-        requests on the old artifacts and is closed when they drain; new
-        requests see the new epoch the moment the swap completes.
+        The system is built on the executor thread: thread-affine
+        backends (SQLite connections) must live on the thread that will
+        run the plans.
         """
-        old_system = self._epoch.system
         system = self.on_own_thread(
             lambda: OBDASystem(
                 artifacts.theory,
-                database=old_system.database,
-                use_nc_pruning=bool(artifacts.theory.negative_constraints),
+                database=database,
                 backend=self.backend_name,
                 rewriting_cache=artifacts.rewriting_cache,
             )
         )
-        fresh = TenantEpoch(artifacts, system)
+        return TenantEpoch(artifacts, system)
+
+    def adopt(self, artifacts: SharedArtifacts) -> None:
+        """Swap this tenant onto *artifacts* (a live theory update).
+
+        The new epoch answers over the *same* database instance — facts
+        and the epoch counter survive the update.  The old epoch keeps
+        serving its in-flight requests on the old artifacts and is closed
+        when they drain; new requests see the new epoch the moment the
+        swap completes.
+        """
+        fresh = self._open_epoch(artifacts, self._epoch.system.database)
         with self._epoch_lock:
             old = self._epoch
             self._epoch = fresh
@@ -427,8 +417,8 @@ class Tenant:
             self._close_epoch(old)
 
     def _close_epoch(self, epoch: TenantEpoch) -> None:
-        """Close a drained epoch's system (on the tenant thread) and
-        release its artifact reference."""
+        """Close a live epoch's system (on the tenant thread) and release
+        its artifact reference; a no-op for an epoch already closed."""
         with self._epoch_lock:
             if epoch not in self._live_epochs:
                 return
@@ -436,6 +426,8 @@ class Tenant:
         try:
             self.executor.submit(epoch.system.close).result()
         except RuntimeError:
+            # Executor already shut down — nothing ran since, so closing
+            # from this thread is the best remaining option.
             epoch.system.close()
         epoch.artifacts.release()
 
@@ -488,71 +480,62 @@ class Tenant:
         self.warmed_prepared += len(queries)
         return len(queries)
 
-    def prepare_blocking(self, query: ConjunctiveQuery, system: OBDASystem | None = None):
-        """Plan *query* on this tenant's backend; returns the prepared handle.
+    # -- request work -------------------------------------------------------
+    #
+    # Blocking: the serving app runs each of these on :attr:`executor`,
+    # after the shared compile, with the *system* of the epoch the request
+    # pinned — so planning is a plan-cache probe or one backend pass, never
+    # an engine run, and a concurrent theory update cannot swap the system
+    # out from under the request.
 
-        Blocking — the serving app runs it on :attr:`executor` after the
-        shared compile has happened, so this is a plan-cache probe or a
-        single backend planning pass, never an engine run.  *system* pins
-        the request's epoch (defaults to the current one).
-        """
+    def prepare_blocking(self, query: ConjunctiveQuery, system: OBDASystem):
+        """Plan *query* on this tenant's backend; returns the prepared handle."""
         with self._lock:
-            return (system or self.system).prepare(query)
+            return system.prepare(query)
 
     def answer_blocking(
         self,
         query: ConjunctiveQuery,
-        bindings: Mapping[object, object] | None = None,
-        system: OBDASystem | None = None,
-    ) -> tuple[frozenset[tuple], bool]:
-        """Execute *query*; returns ``(answer tuples, served-from-cache?)``.
+        bindings: Mapping[object, object] | None,
+        system: OBDASystem,
+    ) -> tuple[frozenset[tuple], bool, int]:
+        """Execute *query*; returns ``(answers, served-from-cache?, epoch)``.
 
-        Blocking — the serving app runs it on :attr:`executor`.  The
-        compile is expected to have happened through the shared artifacts
-        already; this plans (once) and executes on the tenant's backend,
-        with answers cached per database epoch.  *system* pins the
-        request's epoch (defaults to the current one).
+        Plans (once) and executes on the tenant's backend, with answers
+        cached per database epoch.  The epoch is read together with the
+        answers, so it is the one they belong to even when a ``/data``
+        batch is queued right behind this call.
         """
         if self._fault_plan is not None:
             self._fault_plan.before_execute(self.name)
         with self._lock:
-            prepared = (system or self.system).prepare(query)
+            prepared = system.prepare(query)
             before = prepared.execution_cache_info().hits
             answers = prepared.execute(bindings)
             cached = prepared.execution_cache_info().hits > before
             self.answers_served += 1
-            return answers.tuples, cached
+            return answers.tuples, cached, system.database.epoch
 
     def prepare_batch_blocking(
-        self,
-        queries: Sequence[ConjunctiveQuery],
-        system: OBDASystem | None = None,
+        self, queries: Sequence[ConjunctiveQuery], system: OBDASystem
     ) -> list:
-        """Plan a whole batch on this tenant's backend via ``prepare_many``.
-
-        Blocking — the serving app runs it on :attr:`executor` after every
-        compile has gone through the shared single-flight path, so the
-        batch is pure cache absorption plus backend planning.
-        """
+        """Plan a whole batch on this tenant's backend via ``prepare_many``."""
         with self._lock:
-            return (system or self.system).prepare_many(queries)
+            return system.prepare_many(queries)
 
     # -- standing queries ---------------------------------------------------
 
     def subscribe_blocking(
-        self,
-        query: ConjunctiveQuery,
-        system: OBDASystem | None = None,
+        self, query: ConjunctiveQuery, system: OBDASystem
     ) -> tuple[Subscription, frozenset[tuple], int, str]:
         """Open a cursor on *query*'s answer set; returns the initial snapshot.
 
-        Blocking — runs on :attr:`executor`.  The subscription's snapshot
-        starts at the current answer set, so the first poll only reports
-        changes made after subscribing.  Returns ``(subscription,
-        answers, epoch, refresh mode)``.
+        The subscription's snapshot starts at the current answer set, so
+        the first poll only reports changes made after subscribing.
+        Returns ``(subscription, answers, epoch, refresh mode)``.
         """
         with self._lock:
-            prepared = (system or self.system).prepare(query)
+            prepared = system.prepare(query)
             delta = prepared.poll()
             current = prepared.maintained_answers
             subscription = self.subscriptions.subscribe(query)
@@ -560,22 +543,18 @@ class Tenant:
             subscription.epoch = delta.epoch
             return subscription, current, delta.epoch, delta.mode
 
-    def changes_blocking(
-        self,
-        cursor: str,
-        system: OBDASystem | None = None,
-    ) -> PollResult:
+    def changes_blocking(self, cursor: str, system: OBDASystem) -> PollResult:
         """Poll the cursor: maintain the answer set, diff against the snapshot.
 
-        Blocking — runs on :attr:`executor`.  The query is re-prepared
-        against the pinned epoch's system, so a subscription opened before
-        a live theory update keeps polling correctly afterwards (the
-        maintainer of the new epoch full-refreshes once, and the cursor's
-        delta covers the rewriting change exactly).
+        The query is re-prepared against the pinned epoch's system, so a
+        subscription opened before a live theory update keeps polling
+        correctly afterwards (the maintainer of the new epoch
+        full-refreshes once, and the cursor's delta covers the rewriting
+        change exactly).
         """
         query = self.subscriptions.query_for(cursor)
         with self._lock:
-            prepared = (system or self.system).prepare(query)
+            prepared = system.prepare(query)
             delta = prepared.poll()
             return self.subscriptions.deliver(
                 cursor, prepared.maintained_answers, delta.epoch, delta.mode
@@ -619,15 +598,8 @@ class Tenant:
         """
         with self._epoch_lock:
             epochs = list(self._live_epochs)
-            self._live_epochs.clear()
         for epoch in epochs:
-            try:
-                self.executor.submit(epoch.system.close).result()
-            except RuntimeError:
-                # Executor already shut down — nothing ran since, so
-                # closing from this thread is the best remaining option.
-                epoch.system.close()
-            epoch.artifacts.release()
+            self._close_epoch(epoch)
         self.executor.shutdown(wait=True)
 
 
@@ -716,20 +688,6 @@ class TenantRegistry:
             raise UnknownTenantError(f"no tenant named {name!r} is registered")
         return tenant
 
-    def expected_fingerprint(self, theory: OntologyTheory) -> str:
-        """The fingerprint *theory* would be registered under.
-
-        Mirrors how :class:`~repro.api.OBDASystem` resolves the engine
-        options: elimination only for linear theories, NC pruning only
-        when constraints are present.
-        """
-        return theory_fingerprint(
-            theory.tgds,
-            theory.negative_constraints,
-            use_elimination=theory.classification.linear,
-            use_nc_pruning=bool(theory.negative_constraints),
-        )
-
     # -- registration ------------------------------------------------------
 
     def register(
@@ -783,7 +741,7 @@ class TenantRegistry:
 
     def _artifacts_for(self, theory: OntologyTheory) -> tuple[SharedArtifacts, bool]:
         """Get or create the artifact set of *theory*'s fingerprint."""
-        fingerprint = self.expected_fingerprint(theory)
+        fingerprint = resolve_engine_options(theory).fingerprint
         artifacts = self._artifacts.get(fingerprint)
         if artifacts is not None:
             return artifacts, True
@@ -842,7 +800,7 @@ class TenantRegistry:
         """
         with self._mutation_lock:
             tenant = self.get(name)
-            fingerprint = self.expected_fingerprint(theory)
+            fingerprint = resolve_engine_options(theory).fingerprint
             if fingerprint == tenant.fingerprint:
                 return tenant, False, True
             artifacts, shared = self._artifacts_for(theory)

@@ -1,5 +1,8 @@
 """Theory fingerprints: invariance under presentation, sensitivity to semantics."""
 
+import pytest
+
+from repro.api import OBDASystem, resolve_engine_options
 from repro.cache.fingerprint import (
     constraint_signature,
     rule_signature,
@@ -9,6 +12,8 @@ from repro.dependencies.constraints import NegativeConstraint
 from repro.dependencies.tgd import tgd
 from repro.logic.atoms import Atom
 from repro.logic.terms import Variable
+from repro.serving.tenants import TenantRegistry
+from repro.workloads import get_workload
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -69,3 +74,31 @@ class TestTheoryFingerprint:
         first = NegativeConstraint([Atom.of("leader", X), Atom.of("project", X)])
         second = NegativeConstraint([Atom.of("leader", Z), Atom.of("project", Z)])
         assert constraint_signature(first) == constraint_signature(second)
+
+
+class TestResolvedEngineOptions:
+    """One fingerprint per theory, whoever builds the engine."""
+
+    @pytest.mark.parametrize("name", ["V", "S", "U", "A", "P5"])
+    def test_registry_keys_a_theory_like_the_library_default(self, name):
+        theory = get_workload(name).theory
+        system = OBDASystem(theory)
+        registry = TenantRegistry()
+        try:
+            tenant, _ = registry.register("t", theory)
+            assert tenant.fingerprint == system.theory_fingerprint
+            assert resolve_engine_options(theory).fingerprint == (
+                system.theory_fingerprint
+            )
+        finally:
+            registry.close()
+            system.close()
+
+    @pytest.mark.parametrize("name, pruning", [("P5", False), ("S", True)])
+    def test_pruning_is_on_exactly_when_the_theory_has_constraints(
+        self, name, pruning
+    ):
+        theory = get_workload(name).theory
+        assert resolve_engine_options(theory).use_nc_pruning is pruning
+        unpruned = OBDASystem(theory, use_nc_pruning=False).theory_fingerprint
+        assert (OBDASystem(theory).theory_fingerprint == unpruned) is not pruning

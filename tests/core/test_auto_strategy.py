@@ -139,11 +139,11 @@ class TestIntegrationSeams:
         finally:
             wrapper.close()
 
-    def test_serving_tier_defaults_to_auto(self):
+    def test_serving_tier_compiles_sequentially(self):
         artifacts = SharedArtifacts(theory())
         try:
             assert isinstance(artifacts.strategy, InterruptibleStrategy)
-            assert isinstance(artifacts.strategy.inner, AutoStrategy)
+            assert isinstance(artifacts.strategy.inner, SequentialStrategy)
         finally:
             artifacts.release()
 

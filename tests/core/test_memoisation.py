@@ -89,25 +89,22 @@ class TestRenameApartCache:
 
     def test_returned_copy_avoids_the_query_variables(self):
         cache = RenameApartCache()
-        fresh = VariableFactory(prefix="W")
         query = parse_query("q(A) :- has_parent(A, B)")
-        copy = cache.rename(0, self.RULE, query.variables, fresh)
+        copy = cache.rename(0, self.RULE, query.variables)
         assert (copy.body_variables | copy.head_variables).isdisjoint(query.variables)
 
     def test_pool_is_reused_for_disjoint_queries(self):
         cache = RenameApartCache()
-        fresh = VariableFactory(prefix="W")
-        first = cache.rename(0, self.RULE, parse_query("q(A) :- p(A)").variables, fresh)
-        second = cache.rename(0, self.RULE, parse_query("q(B) :- p(B)").variables, fresh)
+        first = cache.rename(0, self.RULE, parse_query("q(A) :- p(A)").variables)
+        second = cache.rename(0, self.RULE, parse_query("q(B) :- p(B)").variables)
         assert first is second
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_clashing_copy_is_never_served(self):
         cache = RenameApartCache()
-        fresh = VariableFactory(prefix="W")
-        first = cache.rename(0, self.RULE, frozenset({X}), fresh)
+        first = cache.rename(0, self.RULE, frozenset({X}))
         clash = frozenset(first.body_variables)
-        second = cache.rename(0, self.RULE, clash, fresh)
+        second = cache.rename(0, self.RULE, clash)
         assert (second.body_variables | second.head_variables).isdisjoint(clash)
         assert second is not first
 

@@ -131,6 +131,31 @@ class TestAnswer:
 
         serve(body)
 
+    def test_epoch_is_the_one_the_answers_belong_to(self, app):
+        # A write queued on the tenant's executor right behind the
+        # execution must not leak into the response's epoch.
+        async def body():
+            await register(app, "acme")
+            tenant = app.registry.get("acme")
+            answered_at = tenant.system.database.epoch
+            original = tenant.answer_blocking
+
+            def answer_then_write(*args):
+                answered = original(*args)
+                tenant.add_facts([("Student", ["frank"])])
+                return answered
+
+            tenant.answer_blocking = answer_then_write
+            response = await app.request(
+                "POST", "/answer", {"tenant": "acme", "query": "q(A) :- Student(A)"}
+            )
+            assert response.status == 200
+            assert ["frank"] not in response.payload["answers"]
+            assert tenant.system.database.epoch > answered_at
+            assert response.payload["epoch"] == answered_at
+
+        serve(body)
+
     def test_unknown_tenant_is_404(self, app):
         async def body():
             response = await app.request(

@@ -91,6 +91,41 @@ class TestRestartWarm:
 
         serve(body)
 
+    def test_stats_count_store_hits_under_their_own_fingerprint(self, tmp_path):
+        async def body():
+            first = ServingApp(cache=str(tmp_path))
+            await register(first, "acme")
+            await first.request("POST", "/answer", QUERY)
+            await first.aclose()
+
+            second = ServingApp(cache=str(tmp_path), warm_limit=0)
+            try:
+                await register(second, "acme")
+                other = await second.request(
+                    "POST",
+                    "/register-theory",
+                    {"tenant": "other", "tbox": "Employee [= Person"},
+                )
+                assert other.status == 201
+                served = await second.request("POST", "/answer", QUERY)
+                assert served.payload["source"] == "store"
+                stats = (await second.request("GET", "/stats")).payload
+                blocks = {
+                    block["tenants"][0]: block
+                    for block in stats["artifacts"].values()
+                }
+                assert blocks["acme"]["served_store"] == 1
+                assert blocks["other"]["served_store"] == 0
+                # The store's totals are server-wide: only the top-level
+                # block reports them.
+                for block in blocks.values():
+                    assert "persistent" not in block and "cache" not in block
+                assert stats["store"]["hits"] == 1
+            finally:
+                await second.aclose()
+
+        serve(body)
+
     def test_unrelated_fingerprints_do_not_cross_warm(self, tmp_path):
         async def body():
             first = ServingApp(cache=str(tmp_path))

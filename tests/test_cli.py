@@ -186,6 +186,28 @@ class TestCompileCommand:
         ) == 0
         assert "cache hit" in capsys.readouterr().out
 
+    def test_library_default_store_is_warm_for_the_cli(self, tmp_path, capsys):
+        # P5 has no negative constraints: the library default and the CLI
+        # must key its rewritings under one fingerprint.
+        from repro.api import OBDASystem
+        from repro.workloads import get_workload
+
+        cache = str(tmp_path / "cache")
+        workload = get_workload("P5")
+        system = OBDASystem(workload.theory, cache=cache)
+        system.compile_many(
+            [workload.query(name) for name in workload.query_names], workers=1
+        )
+        assert len(system.rewriting_store) == 5
+        system.close()
+        assert main(
+            ["compile", "--workload", "P5", "--cache", cache, "--workers", "1",
+             "--fail-on-miss"]
+        ) == 0
+        assert "(5 persistent hits, 0 misses, 5 entries in store)" in (
+            capsys.readouterr().out
+        )
+
     def test_non_positive_workers_is_a_clean_cli_error(
         self, tbox_file, queries_file, capsys
     ):
