@@ -2,22 +2,14 @@
 # reruns one Table 1 benchmark block as an end-to-end sanity check;
 # `make cache-smoke` is the cold-then-warm persistent-cache gate used in CI;
 # `make answer-smoke` answers one workload end-to-end on both execution
-# backends and fails on any disagreement; `make strategy-smoke` pins the
-# frontier kernel's strategy-independence (sequential vs threaded);
-# `make fuzz-smoke` runs a bounded differential-fuzzing pass (generated
-# triples through the chase/backend/determinism oracles); `make
-# serve-smoke` boots the HTTP serving front end on a real socket and
-# checks byte-identical answers, single-compile coalescing and warm
-# answer caching; `make subscribe-smoke` drives the standing-query
-# lifecycle (subscribe, mutate, poll, verify the answer delta) over a
-# real socket; `make chaos-smoke` runs a bounded seeded
-# fault-injection pass against the serving stack (deadline, warm-path
-# and recovery invariants); `make perf-smoke` pins the hot-path floor
-# (auto-strategy rewritings byte-identical to sequential on the running
-# example, flat canonical-key kernel never slower than the reference,
-# coverage-memo chain searches on P5 under a pinned ceiling, SQLite
-# snapshot loads and maintainer refreshes pinned over 20 mutations,
-# delta-rule plans of Vicodi q1-q4 pinned over 20 churn rounds).
+# backends and fails on any disagreement; `make fuzz-smoke` runs a bounded
+# differential-fuzzing pass (generated triples through the
+# chase/backend/determinism oracles); `make chaos-smoke` runs a bounded
+# seeded fault-injection pass against the serving stack (deadline,
+# warm-path and recovery invariants).  `make strategy-smoke`,
+# `serve-smoke`, `subscribe-smoke` and `perf-smoke` each run one gate of
+# benchmarks/smoke.py, which prints one line per check and exits 1 if
+# any failed (its docstring lists every check).
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest
@@ -46,10 +38,10 @@ answer-smoke:
 
 # Strategy-equality gate: the StockExchange rewritings must be identical
 # (sizes + canonical keys + members) under sequential and threaded
-# frontier scheduling; exits non-zero on any divergence.
+# frontier scheduling.
 strategy-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) \
-	    benchmarks/strategy_smoke.py
+	    benchmarks/smoke.py strategy
 
 # Bounded differential-fuzzing gate (seconds, not minutes): a fixed-seed
 # window of generated linear/sticky/sticky-join triples must satisfy all
@@ -60,13 +52,14 @@ strategy-smoke:
 fuzz-smoke:
 	$(REPRO) fuzz --seed 0 --cases 5 --quiet
 
-# Serving gate: the multi-tenant HTTP front end over a real socket must
-# return answers byte-identical to the in-process path, compile a
-# 50-request cold herd exactly once (single-flight coalescing) and serve
-# the warm repeat from the answer cache.
+# Serving gate: over a real socket, a workload-S tenant must answer
+# `q(A) :- FinantialInstrument(A)` (11 CQs through the TBox)
+# byte-identically to the in-process path, compile a 50-request cold herd
+# of `q(A) :- Person(A)` exactly once (single-flight coalescing) and
+# serve the warm repeat from the answer cache.
 serve-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) \
-	    benchmarks/serve_smoke.py
+	    benchmarks/smoke.py serve
 
 # Standing-query gate: subscribe over a real socket, mutate the tenant's
 # facts, poll the cursor (query-string style) and require the returned
@@ -74,7 +67,7 @@ serve-smoke:
 # same query; then unsubscribe and require stale polls to 404.
 subscribe-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) \
-	    benchmarks/subscribe_smoke.py
+	    benchmarks/smoke.py subscribe
 
 # Chaos gate (seconds, not minutes): a fixed-seed window of
 # fault-injection cases — compile stalls, mid-compile kills, backend
@@ -87,27 +80,21 @@ subscribe-smoke:
 chaos-smoke:
 	$(REPRO) chaos --seed 0 --cases 6 --quiet
 
-# Perf gate (seconds, not minutes): strategy="auto" must produce
-# byte-identical rewritings to the sequential baseline on the paper's
-# running example, the tuple-encoded canonical-key kernel must not be
-# slower than the object-walking reference it replaced, and a TGD-rewrite*
-# compile of P5 must give the same members with memoisation on and off
-# while the memoised engine stays under a pinned count of coverage chain
-# searches (a work counter, not a timing), and 20 seeded single-fact
-# mutations of workload S on the SQLite backend must be patched in by
-# both change-log consumers: exactly 1 full and 20 incremental snapshot
-# loads and maintainer refreshes, with poll() answers equal to
-# execute() answers after every step, and 20 seeded rounds of 4 deletes +
-# 4 inserts on the Vicodi sample ABox, each followed by a poll of q1-q4,
-# must join-order exactly the pinned number of delta rules (at most one
-# plan per rule of the four rewritings), with the maintained answers
-# equal to re-evaluation at the end.  The exhaustive
-# hot-path benchmark (all Table 1 workloads + generated triples,
-# homomorphism and MGU paths, the autotuner epsilon invariant) is
-# benchmarks/bench_hotpaths.py under `make bench-json`.
+# Perf gate (seconds, not minutes), five checks: (1) strategy="auto"
+# compiles the running example to the sequential bytes; (2) the
+# tuple-encoded canonical-key kernel is not slower than the reference;
+# (3) P5 under TGD-rewrite* compiles to the same rewritings with
+# memoisation on and off, within a pinned count of coverage chain
+# searches; (4) 20 seeded single-fact mutations of workload S on SQLite
+# give exactly 1 full + 20 incremental snapshot loads and maintainer
+# refreshes, poll() agreeing with execute(); (5) 20 seeded churn rounds
+# on the Vicodi ABox, polled on q1-q4, join-order exactly the pinned
+# number of delta rules, with maintained answers equal to re-evaluation.
+# Every check runs even after one fails.  The exhaustive hot-path
+# benchmark is benchmarks/bench_hotpaths.py under `make bench-json`.
 perf-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) \
-	    benchmarks/perf_smoke.py
+	    benchmarks/smoke.py perf
 
 bench:
 	$(PYTEST) -q benchmarks

@@ -648,16 +648,6 @@ class OBDASystem:
         self._rewriting_cache[query] = result
         return result
 
-    def _engine_specification(self) -> tuple:
-        """What a worker process needs to rebuild this system's engine.
-
-        The theory plus the *resolved* engine options — pickled once per
-        worker by :func:`repro.parallel.compile_workloads`.  A worker
-        engine built from this specification computes byte-identical
-        rewritings to :attr:`_rewriter` (the engine is deterministic).
-        """
-        return (self._theory, self._use_elimination, self._use_nc_pruning)
-
     def compile_many(
         self,
         queries: Iterable[ConjunctiveQuery],

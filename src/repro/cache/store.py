@@ -188,6 +188,24 @@ class RewritingStore:
         for digest in list(self._index):
             yield from self._bucket(digest)
 
+    def results_for(
+        self, fingerprint: str, rules: Sequence[TGD] = ()
+    ) -> Iterator[tuple[ConjunctiveQuery, RewritingResult]]:
+        """Yield ``(query, result)`` for every record under *fingerprint*.
+
+        Oldest first, in file order.  Records that no longer decode are
+        skipped.  *rules* is attached to each result, as in :meth:`get`.
+        """
+        for record in self:
+            if record.get("fingerprint") != fingerprint:
+                continue
+            try:
+                query = query_from_json(record["result"]["query"])
+                result = result_from_json(record["result"], rules)
+            except (KeyError, ValueError, TypeError):
+                continue
+            yield query, result
+
     @property
     def fingerprints(self) -> frozenset[str]:
         """The distinct theory fingerprints present in the store."""

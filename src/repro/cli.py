@@ -795,8 +795,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     answer.add_argument(
         "--explain", action="store_true",
-        help="print each backend's cost-aware plan: join order per "
-        "disjunct, disjunct execution order, estimated cardinalities",
+        help="print each backend's cost-aware plan: join order and "
+        "estimated cost per disjunct",
     )
     answer.set_defaults(handler=_cmd_answer)
 

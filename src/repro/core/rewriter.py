@@ -252,6 +252,7 @@ class TGDRewriter:
             if not negative_constraints:
                 negative_constraints = theory.negative_constraints
         rules = list(rules)
+        self._given_rules: tuple[TGD, ...] = tuple(rules)
         internal_predicates: frozenset = frozenset()
         if not is_normalized(rules):
             normalization = normalize(rules)
@@ -344,18 +345,18 @@ class TGDRewriter:
         return self._strategy
 
     def specification(self) -> tuple:
-        """What a worker process needs to rebuild an equivalent engine.
+        """The constructor arguments that rebuild an equal engine.
 
-        The (already normalised) rules, the negative constraints and the
-        resolved options — everything :meth:`expand` depends on.  A replica
-        built by :meth:`from_specification` expands every query to exactly
-        the same candidates as this engine (expansion is a pure function
-        and the rename-apart pool mints deterministically), which is what
-        lets :class:`repro.scheduling.ChunkedProcessStrategy` spread one
-        frontier generation across processes without changing a byte.
+        The rules as given, before normalisation, so that the replica
+        knows which predicates its own normalisation invents; then the
+        negative constraints and the resolved options, in the
+        constructor's order.  :meth:`from_specification` builds an engine
+        that expands and rewrites every query to this engine's bytes.
+        Worker processes of the per-query pool and of
+        :class:`repro.scheduling.ChunkedProcessStrategy` are built so.
         """
         return (
-            self._rules,
+            self._given_rules,
             self._negative_constraints,
             self._eliminator is not None,
             self._pruner is not None,
@@ -365,18 +366,8 @@ class TGDRewriter:
 
     @classmethod
     def from_specification(cls, specification: tuple) -> "TGDRewriter":
-        """Rebuild an expansion-equivalent engine from :meth:`specification`."""
-        rules, constraints, elimination, pruning, max_queries, memoisation = (
-            specification
-        )
-        return cls(
-            rules,
-            negative_constraints=constraints,
-            use_elimination=elimination,
-            use_nc_pruning=pruning,
-            max_queries=max_queries,
-            use_memoisation=memoisation,
-        )
+        """Rebuild an equal engine from :meth:`specification`."""
+        return cls(*specification)
 
     def rewrite(
         self,

@@ -78,12 +78,7 @@ def _worker_engine(job: int) -> TGDRewriter:
     """The worker's (lazily built) rewriting engine for *job*."""
     engine = _WORKER_ENGINES.get(job)
     if engine is None:
-        theory, use_elimination, use_nc_pruning = _WORKER_SPECIFICATIONS[job]
-        engine = TGDRewriter(
-            theory,
-            use_elimination=use_elimination,
-            use_nc_pruning=use_nc_pruning,
-        )
+        engine = TGDRewriter.from_specification(_WORKER_SPECIFICATIONS[job])
         _WORKER_ENGINES[job] = engine
     return engine
 
@@ -161,7 +156,7 @@ def compile_workloads(
                 outputs[job][position] = system._rewriter.rewrite(query)
         else:
             specifications = tuple(
-                system._engine_specification() for system, _ in jobs
+                system._rewriter.specification() for system, _ in jobs
             )
             with ProcessPoolExecutor(
                 max_workers=effective,

@@ -51,7 +51,6 @@ from typing import Iterable, Mapping, Sequence
 
 from ..api import OBDASystem, RewritingResult, resolve_engine_options
 from ..cache.checkpoint import FrontierCheckpoint, compile_digest
-from ..cache.serialization import query_from_json, result_from_json
 from ..cache.store import RewritingStore
 from ..database.instance import RelationalInstance
 from ..dependencies.theory import OntologyTheory
@@ -150,14 +149,7 @@ class SharedArtifacts:
             return 0
         rules = tuple(self.system._rewriter.rules)
         warmed = 0
-        for record in store:
-            if record.get("fingerprint") != self.fingerprint:
-                continue
-            try:
-                query = query_from_json(record["result"]["query"])
-                result = result_from_json(record["result"], rules)
-            except (KeyError, ValueError, TypeError):
-                continue
+        for query, result in store.results_for(self.fingerprint, rules):
             self.rewriting_cache.setdefault(query, result)
             warmed += 1
             if limit is not None and warmed >= limit:

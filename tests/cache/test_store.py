@@ -111,6 +111,31 @@ class TestPersistence:
         assert reopened.statistics.skipped_records == 1
 
 
+    def test_results_for_yields_one_fingerprint_oldest_first(self, tmp_path):
+        first, first_result = compile_query("q(A) :- leader(A)")
+        second, second_result = compile_query("q(A) :- has_leader(A, B)")
+        store = RewritingStore(tmp_path)
+        store.put(first, FINGERPRINT, first_result)
+        store.put(second, "other-fingerprint", second_result)
+        store.put(second, FINGERPRINT, second_result)
+        unreadable = {
+            "format": RewritingStore.FORMAT_VERSION,
+            "digest": "unreadable",
+            "fingerprint": FINGERPRINT,
+            "exact": True,
+            "result": {},
+        }
+        with store.path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(unreadable, separators=(",", ":")) + "\n")
+        served = list(RewritingStore(tmp_path).results_for(FINGERPRINT, RULES))
+        assert [query for query, _ in served] == [first, second]
+        assert [repr(result.ucq) for _, result in served] == [
+            repr(first_result.ucq),
+            repr(second_result.ucq),
+        ]
+        assert all(result.rules == RULES for _, result in served)
+
+
 class TestInvalidation:
     def test_fingerprint_mismatch_misses(self, tmp_path):
         store = RewritingStore(tmp_path)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import resolve_engine_options
 from repro.core.frontier import (
     LABEL_FACTORIZATION,
     LABEL_REWRITING,
@@ -64,6 +65,26 @@ class TestExpand:
         engine.rewrite(get_workload("S").query("q1"))
         replica = TGDRewriter.from_specification(engine.specification())
         assert engine.expand(query).candidates == replica.expand(query).candidates
+
+    @pytest.mark.parametrize("name", ["U", "A", "P5"])
+    def test_specification_rebuilds_an_equal_engine(self, name):
+        """A replica rewrites every query to the original's bytes.
+
+        These theories normalise with auxiliary predicates; the replica
+        must drop CQs over them exactly as the original engine does.
+        """
+        workload = get_workload(name)
+        options = resolve_engine_options(workload.theory)
+        engine = TGDRewriter(
+            workload.theory,
+            use_elimination=options.use_elimination,
+            use_nc_pruning=options.use_nc_pruning,
+        )
+        replica = TGDRewriter.from_specification(engine.specification())
+        for query_name in workload.query_names:
+            query = workload.query(query_name)
+            expected = repr(engine.rewrite(query).ucq)
+            assert repr(replica.rewrite(query).ucq) == expected, query_name
 
     def test_factorization_candidates_precede_rewriting_candidates(self):
         # Example 2's derivation factorizes; within every expansion the
