@@ -56,7 +56,8 @@ fuzz-smoke:
 # `q(A) :- FinantialInstrument(A)` (11 CQs through the TBox)
 # byte-identically to the in-process path, compile a 50-request cold herd
 # of `q(A) :- Person(A)` exactly once (single-flight coalescing) and
-# serve the warm repeat from the answer cache.
+# serve the warm repeat from the answer cache on the event loop (the
+# tenant's `answered_on_loop` count in /stats moves by exactly one).
 serve-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) \
 	    benchmarks/smoke.py serve

@@ -16,7 +16,8 @@ serve-smoke subscribe-smoke perf-smoke`` gate every CI run.
     in process, and its rewriting has more than one CQ; a herd of
     :data:`HERD` concurrent cold requests for :data:`HERD_QUERY` compiles
     once and gets one answer set; the warm repeat of :data:`QUERY` is
-    served from memory and the answer cache.
+    served from memory and the answer cache, on the event loop (the
+    tenant's ``answered_on_loop`` count in ``/stats`` moves by one).
 ``subscribe``
     The standing-query lifecycle over a socket: subscribe to
     :data:`QUERY` (cursor plus snapshot); ``POST /data``, then poll the
@@ -293,12 +294,21 @@ async def serve_checks(check, app, client) -> None:
         f"{compiles} engine compile(s), {len(answer_sets)} distinct answer set(s)",
     )
 
+    before = await answered_on_loop(client)
     payload = (await answer(client, QUERY)).payload
+    on_loop = await answered_on_loop(client) - before
     check(
-        payload["source"] == "memory" and payload["answer_cached"],
+        payload["source"] == "memory" and payload["answer_cached"] and on_loop == 1,
         f"warm repeat: source={payload['source']}, "
-        f"answer_cached={payload['answer_cached']}",
+        f"answer_cached={payload['answer_cached']}, "
+        f"answered on the event loop: {on_loop}",
     )
+
+
+async def answered_on_loop(client) -> int:
+    """The tenant's ``/stats`` count of answers served without the executor."""
+    stats = await expect(client.request("GET", "/stats"), 200)
+    return stats["tenants"][TENANT]["answered_on_loop"]
 
 
 async def subscribe_checks(check, app, client) -> None:

@@ -181,12 +181,7 @@ class PreparedQuery:
         database's epoch and the binding set; an unchanged database is
         served without executing the plan.
         """
-        normalized = self._normalize_bindings(bindings)
-        key = (
-            self._backend.data_epoch(self._system.database),
-            frozenset(normalized.items()) if normalized else None,
-        )
-        tuples = self._answers.get(key)
+        normalized, key, tuples = self._lookup(bindings)
         if tuples is None:
             self._misses += 1
             tuples = self._plan.execute(self._system.database, normalized)
@@ -196,6 +191,25 @@ class PreparedQuery:
         else:
             self._hits += 1
         return AnswerSet(query=self._query, rewriting=self._rewriting, tuples=tuples)
+
+    def probe(
+        self, bindings: Mapping[object, object] | None = None
+    ) -> frozenset[tuple] | None:
+        """The cached answers :meth:`execute` would serve, or ``None``.
+
+        Never executes the plan and counts nothing; raises
+        :class:`ValueError` on bad *bindings*, as :meth:`execute` does.
+        """
+        return self._lookup(bindings)[2]
+
+    def _lookup(self, bindings: Mapping[object, object] | None):
+        """``(normalized bindings, answer-cache key, cached answers or None)``."""
+        normalized = self._normalize_bindings(bindings)
+        key = (
+            self._backend.data_epoch(self._system.database),
+            frozenset(normalized.items()) if normalized else None,
+        )
+        return normalized, key, self._answers.get(key)
 
     def _normalize_bindings(
         self, bindings: Mapping[object, object] | None
@@ -833,6 +847,19 @@ class OBDASystem:
             self._prepared_hits += 1
             self._prepared.move_to_end(key)
         return prepared
+
+    def prepared_handle(self, query: ConjunctiveQuery) -> PreparedQuery | None:
+        """The handle :meth:`prepare` would return on the default backend.
+
+        ``None`` when *query* is not prepared there.  Never compiles,
+        plans or creates a backend, and counts nothing.
+        """
+        backend = self._default_backend
+        if not isinstance(backend, ExecutionBackend):
+            backend = self._backends.get(backend)
+        if backend is None:
+            return None
+        return self._prepared.get((query, id(backend)))
 
     def prepare_many(
         self,

@@ -104,6 +104,10 @@ class ExecutionBackend(ABC):
     #: Registry name of the backend (``"memory"``, ``"sqlite"``).
     name: str = "?"
 
+    #: ``True`` when :meth:`data_epoch` reads the instance alone, no
+    #: connection, so any thread may call it.
+    local_data_epoch: bool = True
+
     @abstractmethod
     def prepare(
         self,

@@ -276,6 +276,11 @@ class SQLiteBackend(ExecutionBackend):
         return self._attach
 
     @property
+    def local_data_epoch(self) -> bool:
+        """``False`` when attached: :meth:`data_epoch` reads the connection."""
+        return not self._attach
+
+    @property
     def connection(self) -> sqlite3.Connection:
         """The lazily opened SQLite connection."""
         if self._connection is None:

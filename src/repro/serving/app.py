@@ -26,12 +26,19 @@ Request lifecycle of ``/answer`` (the hot path):
 3. **cold path** — coalesce onto the single-flight compile for the
    query's ``(canonical key, fingerprint)`` digest: one engine run per
    herd, run on the artifact set's dedicated executor thread;
-4. execute on the tenant's executor: plan cache + epoch-keyed answer
+4. answer: a warm hit — query prepared, answers of the current epoch
+   cached, tenant idle — is served on the event loop
+   (:meth:`Tenant.answer_cached`); anything else executes on the
+   tenant's executor, where the plan cache and the epoch-keyed answer
    cache make a warm execute two dictionary probes.
 
 Steps 2–4 are one frame, :meth:`ServingApp._run_pinned`, shared by
 every endpoint that compiles and answers: it pins the tenant epoch the
 request runs on from the first compile to the end of the tenant work.
+The app parses each distinct query text once and encodes each answer
+set it serves once (memos bounded in entries and in size by the
+``MAX_PARSED_*`` and ``MAX_ENCODED_*`` constants), so a warm
+``/answer`` costs a few dictionary probes.
 
 Errors are structured and *classified*:
 ``{"error": {"code": ..., "message": ...}}`` with a meaningful HTTP
@@ -45,16 +52,18 @@ progress is checkpointed; a retry resumes it).
 The resilience layer (:mod:`repro.serving.resilience`, PR 8) threads
 through every request: per-request deadlines (``compile_timeout`` /
 ``answer_timeout``, tightened per request by an ``X-Deadline-Ms``
-header) enforced with ``asyncio.wait_for`` around the executor hops and
-cooperatively inside the engine, cold-path admission control
-(:class:`~repro.serving.resilience.CompileGate`), and a per-digest
-:class:`~repro.serving.resilience.CircuitBreaker`.  Warm answers never
-pass through the gate — overload sheds cold traffic only.
+header) enforced with ``asyncio.timeout`` around the compile wait and
+the executor hop and cooperatively inside the engine, cold-path
+admission control (:class:`~repro.serving.resilience.CompileGate`),
+and a per-digest :class:`~repro.serving.resilience.CircuitBreaker`.
+Warm answers never pass through the gate — overload sheds cold traffic
+only.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import re
 import sqlite3
@@ -95,6 +104,25 @@ from .tenants import (
     UnknownTenantError,
 )
 
+#: Bound on the distinct query texts a :class:`ServingApp` keeps parsed.
+MAX_PARSED_QUERIES = 1024
+
+#: Longest query text kept parsed; a longer one (a request body may
+#: hold 16 MiB) is parsed on every request, so the memo holds at most
+#: ``MAX_PARSED_QUERIES * MAX_PARSED_QUERY_CHARS`` characters.
+MAX_PARSED_QUERY_CHARS = 4096
+
+#: Bounds on what ``/answer`` keeps encoded: answer sets, and answer rows
+#: over all of them.  A set of more rows is encoded on every request.
+MAX_ENCODED_ANSWER_SETS = 256
+MAX_ENCODED_ROWS = 65536
+
+#: ``json.dumps`` builds a new encoder per call when given keyword
+#: arguments; these two are built once.  Answer rows are flat lists of
+#: scalars, so their sort key needs no ``sort_keys``.
+_BODY_ENCODER = json.JSONEncoder(sort_keys=True)
+_ROW_ENCODER = json.JSONEncoder()
+
 
 @dataclass(frozen=True)
 class ServingResponse:
@@ -110,7 +138,7 @@ class ServingResponse:
 
     def body(self) -> bytes:
         """The payload as canonical JSON bytes (what the wire carries)."""
-        return json.dumps(self.payload, sort_keys=True).encode("utf-8")
+        return _BODY_ENCODER.encode(self.payload).encode("utf-8")
 
 
 class ServingError(Exception):
@@ -164,8 +192,19 @@ def encode_answers(tuples: frozenset[tuple]) -> list[list]:
                 )
             row.append(value)
         rows.append(row)
-    rows.sort(key=lambda row: json.dumps(row, sort_keys=True))
+    rows.sort(key=_ROW_ENCODER.encode)
     return rows
+
+
+#: ``/tenants/{name}/<action>``: the tenant name, then the action.
+_TENANT_PATH = re.compile(r"/tenants/([^/]+)/([^/]+)")
+
+
+def _remember(memo: dict, key, value, bound: int) -> None:
+    """Store *value* under *key*, first evicting the oldest entries."""
+    while len(memo) >= bound:
+        del memo[next(iter(memo))]
+    memo[key] = value
 
 
 class ServingApp:
@@ -204,6 +243,14 @@ class ServingApp:
         self.breaker = CircuitBreaker(self.config)
         self._started = time.monotonic()
         self._request_counts: dict[str, int] = {}
+        # Event-loop-only memos of the warm /answer path (see the module
+        # docstring): parsed queries by exact text, and encoded rows by
+        # the *identity* of the answer set, never its value —
+        # Constant(1) == Constant(True), yet they encode as 1 and true.
+        # Each entry holds its answer set, so the id cannot be reused.
+        self._parsed_queries: dict[str, ConjunctiveQuery] = {}
+        self._encoded_answers: dict[int, tuple[frozenset, list[list]]] = {}
+        self._encoded_row_count = 0
         self._routes = {
             ("POST", "/register-theory"): self._register,
             ("POST", "/prepare"): self._prepare,
@@ -213,19 +260,15 @@ class ServingApp:
             ("GET", "/stats"): self._stats,
             ("GET", "/healthz"): self._healthz,
         }
-        # Parameterised per-tenant routes: (pattern, method, handler).
-        # Handlers take (name, payload, headers).
-        self._tenant_routes = (
-            (re.compile(r"/tenants/([^/]+)/theory"), "POST", self._update_theory),
-            (re.compile(r"/tenants/([^/]+)/subscribe"), "POST", self._subscribe),
-            (re.compile(r"/tenants/([^/]+)/changes"), "GET", self._changes),
-            (re.compile(r"/tenants/([^/]+)/unsubscribe"), "POST", self._unsubscribe),
-            (
-                re.compile(r"/tenants/([^/]+)/prepare-batch"),
-                "POST",
-                self._prepare_batch,
-            ),
-        )
+        # Per-tenant routes ``/tenants/{name}/<action>``: action ->
+        # (method, handler).  Handlers take (name, payload, headers).
+        self._tenant_routes = {
+            "theory": ("POST", self._update_theory),
+            "subscribe": ("POST", self._subscribe),
+            "changes": ("GET", self._changes),
+            "unsubscribe": ("POST", self._unsubscribe),
+            "prepare-batch": ("POST", self._prepare_batch),
+        }
         self._closed = False
 
     # -- the front door ----------------------------------------------------
@@ -244,24 +287,12 @@ class ServingApp:
         normalises them).
         """
         method = method.upper()
+        route = path
         handler = self._routes.get((method, path))
         if handler is None:
-            for pattern, route_method, tenant_handler in self._tenant_routes:
-                match = pattern.fullmatch(path)
-                if match is None:
-                    continue
-                if method != route_method:
-                    return ServingError(
-                        405, "method-not-allowed", f"{method} is not valid for {path}"
-                    ).response()
-                handler = (
-                    lambda payload,
-                    headers,
-                    name=match.group(1),
-                    bound=tenant_handler: bound(name, payload, headers)
-                )
-                break
-            else:
+            match = _TENANT_PATH.fullmatch(path)
+            action = match.group(2) if match is not None else None
+            if action not in self._tenant_routes:
                 if any(route_path == path for _, route_path in self._routes):
                     return ServingError(
                         405, "method-not-allowed", f"{method} is not valid for {path}"
@@ -269,7 +300,16 @@ class ServingApp:
                 return ServingError(
                     404, "unknown-endpoint", f"no endpoint {path}"
                 ).response()
-        self._request_counts[path] = self._request_counts.get(path, 0) + 1
+            route_method, tenant_handler = self._tenant_routes[action]
+            if method != route_method:
+                return ServingError(
+                    405, "method-not-allowed", f"{method} is not valid for {path}"
+                ).response()
+            # Counted under the template: tenant names are client input,
+            # so counting raw paths would grow without bound.
+            route = f"/tenants/{{name}}/{action}"
+            handler = functools.partial(tenant_handler, match.group(1))
+        self._request_counts[route] = self._request_counts.get(route, 0) + 1
         if payload is None:
             payload = {}
         if not isinstance(payload, dict):
@@ -355,12 +395,21 @@ class ServingApp:
             raise ServingError(400, "bad-request", "'tenant' must be a string")
         return self.registry.get(name)
 
-    @staticmethod
-    def _decode_query(payload: dict) -> ConjunctiveQuery:
-        """A query from its textual form or the tagged-JSON encoding."""
+    def _decode_query(self, payload: dict) -> ConjunctiveQuery:
+        """A query from its textual form or the tagged-JSON encoding.
+
+        Each distinct text of at most :data:`MAX_PARSED_QUERY_CHARS` is
+        parsed once (queries are immutable); a syntax error is raised
+        again on every request, never cached.
+        """
         raw = payload.get("query")
         if isinstance(raw, str):
-            return parse_query(raw)
+            query = self._parsed_queries.get(raw)
+            if query is None:
+                query = parse_query(raw)
+                if len(raw) <= MAX_PARSED_QUERY_CHARS:
+                    _remember(self._parsed_queries, raw, query, MAX_PARSED_QUERIES)
+            return query
         if isinstance(raw, dict):
             try:
                 return query_from_json(raw)
@@ -497,12 +546,9 @@ class ServingApp:
             # probe that decided `leader` from the flight creation, so
             # the admission accounting above cannot be raced.
             task, _ = self.flights.acquire(digest, thunk)
-            waiter = asyncio.shield(task)
-            if budget is not None:
-                _, source = await asyncio.wait_for(waiter, budget)
-            else:
-                _, source = await waiter
-        except asyncio.TimeoutError:
+            async with asyncio.timeout(budget):
+                _, source = await asyncio.shield(task)
+        except TimeoutError:
             if leader:
                 scope.cancel()
                 self.breaker.record_interrupt(digest)
@@ -538,6 +584,7 @@ class ServingApp:
         queries: list[ConjunctiveQuery],
         what: str,
         work,
+        probe=None,
     ) -> tuple[list[tuple[str, bool]], object, float]:
         """The frame of every endpoint that compiles and then answers.
 
@@ -548,6 +595,10 @@ class ServingApp:
         remaining deadline (504 when the budget runs out first).  Returns
         each query's ``(source, coalesced)``, the work's result and the
         elapsed milliseconds.
+
+        *probe*, when given, is tried first, on the event loop, while
+        the answer budget is not spent: ``probe(system)`` returns the
+        work's result without blocking, or ``None`` to take the executor.
         """
         started = time.perf_counter()
         deadline = Deadline.from_header(headers)
@@ -558,17 +609,21 @@ class ServingApp:
                 for query in queries
             ]
             budget = deadline.phase_budget(self.config.answer_timeout)
-            future = asyncio.get_running_loop().run_in_executor(
-                tenant.executor, work, epoch.system
-            )
-            try:
-                result = await asyncio.wait_for(future, budget)
-            except asyncio.TimeoutError:
-                raise ServingError(
-                    504,
-                    "timeout",
-                    f"{what} did not finish within its {budget:.3f}s budget",
-                ) from None
+            result = None
+            if probe is not None and (budget is None or budget > 0):
+                result = probe(epoch.system)
+            if result is None:
+                try:
+                    async with asyncio.timeout(budget):
+                        result = await asyncio.get_running_loop().run_in_executor(
+                            tenant.executor, work, epoch.system
+                        )
+                except TimeoutError:
+                    raise ServingError(
+                        504,
+                        "timeout",
+                        f"{what} did not finish within its {budget:.3f}s budget",
+                    ) from None
         finally:
             tenant.release_epoch(epoch)
         return compiled, result, (time.perf_counter() - started) * 1000.0
@@ -797,14 +852,19 @@ class ServingApp:
                 raise ServingError(400, "bad-bindings", str(error)) from error
 
         [(source, coalesced)], answered, elapsed_ms = await self._run_pinned(
-            tenant, headers, [query], "answer", answer
+            tenant,
+            headers,
+            [query],
+            "answer",
+            answer,
+            probe=lambda system: tenant.answer_cached(query, bindings, system),
         )
         tuples, cached, epoch_counter = answered
         return ServingResponse(
             200,
             {
                 "tenant": tenant.name,
-                "answers": encode_answers(tuples),
+                "answers": self._encoded_rows(tuples),
                 "count": len(tuples),
                 "source": source,
                 "coalesced": coalesced,
@@ -813,6 +873,30 @@ class ServingApp:
                 "elapsed_ms": elapsed_ms,
             },
         )
+
+    def _encoded_rows(self, tuples: frozenset[tuple]) -> list[list]:
+        """``encode_answers(tuples)``, encoded once per answer set object.
+
+        The memo keeps at most :data:`MAX_ENCODED_ANSWER_SETS` sets and
+        :data:`MAX_ENCODED_ROWS` rows, oldest evicted first, so the sets
+        it keeps alive after their tenant dropped them stay bounded too.
+        Each response gets its own row lists, so no caller can alter
+        what the memo serves next.
+        """
+        memo = self._encoded_answers
+        entry = memo.get(id(tuples))
+        if entry is None:
+            entry = (tuples, encode_answers(tuples))
+            if len(tuples) <= MAX_ENCODED_ROWS:
+                while memo and (
+                    len(memo) >= MAX_ENCODED_ANSWER_SETS
+                    or self._encoded_row_count + len(tuples) > MAX_ENCODED_ROWS
+                ):
+                    evicted, _ = memo.pop(next(iter(memo)))
+                    self._encoded_row_count -= len(evicted)
+                memo[id(tuples)] = entry
+                self._encoded_row_count += len(tuples)
+        return [list(row) for row in entry[1]]
 
     async def _data(self, payload: dict, headers: dict) -> ServingResponse:
         tenant = self._tenant(payload)

@@ -69,7 +69,10 @@ class FaultPlan:
     The serving stack calls the three hooks from its executor threads:
     ``before_compile`` at compile start (stalls), ``generation_fault``
     per engine run (mid-compile kills at the generation boundary) and
-    ``before_execute`` on the tenant's answer path (backend faults).
+    ``before_execute`` on the tenant's answer path (backend faults); an
+    answer-cache hit calls ``before_execute`` on the event loop instead.
+    Bad bindings always take the executor path, so on both paths the
+    hook can fail a request before its bindings are rejected.
     Store and checkpoint write failures are installed by the harness via
     :meth:`wrap_store` / :meth:`sabotage_checkpoints`.  Budgets are only
     consumed while the plan is :meth:`armed <arm>`, so a harness can

@@ -130,10 +130,9 @@ class ServingServer:
         try:
             while True:
                 try:
-                    request = await asyncio.wait_for(
-                        self._read_request(reader), timeout=KEEPALIVE_TIMEOUT
-                    )
-                except asyncio.TimeoutError:
+                    async with asyncio.timeout(KEEPALIVE_TIMEOUT):
+                        request = await self._read_request(reader)
+                except TimeoutError:
                     break
                 if request is None:
                     break

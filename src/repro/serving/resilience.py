@@ -12,7 +12,7 @@ behaviour safe to deploy:
 * :class:`Deadline` / :class:`CancelScope` — per-request time budgets
   (``compile_timeout`` / ``answer_timeout``, overridable per request via
   an ``X-Deadline-Ms`` header).  The event loop enforces them with
-  ``asyncio.wait_for``; the engine observes them *cooperatively* through
+  ``asyncio.timeout``; the engine observes them *cooperatively* through
   :class:`InterruptibleStrategy`, which checks the scope between frontier
   generations and raises :class:`CompileInterrupted` — after the kernel
   has already persisted the checkpoint of the last completed generation,
@@ -150,8 +150,8 @@ class CancelScope:
     """Cooperative cancellation signal shared between loop and executor.
 
     The event loop creates one per compile attempt (carrying the
-    request's absolute deadline) and cancels it when ``wait_for`` times
-    out or the app shuts down; the executor-side
+    request's absolute deadline) and cancels it when the compile wait
+    times out or the app shuts down; the executor-side
     :class:`InterruptibleStrategy` polls :meth:`expired` between frontier
     generations.  Thread-safe by construction (an ``Event`` plus an
     immutable deadline).

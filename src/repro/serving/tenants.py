@@ -49,7 +49,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ..api import OBDASystem, RewritingResult, resolve_engine_options
+from ..api import OBDASystem, PreparedQuery, RewritingResult, resolve_engine_options
 from ..cache.checkpoint import FrontierCheckpoint, compile_digest
 from ..cache.store import RewritingStore
 from ..database.instance import RelationalInstance
@@ -334,6 +334,8 @@ class Tenant:
         self.subscriptions = SubscriptionPool()
         self.theory_updates = 0
         self.answers_served = 0
+        #: Answers served by :meth:`answer_cached`, without the executor.
+        self.answered_on_loop = 0
         self.warmed_prepared = 0
 
     @property
@@ -478,7 +480,8 @@ class Tenant:
     # after the shared compile, with the *system* of the epoch the request
     # pinned — so planning is a plan-cache probe or one backend pass, never
     # an engine run, and a concurrent theory update cannot swap the system
-    # out from under the request.
+    # out from under the request.  The one exception is
+    # :meth:`answer_cached`, which the app calls on the event loop first.
 
     def prepare_blocking(self, query: ConjunctiveQuery, system: OBDASystem):
         """Plan *query* on this tenant's backend; returns the prepared handle."""
@@ -501,12 +504,57 @@ class Tenant:
         if self._fault_plan is not None:
             self._fault_plan.before_execute(self.name)
         with self._lock:
-            prepared = system.prepare(query)
-            before = prepared.execution_cache_info().hits
-            answers = prepared.execute(bindings)
-            cached = prepared.execution_cache_info().hits > before
-            self.answers_served += 1
-            return answers.tuples, cached, system.database.epoch
+            return self._answer_locked(system.prepare(query), bindings, system)
+
+    def answer_cached(
+        self,
+        query: ConjunctiveQuery,
+        bindings: Mapping[object, object] | None,
+        system: OBDASystem,
+    ) -> tuple[frozenset[tuple], bool, int] | None:
+        """:meth:`answer_blocking`'s result if the answer cache holds it.
+
+        Called on the event loop, so it neither blocks nor executes.  It
+        answers only when *query* is already prepared on *system*, the
+        backend's data epoch reads no connection, the tenant lock is free
+        and the answers of the current epoch and *bindings* are cached;
+        otherwise it returns ``None`` and the caller takes the executor.
+        Bad *bindings* take the executor too, so the fault plan's
+        ``before_execute`` runs before the bindings check on both paths.
+        An answer moves the counters as :meth:`answer_blocking` does.
+        """
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            prepared = system.prepared_handle(query)
+            if prepared is None or not prepared.backend.local_data_epoch:
+                return None
+            try:
+                cached = prepared.probe(bindings)
+            except ValueError:  # bad bindings: the executor path reports them
+                return None
+            if cached is None:
+                return None
+            if self._fault_plan is not None:
+                self._fault_plan.before_execute(self.name)
+            answered = self._answer_locked(system.prepare(query), bindings, system)
+            self.answered_on_loop += 1
+            return answered
+        finally:
+            self._lock.release()
+
+    def _answer_locked(
+        self,
+        prepared: PreparedQuery,
+        bindings: Mapping[object, object] | None,
+        system: OBDASystem,
+    ) -> tuple[frozenset[tuple], bool, int]:
+        """Serve *prepared* under the held lock: ``(answers, cached?, epoch)``."""
+        before = prepared.execution_cache_info().hits
+        answers = prepared.execute(bindings)
+        cached = prepared.execution_cache_info().hits > before
+        self.answers_served += 1
+        return answers.tuples, cached, system.database.epoch
 
     def prepare_batch_blocking(
         self, queries: Sequence[ConjunctiveQuery], system: OBDASystem
@@ -571,6 +619,7 @@ class Tenant:
             "epoch": self.system.database.epoch,
             "theory_updates": self.theory_updates,
             "answers_served": self.answers_served,
+            "answered_on_loop": self.answered_on_loop,
             "warmed_prepared": self.warmed_prepared,
             "subscriptions": self.subscriptions.describe(),
             "prepared": {

@@ -352,6 +352,19 @@ class TestRoutingAndStats:
 
         serve(body)
 
+    def test_tenant_routes_are_counted_under_their_template(self, app):
+        async def body():
+            for index in range(1000):
+                response = await app.request(
+                    "GET", f"/tenants/ghost{index}/changes", {"cursor": "c"}
+                )
+                assert response.status == 404
+            requests = (await app.request("GET", "/stats")).payload["requests"]
+            # One key for the 1,000 unknown tenants (plus the /stats call).
+            assert requests == {"/stats": 1, "/tenants/{name}/changes": 1000}
+
+        serve(body)
+
     def test_responses_serialize_to_bytes(self, app):
         async def body():
             await register(app, "acme")

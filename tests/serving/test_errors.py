@@ -104,6 +104,12 @@ class TestClassifiedCodes:
             # the (absurd) header deadline; the compile is a dict probe.
             warm = await app.request("POST", "/answer", QUERY)
             assert warm.ok
+            # Drop the cached answers: a warm hit is served on the event
+            # loop and never reaches the stalled executor work below.
+            dropped = await app.request(
+                "POST", "/invalidate", {"tenant": "acme", "scope": "answers"}
+            )
+            assert dropped.ok
             tenant = app.registry.get("acme")
 
             def stall(*args, **kwargs):

@@ -3,7 +3,7 @@
 import asyncio
 import json
 
-from repro.serving import ServingApp, ServingClient, ServingServer
+from repro.serving import ServingApp, ServingClient, ServingServer, http
 from repro.serving.http import MAX_BODY_BYTES
 
 from .conftest import register, serve
@@ -94,6 +94,30 @@ class TestTransport:
                 await writer.drain()
                 payload = await reader.read()
                 assert b"Connection: close" in payload
+                writer.close()
+            finally:
+                await server.stop()
+
+        serve(body)
+
+    def test_idle_keep_alive_connection_is_closed_after_the_timeout(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(http, "KEEPALIVE_TIMEOUT", 0.05)
+
+        async def body():
+            app, server = await _started_server()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+                await writer.drain()
+                # The server keeps the connection open after answering,
+                # then closes it once it sat idle for KEEPALIVE_TIMEOUT.
+                payload = await asyncio.wait_for(reader.read(), timeout=5.0)
+                assert b"Connection: keep-alive" in payload
+                assert b'"status": "ok"' in payload
                 writer.close()
             finally:
                 await server.stop()
