@@ -31,8 +31,10 @@ serve-smoke subscribe-smoke perf-smoke`` gate every CI run.
        is at least :data:`SPEEDUP_FLOOR` times as fast (best of
        :data:`REPEATS`).
     3. P5 under TGD-rewrite* gives the same rewritings with memoisation on
-       and off, and the memoised engine runs at most
-       :data:`COVERAGE_SEARCH_CEILING` coverage chain searches.
+       and off; the memoised engine runs at most
+       :data:`COVERAGE_SEARCH_CEILING` coverage chain searches and exactly
+       :data:`ELIMINATION_RUNS` elimination runs, and the unmemoised one
+       eliminates every candidate and every input query.
     4. :data:`CHANGE_LOG_MUTATIONS` seeded single-fact mutations of S on
        SQLite are patched in by both change-log consumers: exactly
        :data:`CHANGE_LOG_COUNTS` full/incremental snapshot loads and
@@ -75,7 +77,11 @@ from repro.logic.canonical import (  # noqa: E402
     canonical_fingerprint_reference,
 )
 from repro.queries.parser import parse_query  # noqa: E402
-from repro.scheduling import AutoStrategy, ThreadedStrategy  # noqa: E402
+from repro.scheduling import (  # noqa: E402
+    AutoStrategy,
+    SequentialStrategy,
+    ThreadedStrategy,
+)
 from repro.serving import ServingApp, ServingClient, ServingServer  # noqa: E402
 from repro.serving.app import encode_answers  # noqa: E402
 from repro.workloads import get_workload  # noqa: E402
@@ -109,6 +115,11 @@ SPEEDUP_FLOOR = 1.0
 #: per distinct pair shape the reachability table lets through (22 when
 #: pinned; the unmemoised engine runs 1118).
 COVERAGE_SEARCH_CEILING = 22
+#: Elimination runs of the same memoised compile: each run reduces its
+#: query, then only candidates whose exact key the run has not yet seen
+#: eliminate nothing (the unmemoised engine reduces all 5,400 candidates
+#: and the 5 queries: 5,405 runs).
+ELIMINATION_RUNS = 1868
 #: Check 4's seeded mutation script on workload S, and the pinned
 #: (full, incremental) counts of both change-log consumers: one initial
 #: full load/refresh, then one incremental patch per mutation.
@@ -408,19 +419,42 @@ def flat_kernel_floor(check) -> None:
     )
 
 
+class CandidateCount(SequentialStrategy):
+    """The sequential strategy, counting the candidates it expands."""
+
+    def __init__(self) -> None:
+        self.candidates = 0
+
+    def expand_generation(self, engine, batch):
+        for expansion in super().expand_generation(engine, batch):
+            self.candidates += len(expansion.candidates)
+            yield expansion
+
+
 def coverage_memo_ceiling(check) -> None:
-    """Perf check 3: memo on and off agree on P5, within the search ceiling."""
+    """Perf check 3: memo on and off agree on P5, within the work pins."""
     workload = get_workload("P5")
     rules = workload.theory.tgds
+    counted = CandidateCount()
     memoised = TGDRewriter(rules, use_elimination=True)
-    plain = TGDRewriter(rules, use_elimination=True, use_memoisation=False)
-    compare(check, "P5", named(workload), {"memo on": memoised, "memo off": plain})
+    plain = TGDRewriter(
+        rules, use_elimination=True, use_memoisation=False, strategy=counted
+    )
+    queries = named(workload)
+    compare(check, "P5", queries, {"memo on": memoised, "memo off": plain})
     searches = memoised.eliminator.checker.chain_searches
     check(
         searches <= COVERAGE_SEARCH_CEILING,
         f"coverage chain searches on P5: memo on {searches}, off "
         f"{plain.eliminator.checker.chain_searches} "
         f"(ceiling {COVERAGE_SEARCH_CEILING})",
+    )
+    runs, every = memoised.eliminator.runs, counted.candidates + len(queries)
+    check(
+        runs == ELIMINATION_RUNS and plain.eliminator.runs == every,
+        f"elimination runs on P5: memo on {runs} (pinned {ELIMINATION_RUNS}), "
+        f"off {plain.eliminator.runs} (every one of {counted.candidates} "
+        f"candidates and {len(queries)} queries: {every})",
     )
 
 

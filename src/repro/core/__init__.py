@@ -13,6 +13,7 @@ from .dependency_graph import DependencyEdge, DependencyGraph
 from .elimination import EliminationResult, QueryEliminator, eliminate
 from .frontier import (
     CandidateQuery,
+    Derivation,
     Expansion,
     KernelState,
     RewriteFrontier,
@@ -41,6 +42,7 @@ __all__ = [
     "CoverageWitness",
     "DependencyEdge",
     "DependencyGraph",
+    "Derivation",
     "EliminationResult",
     "EqualityType",
     "Expansion",

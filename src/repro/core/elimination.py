@@ -47,6 +47,9 @@ class QueryEliminator:
 
     def __init__(self, rules: Sequence[TGD], checker: CoverageChecker | None = None) -> None:
         self._checker = checker if checker is not None else CoverageChecker(list(rules))
+        #: Elimination runs so far (calls of :meth:`eliminate_atoms`); a
+        #: plain counter, exact unless expansions run on several threads.
+        self.runs = 0
 
     @property
     def checker(self) -> CoverageChecker:
@@ -61,8 +64,11 @@ class QueryEliminator:
         """Compute ``eliminate(q, S, Σ)`` for the given strategy.
 
         When *strategy* is ``None`` the body order of the query is used; by
-        Lemma 9 every strategy removes the same number of atoms.
+        Lemma 9 every strategy removes the same number of atoms.  When no
+        atom is eliminated, the reduced query is *query* itself (with
+        whatever it has cached, its canonical key included).
         """
+        self.runs += 1
         order = tuple(strategy) if strategy is not None else tuple(query.body)
         # The body holds no duplicates, so equal length and equal sets make
         # a permutation; the set test alone would accept a repeated atom.
@@ -78,7 +84,7 @@ class QueryEliminator:
                 for other in query.body:
                     if other not in eliminated:
                         cover[other].discard(atom)
-        reduced = query.drop_atoms(eliminated)
+        reduced = query.drop_atoms(eliminated) if eliminated else query
         return EliminationResult(
             original=query,
             reduced=reduced,

@@ -16,14 +16,20 @@ splitting the loop into three pieces:
 * **expansion** — :meth:`repro.core.rewriter.TGDRewriter.expand` turns one
   CQ into an :class:`Expansion`: the ordered tuple of
   :class:`CandidateQuery` results of every factorisation and rewriting
-  step, each already reduced (query elimination) and marked if pruned by a
-  negative constraint.  No interning, no labels, no shared mutation.
+  step.  Each candidate is encoded from its :class:`Derivation` and keyed
+  once, then reduced (query elimination) and marked if pruned by a
+  negative constraint — unless the run's table already knows its exact
+  key to eliminate nothing, in which case it keeps the table's pruning
+  verdict and carries no query object at all.  No interning, no labels,
+  no kernel-state mutation.
 * **merge** — :func:`merge_expansion` folds one expansion into the
   :class:`KernelState` (interning store, labels, next frontier,
   statistics).  The merge is the *only* place results are deduplicated and
   labelled, and it always runs single-threaded in expansion order, which
   is what keeps the final rewriting byte-identical under every
-  :class:`~repro.scheduling.SchedulingStrategy`.
+  :class:`~repro.scheduling.SchedulingStrategy`.  A candidate without a
+  query object is interned by its exact key and built only if no variant
+  is stored yet.
 
 The kernel iterates generations breadth-first: generation ``n + 1`` is the
 merge of the expansions of generation ``n``, in frontier order.  The set
@@ -43,8 +49,11 @@ of restarting (the resumed run finishes with an identical result).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
+from ..logic.atoms import Atom
+from ..logic.canonical import CanonicalFingerprint
+from ..logic.substitution import Substitution
 from ..queries.conjunctive_query import ConjunctiveQuery
 from ..queries.ucq import QuerySet
 
@@ -52,6 +61,30 @@ from ..queries.ucq import QuerySet
 #: rewriting, factorisation-step results only enable further steps.
 LABEL_REWRITING = 1
 LABEL_FACTORIZATION = 0
+
+
+class Derivation(NamedTuple):
+    """How a candidate derives from the query being expanded.
+
+    The arguments of :meth:`ConjunctiveQuery.derive
+    <repro.queries.conjunctive_query.ConjunctiveQuery.derive>` and of
+    :func:`repro.logic.flat.encode_query`: the engine encodes and keys a
+    candidate from them, and builds its query from them only when it has
+    to (:meth:`CandidateQuery.build`).
+    """
+
+    source: ConjunctiveQuery
+    substitution: Substitution
+    removed: tuple[Atom, ...] = ()
+    added: tuple[Atom, ...] = ()
+
+    def build(
+        self, fingerprint: CanonicalFingerprint | None = None
+    ) -> ConjunctiveQuery:
+        """The derived query (*fingerprint*, if given, becomes its cached key)."""
+        return self.source.derive(
+            self.substitution, self.removed, self.added, fingerprint
+        )
 
 
 @dataclass(frozen=True)
@@ -62,6 +95,12 @@ class CandidateQuery:
     engine runs ``TGD-rewrite*``) and carries everything the merge point
     needs to account for it without re-deriving anything:
 
+    ``query``
+        The candidate CQ, or ``None`` when the run's table settled it:
+        its exact canonical key is that of an earlier candidate of the
+        run that eliminated nothing.  The key then decides interning
+        alone, and the query is built only if no variant is stored when
+        the candidate reaches the merge (:meth:`build`).
     ``label``
         :data:`LABEL_REWRITING` for rewriting-step results (they belong to
         the final rewriting), :data:`LABEL_FACTORIZATION` for
@@ -73,12 +112,25 @@ class CandidateQuery:
     ``eliminated_atoms``
         How many atoms query elimination removed while reducing the
         candidate (0 when elimination is off).
+    ``fingerprint`` and ``derivation``
+        The canonical fingerprint of the raw candidate (before
+        elimination) and how it derives from the expanded query; the
+        engine sets both, and the merge needs them when ``query`` is
+        ``None``.
     """
 
-    query: ConjunctiveQuery
+    query: ConjunctiveQuery | None
     label: int
     pruned: bool = False
     eliminated_atoms: int = 0
+    fingerprint: CanonicalFingerprint | None = None
+    derivation: Derivation | None = None
+
+    def build(self) -> ConjunctiveQuery:
+        """The candidate's query, built from its derivation if it carries none."""
+        if self.query is not None:
+            return self.query
+        return self.derivation.build(self.fingerprint)
 
 
 @dataclass(frozen=True)
@@ -202,7 +254,16 @@ def merge_expansion(state: KernelState, expansion: Expansion, max_queries: int) 
         if candidate.pruned:
             statistics.pruned_by_constraints += 1
             continue
-        stored, inserted = state.store.intern(candidate.query)
+        if candidate.query is not None:
+            stored, inserted = state.store.intern(candidate.query)
+        else:
+            # A repeated exact key: the key decides the lookup, and the
+            # query is built only if no variant is stored yet — which a
+            # parallel strategy allows, when it expanded a later
+            # candidate of this key before this one.
+            stored, inserted = state.store.intern_exact(
+                candidate.fingerprint[0], candidate.build
+            )
         if candidate.label == LABEL_FACTORIZATION:
             if not inserted:
                 continue

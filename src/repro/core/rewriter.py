@@ -47,22 +47,36 @@ every strategy, because expansion is pure and the merge is ordered.
 Between generations the kernel state can be checkpointed
 (:class:`repro.cache.checkpoint.FrontierCheckpoint`), so a killed
 compilation resumes instead of restarting.
+
+A cold compile pays the full price only for candidates that are new to
+the run.  :meth:`TGDRewriter.expand` encodes every raw candidate straight
+from its unifier (:func:`repro.logic.flat.encode_query`) and takes its
+canonical key once from that encoding.  Each run keeps a table of the
+exact keys whose candidate eliminated nothing, with the candidate's
+NC-pruning verdict (:meth:`TGDRewriter.for_run`): a candidate whose key
+is in the table skips query elimination and NC pruning and reaches the
+merge point without a query object, built there only if its key is new
+to the store.  Only the other candidates are built as ``Atom`` and
+``ConjunctiveQuery`` objects and reduced; one that lost atoms is keyed a
+second time, as its reduced form.  The table follows ``use_memoisation``
+and lives exactly as long as the run.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ..logic.atoms import Atom
+from ..logic.flat import encode_query
 from ..logic.unification import mgu
 from ..dependencies.classifiers import is_linear
 from ..dependencies.constraints import NegativeConstraint
 from ..dependencies.normalization import is_normalized, normalize
 from ..dependencies.tgd import TGD, schema_constants
 from ..dependencies.theory import OntologyTheory
-from ..queries.conjunctive_query import ConjunctiveQuery
+from ..queries.conjunctive_query import ConjunctiveQuery, encoded_fingerprint
 from ..queries.ucq import QuerySet, UnionOfConjunctiveQueries
 from .applicability import (
     ApplicabilityMemo,
@@ -77,6 +91,7 @@ from .frontier import (
     LABEL_FACTORIZATION,
     LABEL_REWRITING,
     CandidateQuery,
+    Derivation,
     Expansion,
     KernelState,
     merge_expansion,
@@ -226,8 +241,10 @@ class TGDRewriter:
         rewriter (default).  Both outcome memos are keyed by the shape of
         the atoms checked (:func:`~repro.core.applicability.shape_key`):
         neither grows with constants the rules do not mention, and the
-        coverage memo is finite for a fixed theory.  Disabling it
-        reproduces the unmemoised engine — useful for differential
+        coverage memo is finite for a fixed theory.  Each run also keeps
+        its own table of candidate keys that eliminate nothing
+        (:meth:`for_run`).  Disabling it reproduces the unmemoised engine,
+        which builds and reduces every candidate — useful for differential
         testing; the computed rewritings are identical either way.
     strategy:
         The :class:`~repro.scheduling.SchedulingStrategy` used to expand
@@ -265,6 +282,9 @@ class TGDRewriter:
         # id() is safe as the tuple keeps every rule alive.
         self._rule_keys = {id(rule): position for position, rule in enumerate(self._rules)}
         self._rename_cache = RenameApartCache() if use_memoisation else None
+        # The run's table of candidate keys; only the copies for_run()
+        # hands to a run have one.
+        self._run_keys: dict | None = None
         self._applicability_memo = (
             ApplicabilityMemo(schema_constants(self._rules)) if use_memoisation else None
         )
@@ -369,6 +389,23 @@ class TGDRewriter:
         """Rebuild an equal engine from :meth:`specification`."""
         return cls(*specification)
 
+    def for_run(self) -> "TGDRewriter":
+        """The engine one :meth:`rewrite` run expands its generations with.
+
+        With memoisation, a shallow copy that shares every memo layer of
+        this engine and adds the run's own table: the exact canonical
+        keys of candidates that eliminated nothing, each with its
+        NC-pruning verdict (see :meth:`expand`).  The table starts empty
+        and is dropped with the copy when the run ends, so no run sees
+        another's.  Without memoisation, the engine itself: every
+        candidate is built and reduced.
+        """
+        if self._applicability_memo is None:
+            return self
+        run = copy.copy(self)
+        run._run_keys = {}
+        return run
+
     def rewrite(
         self,
         query: ConjunctiveQuery,
@@ -418,10 +455,11 @@ class TGDRewriter:
         # The kernel loop: drain a generation, expand it through the
         # strategy, merge in frontier order — the single point where
         # candidates are interned, labelled and scheduled.
-        scheduling.begin_run(self, query, state.frontier.generation)
+        engine = self.for_run()
+        scheduling.begin_run(engine, query, state.frontier.generation)
         while state.frontier:
             batch = state.frontier.take_generation()
-            for expansion in scheduling.expand_generation(self, batch):
+            for expansion in scheduling.expand_generation(engine, batch):
                 merge_expansion(state, expansion, self._max_queries)
             if checkpoint is not None and checkpoint.due(state.frontier.generation):
                 checkpoint.save(self, query, state)
@@ -516,12 +554,24 @@ class TGDRewriter:
         candidates first (Definition 2 — the rule is *not* renamed apart,
         it only contributes its head predicate and existential position,
         both invariant under renaming), then rewriting candidates
-        (Definition 1), each in rule-index order.  Candidates come back
-        reduced (query elimination) and marked if a negative constraint
-        prunes them; nothing is interned and no kernel state is touched,
-        so expansions of one generation can run concurrently — on threads
-        sharing this engine, or in worker processes holding a replica —
-        without changing a byte of the merged result.
+        (Definition 1), each in rule-index order.  Nothing is interned and
+        no kernel state is touched, so expansions of one generation can
+        run concurrently — on threads sharing this engine, or in worker
+        processes holding a replica — without changing a byte of the
+        merged result.
+
+        Each candidate is encoded straight from the step's unifier
+        (:func:`repro.logic.flat.encode_query`) and keyed once from that
+        encoding.  On an engine from :meth:`for_run`, an exact key already
+        in the run's table settles the candidate from the table: it
+        eliminates nothing, its pruning verdict is the table's, and it
+        reaches the merge as a key and a :class:`Derivation` without a
+        query object — cover sets and constraint violations are the same
+        for every variant of a query.  Every other candidate is built,
+        reduced (query elimination) and checked against the negative
+        constraints, and enters the table if it eliminated nothing; the
+        reduced form of a candidate that lost atoms is never reused, as
+        Lemma 9 fixes how many atoms go, not which.
         """
         candidate_rules = self._rule_index.candidate_rules(query)
         candidates: list[CandidateQuery] = []
@@ -529,21 +579,30 @@ class TGDRewriter:
         for rule in candidate_rules:
             for factorizable in factorizable_sets(rule, query):
                 candidates.append(
-                    self._candidate(query.apply(factorizable.unifier), LABEL_FACTORIZATION)
+                    self._candidate(
+                        Derivation(query, factorizable.unifier), LABEL_FACTORIZATION
+                    )
                 )
 
         for rule in candidate_rules:
             renamed = self._rename_apart(rule, query)
+            head_atom = renamed.head[0]
             for atom_set in applicable_atom_sets(
                 renamed,
                 query,
                 memo=self._applicability_memo,
                 rule_key=self._rule_keys[id(rule)],
             ):
-                resolved = self._resolve(query, renamed, atom_set)
-                if resolved is None:
+                # γ_{A ∪ {head(σ)}}(q[A / body(σ)]), the rewriting step.
+                unifier = mgu(list(atom_set) + [head_atom])
+                if unifier is None:  # pragma: no cover - applicability already checked
                     continue
-                candidates.append(self._candidate(resolved, LABEL_REWRITING))
+                candidates.append(
+                    self._candidate(
+                        Derivation(query, unifier, atom_set, renamed.body),
+                        LABEL_REWRITING,
+                    )
+                )
 
         return Expansion(
             source=query,
@@ -552,40 +611,25 @@ class TGDRewriter:
             rules_skipped=len(self._rules) - len(candidate_rules),
         )
 
-    def _candidate(self, query: ConjunctiveQuery, label: int) -> CandidateQuery:
-        """Reduce and prune-check one raw candidate (pure, per candidate)."""
+    def _candidate(self, derivation: Derivation, label: int) -> CandidateQuery:
+        """Key one raw candidate, then settle it from the table or reduce it."""
+        fingerprint = encoded_fingerprint(encode_query(*derivation))
+        key, exact = fingerprint
+        keys = self._run_keys
+        if exact and keys is not None:
+            pruned = keys.get(key)
+            if pruned is not None:
+                return CandidateQuery(None, label, pruned, 0, fingerprint, derivation)
+        query = derivation.build(fingerprint)
         eliminated = 0
         if self._eliminator is not None:
             result = self._eliminator.eliminate_atoms(query)
             eliminated = result.removed_count
             query = result.reduced
         pruned = self._pruner is not None and self._pruner.is_unsatisfiable(query)
-        return CandidateQuery(
-            query=query, label=label, pruned=pruned, eliminated_atoms=eliminated
-        )
-
-    def _resolve(
-        self,
-        query: ConjunctiveQuery,
-        rule: TGD,
-        atom_set: Sequence[Atom],
-    ) -> ConjunctiveQuery | None:
-        """``γ_{A ∪ {head(σ)}}(q[A / body(σ)])`` — the rewriting-step query.
-
-        The unifier is applied while the new body is assembled (rather than
-        building the intermediate query ``q[A / body(σ)]`` first) because the
-        intermediate query may temporarily lose an answer variable that the
-        unifier immediately reintroduces through the rule's frontier.
-        """
-        head_atom = rule.head[0]
-        unifier = mgu(list(atom_set) + [head_atom])
-        if unifier is None:  # pragma: no cover - applicability already checked
-            return None
-        removed = set(atom_set)
-        new_body = [unifier.apply_atom(a) for a in query.body if a not in removed]
-        new_body.extend(unifier.apply_atom(a) for a in rule.body)
-        new_answer = tuple(unifier.apply_term(t) for t in query.answer_terms)
-        return ConjunctiveQuery(new_body, new_answer, query.head_name)
+        if exact and keys is not None and not eliminated:
+            keys[key] = pruned
+        return CandidateQuery(query, label, pruned, eliminated, fingerprint, derivation)
 
     def _reduce(
         self, query: ConjunctiveQuery, statistics: RewritingStatistics

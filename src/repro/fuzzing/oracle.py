@@ -1,4 +1,4 @@
-"""The differential harness: three oracles per generated triple.
+"""The differential harness: the oracles every generated triple must pass.
 
 For a triple ``(theory, query, instance)`` the :class:`DifferentialOracle`
 asserts:
@@ -17,12 +17,18 @@ asserts:
 3. **determinism** — every :class:`~repro.scheduling.SchedulingStrategy`,
    plus a persistent-store round-trip, produces a byte-identical
    rewriting (canonical JSON of the serialised result).
+4. **elimination** — on linear theories, ``TGD-rewrite*`` (query
+   elimination, §6) returns the answers of ``TGD-rewrite`` and of the
+   chase, and its rewriting is byte-identical with the engine's
+   memoisation on and off, under every compared strategy.  Memoisation
+   is what lets a run skip elimination for candidates whose key it has
+   already seen to eliminate nothing; off, every candidate is reduced.
 
 Fault injection: a ``rewriting_mutator`` hook transforms every computed
-rewriting *uniformly* (so the determinism oracle stays quiet) before the
-answers are computed — a planted bug in the rewriting is then caught by
-the chase oracle, which is how ``tests/fuzzing/test_shrink.py`` exercises
-the shrinker end to end.
+``TGD-rewrite`` rewriting *uniformly* (so the determinism oracle stays
+quiet) before the answers are computed — a planted bug in the rewriting
+is then caught by the chase oracle, which is how
+``tests/fuzzing/test_shrink.py`` exercises the shrinker end to end.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from ..chase.chase import chase
 from ..core.rewriter import RewritingBudgetExceeded, RewritingResult, TGDRewriter
 from ..database.evaluator import evaluate_ucq
 from ..database.instance import RelationalInstance
+from ..dependencies.classifiers import is_linear
 from ..incremental import MaintainedAnswerSet
 from ..logic.atoms import Atom
 from ..logic.homomorphism import homomorphisms
@@ -66,7 +73,7 @@ DEFAULT_BACKENDS = ("memory", "sqlite")
 class OracleFailure:
     """One oracle's disagreement on one case."""
 
-    oracle: str  # "chase" | "backends" | "determinism" | "maintenance"
+    oracle: str  # "chase" | "backends" | "determinism" | "elimination" | "maintenance"
     detail: str
 
     def __str__(self) -> str:  # pragma: no cover - trivial
@@ -75,7 +82,7 @@ class OracleFailure:
 
 @dataclass
 class OracleVerdict:
-    """Outcome of running all three oracles on one case."""
+    """Outcome of running the oracles on one case."""
 
     case: GeneratedCase
     failures: list[OracleFailure] = field(default_factory=list)
@@ -171,7 +178,7 @@ def _chase_answers(query: ConjunctiveQuery, atoms) -> frozenset[tuple]:
 
 
 class DifferentialOracle:
-    """Runs the three oracles of the fuzzing gate on generated cases.
+    """Runs the oracles of the fuzzing gate on generated cases.
 
     Parameters
     ----------
@@ -191,7 +198,10 @@ class DifferentialOracle:
         approximation and the oracle weakens to a subset check.
     rewriting_mutator:
         Optional fault-injection hook ``UCQ -> UCQ`` applied uniformly to
-        every computed rewriting (see the module docstring).
+        every computed ``TGD-rewrite`` rewriting (see the module
+        docstring).  The elimination oracle's ``TGD-rewrite*`` runs are
+        left as the engine computes them: like the chase, they are the
+        cross-check a planted bug must disagree with.
     mutation_steps:
         Length of the seeded insert/delete mutation sequence the
         incremental-maintenance oracle drives per case (0 disables it).
@@ -234,10 +244,10 @@ class DifferentialOracle:
         """Backend names the agreement oracle compares."""
         return self._backends
 
-    # -- the three oracles -------------------------------------------------
+    # -- the oracles -------------------------------------------------------
 
     def check(self, case: GeneratedCase) -> OracleVerdict:
-        """Run all three oracles on one case."""
+        """Run every oracle on one case."""
         verdict = OracleVerdict(case=case)
         rules = list(case.theory.tgds)
 
@@ -255,6 +265,8 @@ class DifferentialOracle:
             verdict.rewrite_answers = len(backend_answers)
             self._chase_oracle(verdict, backend_answers, case)
         self._determinism_oracle(verdict, reference, rules, case)
+        if backend_answers is not None and is_linear(rules):
+            self._elimination_oracle(verdict, backend_answers, rules, case)
         if self._mutation_steps > 0:
             self._maintenance_oracle(verdict, reference.ucq, case)
         return verdict
@@ -308,8 +320,14 @@ class DifferentialOracle:
         verdict: OracleVerdict,
         rewrite_answers: frozenset[tuple],
         case: GeneratedCase,
+        oracle: str = "chase",
     ) -> None:
-        """Rewrite-then-evaluate equals the depth-D oblivious chase."""
+        """Rewrite-then-evaluate equals the depth-D oblivious chase.
+
+        *D* is the generation count of the ``TGD-rewrite`` run, whose
+        answers are the certain answers; failures are reported under
+        *oracle*.
+        """
         depth = max(1, verdict.generations)
         result = chase(
             case.instance.facts,
@@ -328,7 +346,7 @@ class DifferentialOracle:
             if not chase_answers <= rewrite_answers:
                 verdict.failures.append(
                     OracleFailure(
-                        "chase",
+                        oracle,
                         "rewriting misses certain answers: "
                         + format_answer_diff(
                             "chase", chase_answers, "rewriting", rewrite_answers
@@ -339,7 +357,7 @@ class DifferentialOracle:
         if chase_answers != rewrite_answers:
             verdict.failures.append(
                 OracleFailure(
-                    "chase",
+                    oracle,
                     format_answer_diff(
                         "rewriting", rewrite_answers, "chase", chase_answers
                     )
@@ -380,6 +398,79 @@ class DifferentialOracle:
                     )
                 )
         self._store_round_trip(verdict, reference, rules, case, expected)
+
+    def _elimination_oracle(
+        self,
+        verdict: OracleVerdict,
+        answers: frozenset[tuple],
+        rules,
+        case: GeneratedCase,
+    ) -> None:
+        """TGD-rewrite* answers like TGD-rewrite and the chase, memo-independently.
+
+        *answers* are the ``TGD-rewrite`` answers.  The first strategy
+        with memoisation on gives the reference rewriting; every compared
+        strategy, with memoisation on and off, must reproduce its bytes.
+        """
+        results = {}
+        for name in self._strategies:
+            for memoised in (True, False):
+                engine = TGDRewriter(
+                    rules,
+                    use_elimination=True,
+                    max_queries=self._max_queries,
+                    use_memoisation=memoised,
+                )
+                strategy = create_strategy(name)
+                try:
+                    results[name, memoised] = engine.rewrite(
+                        case.query, strategy=strategy
+                    )
+                except RewritingBudgetExceeded:
+                    verdict.failures.append(
+                        OracleFailure(
+                            "elimination",
+                            f"TGD-rewrite* under {name!r} exceeded the budget "
+                            "TGD-rewrite kept",
+                        )
+                    )
+                    return
+                finally:
+                    strategy.close()
+        reference = results[self._strategies[0], True]
+        try:
+            produced = {
+                key: _canonical_bytes(result) for key, result in results.items()
+            }
+        except UnserializableQueryError:
+            produced = {}  # the determinism oracle reports unserialisable rewritings
+        expected = produced.get((self._strategies[0], True))
+        for (name, memoised), result in results.items():
+            if produced and produced[name, memoised] != expected:
+                verdict.failures.append(
+                    OracleFailure(
+                        "elimination",
+                        f"TGD-rewrite* under {name!r} with memoisation "
+                        f"{'on' if memoised else 'off'} produced a different "
+                        f"rewriting ({len(result.ucq)} CQs vs "
+                        f"{len(reference.ucq)})",
+                    )
+                )
+        backend = create_backend(self._backends[0])
+        try:
+            star_answers = backend.prepare(reference.ucq).execute(case.instance)
+        finally:
+            backend.close()
+        if star_answers != answers:
+            verdict.failures.append(
+                OracleFailure(
+                    "elimination",
+                    format_answer_diff(
+                        "TGD-rewrite*", star_answers, "TGD-rewrite", answers
+                    ),
+                )
+            )
+        self._chase_oracle(verdict, star_answers, case, oracle="elimination")
 
     def _maintenance_oracle(
         self,

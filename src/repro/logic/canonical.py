@@ -64,7 +64,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .atoms import Atom
-from .flat import encode_query, refine_colors
+from .flat import FlatQuery, encode_query, refine_colors
 from .terms import Term, Variable, is_variable
 
 #: A canonical key: ``("cq", body size, head labels, body atom labels)``.
@@ -212,9 +212,12 @@ def canonical_fingerprint(query) -> CanonicalFingerprint:
     keys byte-identical to :func:`canonical_fingerprint_reference` (flat
     predicate ids are monotone in ``(name, arity)``, so every sort and
     dense rank agrees with the reference; the final key is assembled from
-    the real predicate keys and ``repr``-based constant labels).
+    the real predicate keys and ``repr``-based constant labels).  *query*
+    may also be given already encoded, as a :class:`~repro.logic.flat.FlatQuery`:
+    the rewriting engine keys each candidate from the encoding it built
+    the candidate in.
     """
-    flat = encode_query(query)
+    flat = query if type(query) is FlatQuery else encode_query(query)
     colors = refine_colors(flat)
     exact = len(set(colors)) == len(flat.variables)
 

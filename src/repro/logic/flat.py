@@ -48,7 +48,7 @@ Three guarantees make that byte-identity provable rather than hopeful:
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 from .atoms import Atom
 from .substitution import Substitution
@@ -107,8 +107,23 @@ class FlatQuery:
         self.initial_colors = initial_colors
 
 
-def encode_query(query) -> FlatQuery:
+def encode_query(
+    query,
+    substitution: Substitution | None = None,
+    removed: Collection[Atom] = (),
+    added: Sequence[Atom] = (),
+) -> FlatQuery:
     """Encode *query* (anything with ``body`` and ``answer_terms``) once.
+
+    Without the optional arguments this encodes *query* itself.  With
+    them it encodes the query a factorisation or rewriting step derives
+    from *query* — head ``γ(answer_terms)``, body ``γ(a)`` for each body
+    atom ``a`` not in *removed*, then ``γ(b)`` for each atom of *added*,
+    where ``γ`` is *substitution* — without building a single ``Atom``:
+    ``γ`` is applied to each term as it is encoded.  Atoms that coincide
+    after ``γ`` are encoded once, as :class:`ConjunctiveQuery` keeps
+    them once, so the result equals the encoding of the derived query
+    (``tests/logic/test_flat_agreement.py`` holds the two equal).
 
     Single pass over the head and body: variables, ground terms and
     predicates are interned in first-encounter order while the raw
@@ -120,6 +135,7 @@ def encode_query(query) -> FlatQuery:
     :func:`refine_colors` and the fingerprint assembly on top.
     """
     variable_type = Variable
+    image = substitution.bindings.get if substitution else None
 
     var_codes: dict[Variable, int] = {}
     head_positions: list[list[int]] = []
@@ -127,7 +143,9 @@ def encode_query(query) -> FlatQuery:
     ground_ids: dict[Term, int] = {}  # first-encounter ids, reranked below
     ground_list: list[Term] = []
     head_raw: list[int] = []
-    answer_terms = tuple(query.answer_terms)
+    answer_terms = query.answer_terms
+    if image is not None:
+        answer_terms = [image(term, term) for term in answer_terms]
     for index, term in enumerate(answer_terms):
         if type(term) is variable_type:
             code = var_codes.get(term)
@@ -148,10 +166,16 @@ def encode_query(query) -> FlatQuery:
                 ground_list.append(term)
             head_raw.append(-1 - gid)
 
+    body = query.body
+    if removed or added:
+        body = [atom for atom in body if atom not in removed]
+        body.extend(added)
     predicate_ids: dict[object, int] = {}  # first-encounter, reranked below
     predicate_list: list[object] = []
     raw_templates: list[tuple[int, tuple[int, ...]]] = []
-    for atom in query.body:
+    # A query's own body holds no duplicates; a derived body may.
+    seen: set | None = set() if image is not None or added else None
+    for atom in body:
         predicate = atom.predicate
         pid = predicate_ids.get(predicate)
         if pid is None:
@@ -160,6 +184,8 @@ def encode_query(query) -> FlatQuery:
             predicate_list.append(predicate)
         row: list[int] = []
         for term in atom.terms:
+            if image is not None:
+                term = image(term, term)
             if type(term) is variable_type:
                 code = var_codes.get(term)
                 if code is None:
@@ -177,7 +203,17 @@ def encode_query(query) -> FlatQuery:
                     ground_ids[term] = gid
                     ground_list.append(term)
                 row.append(-1 - gid)
-        raw_templates.append((pid, tuple(row)))
+        template = (pid, tuple(row))
+        if seen is not None:
+            if template in seen:
+                # Equal to an earlier atom: it brought no new term, so
+                # only its occurrences are taken back.
+                for code in row:
+                    if code >= 0:
+                        counts[code] -= 1
+                continue
+            seen.add(template)
+        raw_templates.append(template)
 
     # Patch ground codes to repr-rank order — equal across variants, like
     # the reference constant ids (variants share their ground terms).

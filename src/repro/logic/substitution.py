@@ -48,6 +48,11 @@ class Substitution(Mapping[Term, Term]):
     def __contains__(self, key: object) -> bool:
         return key in self._mapping
 
+    @property
+    def bindings(self) -> Mapping[Term, Term]:
+        """The non-trivial bindings themselves, not a copy; never mutate them."""
+        return self._mapping
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Substitution):
             return self._mapping == other._mapping

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from ..logic.atoms import Atom, Predicate, atoms_constants, atoms_variables
 from ..logic.canonical import (
@@ -22,6 +22,7 @@ from ..logic.canonical import (
     CanonicalKey,
     canonical_fingerprint as _canonical_fingerprint,
 )
+from ..logic.flat import FlatQuery
 from ..logic.homomorphism import variable_bijections
 from ..logic.substitution import Substitution
 from ..logic.terms import Constant, Term, Variable, is_constant, is_variable
@@ -65,11 +66,15 @@ class ConjunctiveQuery:
         object.__setattr__(self, "body", tuple(deduplicated))
         object.__setattr__(self, "answer_terms", tuple(answer_terms))
         object.__setattr__(self, "head_name", head_name)
+        body_variables = None
         for term in self.answer_terms:
-            if is_variable(term) and term not in atoms_variables(self.body):
-                raise ValueError(
-                    f"answer variable {term!r} does not occur in the query body"
-                )
+            if is_variable(term):
+                if body_variables is None:
+                    body_variables = atoms_variables(self.body)
+                if term not in body_variables:
+                    raise ValueError(
+                        f"answer variable {term!r} does not occur in the query body"
+                    )
 
     # -- basic accessors -----------------------------------------------------
 
@@ -150,9 +155,37 @@ class ConjunctiveQuery:
         """Apply a substitution to body and head, returning a new query."""
         if not isinstance(substitution, Substitution):
             substitution = Substitution(dict(substitution))
-        new_body = substitution.apply_atoms(self.body)
+        return self.derive(substitution)
+
+    def derive(
+        self,
+        substitution: Substitution,
+        removed: Collection[Atom] = (),
+        added: Sequence[Atom] = (),
+        fingerprint: CanonicalFingerprint | None = None,
+    ) -> "ConjunctiveQuery":
+        """The query ``γ(body − removed) ∪ γ(added)`` with head ``γ(answer_terms)``.
+
+        ``γ`` is *substitution*.  A factorisation step derives with
+        nothing removed or added, a rewriting step removes the resolved
+        atoms and adds the rule body (Algorithm 1).  Applying ``γ`` while
+        the new body is assembled matters: the body without the removed
+        atoms may lose an answer variable that ``γ`` reintroduces
+        through the rule's frontier.
+
+        *fingerprint*, when given, must be the fingerprint of
+        :func:`repro.logic.flat.encode_query` called with the same
+        arguments — the derived query's own encoding, hence its key — and
+        is kept as the derived query's :attr:`canonical_fingerprint`.
+        """
+        apply_atom = substitution.apply_atom
+        new_body = [apply_atom(atom) for atom in self.body if atom not in removed]
+        new_body.extend(apply_atom(atom) for atom in added)
         new_answer = tuple(substitution.apply_term(t) for t in self.answer_terms)
-        return ConjunctiveQuery(new_body, new_answer, self.head_name)
+        derived = ConjunctiveQuery(new_body, new_answer, self.head_name)
+        if fingerprint is not None:
+            derived.__dict__["canonical_fingerprint"] = fingerprint
+        return derived
 
     def replace_atoms(
         self, removed: Iterable[Atom], added: Iterable[Atom]
@@ -275,6 +308,17 @@ class ConjunctiveQuery:
         head = f"{self.head_name}({', '.join(str(t) for t in self.answer_terms)})"
         body = ", ".join(repr(a) for a in self.body)
         return f"{head} <- {body}"
+
+
+def encoded_fingerprint(flat: FlatQuery) -> CanonicalFingerprint:
+    """The canonical fingerprint of a query given as its flat encoding.
+
+    Calls the same function :attr:`ConjunctiveQuery.canonical_fingerprint`
+    does, so a key taken from an encoding is one call of it like any
+    other: the rewriting engine keys each candidate this way, before (and
+    mostly instead of) building the candidate's query.
+    """
+    return _canonical_fingerprint(flat)
 
 
 def boolean_query(body: Iterable[Atom]) -> ConjunctiveQuery:

@@ -10,7 +10,7 @@ subsumption-based redundancy removal used to compare rewritings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from ..logic.atoms import atoms_predicates
 from ..logic.canonical import CanonicalKey
@@ -243,9 +243,15 @@ class QuerySet:
 
     def find_variant(self, query: ConjunctiveQuery) -> ConjunctiveQuery | None:
         """Return the stored variant of *query*, if any."""
+        key, exact = query.canonical_fingerprint
+        return self._find(key, exact, query)
+
+    def _find(
+        self, key: CanonicalKey, exact: bool, query: ConjunctiveQuery | None
+    ) -> ConjunctiveQuery | None:
+        """The lookup of :meth:`find_variant`; *query* is read only if not *exact*."""
         statistics = self.statistics
         statistics.lookups += 1
-        key, exact = query.canonical_fingerprint
         bucket = self._buckets.get(key)
         if bucket:
             for candidate in bucket:
@@ -278,9 +284,29 @@ class QuerySet:
         existing = self.find_variant(query)
         if existing is not None:
             return existing, False
-        self._buckets.setdefault(query.canonical_key, []).append(query)
-        self._order.append(query)
+        self._insert(query.canonical_key, query)
         return query, True
+
+    def intern_exact(
+        self, key: CanonicalKey, build: Callable[[], ConjunctiveQuery]
+    ) -> tuple[ConjunctiveQuery, bool]:
+        """:meth:`intern` for a query known so far only by its *exact* key.
+
+        An exact key decides the lookup alone, so the query is built —
+        by calling *build*, which must return a query with this key and
+        an exact colouring — only when no variant is stored.  The
+        counters move exactly as :meth:`intern` moves them.
+        """
+        existing = self._find(key, True, None)
+        if existing is not None:
+            return existing, False
+        query = build()
+        self._insert(key, query)
+        return query, True
+
+    def _insert(self, key: CanonicalKey, query: ConjunctiveQuery) -> None:
+        self._buckets.setdefault(key, []).append(query)
+        self._order.append(query)
 
     def add(self, query: ConjunctiveQuery) -> bool:
         """Insert *query* unless a variant is present; return ``True`` if inserted."""

@@ -147,7 +147,10 @@ class ThreadedStrategy(SchedulingStrategy):
     safe to share: the rename-apart pool takes a lock around minting, and
     the two outcome memos' entries are deterministic values keyed by
     renaming-invariant shapes (a racing double-compute stores the same
-    outcome; only the volatile hit/miss counters can drift).
+    outcome; only the volatile hit/miss counters can drift).  So are the
+    run's candidate keys (:meth:`~repro.core.rewriter.TGDRewriter.for_run`):
+    a thread may settle a candidate from a key that a later member of
+    the batch put there, and the merge then builds the candidate itself.
 
     The pool is created lazily and reused across generations; ``close()``
     shuts it down.

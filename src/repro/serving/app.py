@@ -207,6 +207,13 @@ def _remember(memo: dict, key, value, bound: int) -> None:
     memo[key] = value
 
 
+def _timed_out(what: str, budget: float) -> ServingError:
+    """The 504 of a request whose *what* outran its *budget* (seconds)."""
+    return ServingError(
+        504, "timeout", f"{what} did not finish within its {max(budget, 0.0):.3f}s budget"
+    )
+
+
 class ServingApp:
     """The multi-tenant serving application (see module docstring).
 
@@ -592,9 +599,11 @@ class ServingApp:
         *queries* against its artifacts through :meth:`_ensure_compiled`,
         then runs ``work(system)`` with the epoch's system on the tenant's
         executor, bounded by ``answer_timeout`` and the request's
-        remaining deadline (504 when the budget runs out first).  Returns
-        each query's ``(source, coalesced)``, the work's result and the
-        elapsed milliseconds.
+        remaining deadline (504 when the budget runs out first, and
+        before the hop when it is already spent, so that no work runs
+        for a request that has been answered).  Returns each query's
+        ``(source, coalesced)``, the work's result and the elapsed
+        milliseconds.
 
         *probe*, when given, is tried first, on the event loop, while
         the answer budget is not spent: ``probe(system)`` returns the
@@ -613,17 +622,15 @@ class ServingApp:
             if probe is not None and (budget is None or budget > 0):
                 result = probe(epoch.system)
             if result is None:
+                if budget is not None and budget <= 0:
+                    raise _timed_out(what, budget)
                 try:
                     async with asyncio.timeout(budget):
                         result = await asyncio.get_running_loop().run_in_executor(
                             tenant.executor, work, epoch.system
                         )
                 except TimeoutError:
-                    raise ServingError(
-                        504,
-                        "timeout",
-                        f"{what} did not finish within its {budget:.3f}s budget",
-                    ) from None
+                    raise _timed_out(what, budget) from None
         finally:
             tenant.release_epoch(epoch)
         return compiled, result, (time.perf_counter() - started) * 1000.0

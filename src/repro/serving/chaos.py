@@ -476,7 +476,21 @@ class ChaosHarness:
         for artifacts in app.registry.artifact_sets():
             plan.sabotage_checkpoints(artifacts, broken_root)
 
-        # Warm up the warm query while the plan is still disarmed.
+        # Warm up the warm query while the plan is still disarmed.  It is
+        # compiled first with no deadline, on the tenant's artifact
+        # executor as /answer would compile it, so the warm-up /answer is
+        # a memory hit: the case's drawn compile budget is for the storm,
+        # and a host stall must not fail the undisturbed warm-up.
+        artifacts = app.registry.get("t").artifacts
+        try:
+            await loop.run_in_executor(
+                artifacts.executor, artifacts.compile_blocking, warm_query
+            )
+        except Exception as error:  # recorded as the case's violation
+            outcome.violations.append(
+                f"undisturbed warmup failed: {type(error).__name__}: {error}"
+            )
+            return
         response = await self._answer(app, warm_query)
         if not response.ok:
             outcome.violations.append(

@@ -18,6 +18,13 @@ implementations must agree exactly —
 The corpus mixes raw generated queries with the CQs of a sample of their
 NY rewritings, so renamed-apart variables, shared-variable joins and
 multi-atom bodies are all represented.
+
+The engine also encodes every rewriting and factorisation candidate
+straight from its unifier, and keeps that encoding's key as the key of
+the query it builds (if it builds one).  So for every candidate of the
+25 Table 1 compiles and of the generated cases, the encoding of the
+derivation must equal the encoding of the built query, and its key the
+built query's key — flat and reference.
 """
 
 from __future__ import annotations
@@ -26,12 +33,16 @@ from functools import lru_cache
 
 import pytest
 
+from repro.api import resolve_engine_options
 from repro.core.rewriter import TGDRewriter
 from repro.fuzzing import FRAGMENTS, GeneratorConfig, WorkloadGenerator
 from repro.logic.canonical import (
     canonical_fingerprint,
     canonical_fingerprint_reference,
 )
+from repro.logic.flat import FlatQuery, encode_query
+from repro.scheduling import SequentialStrategy
+from repro.workloads import get_workload
 from repro.logic.homomorphism import homomorphisms, homomorphisms_reference
 from repro.logic.unification import mgu, mgu_reference
 
@@ -92,3 +103,84 @@ class TestFlatAgreement:
         # The generated fragments join atoms over shared predicates, so an
         # empty problem set would mean the sweep silently tested nothing.
         assert problems > 0
+
+
+#: The Table 1 ontologies whose 25 queries the candidate sweep compiles.
+TABLE1 = ("V", "S", "U", "A", "P5")
+#: Candidates checked per generated case (bounds the sweep's time).
+CANDIDATE_CAP = 200
+
+
+class CandidateCollector(SequentialStrategy):
+    """The sequential strategy, keeping every candidate it expands."""
+
+    def __init__(self) -> None:
+        self.candidates = []
+
+    def expand_generation(self, engine, batch):
+        for expansion in super().expand_generation(engine, batch):
+            self.candidates.extend(expansion.candidates)
+            yield expansion
+
+
+def collect_candidates(engine: TGDRewriter, query) -> list:
+    collector = CandidateCollector()
+    engine.rewrite(query, strategy=collector)
+    return collector.candidates
+
+
+def encoding(flat: FlatQuery) -> tuple:
+    return tuple(getattr(flat, name) for name in FlatQuery.__slots__)
+
+
+def assert_derived_encoding_agrees(candidate) -> None:
+    derivation = candidate.derivation
+    flat = encode_query(*derivation)
+    built = derivation.build()
+    assert encoding(flat) == encoding(encode_query(built)), built
+    key = canonical_fingerprint(flat)
+    assert key == candidate.fingerprint
+    assert key == canonical_fingerprint(built)
+    assert key == canonical_fingerprint_reference(built)
+
+
+@lru_cache(maxsize=None)
+def table1_candidates() -> tuple:
+    """Every candidate of the 25 Table 1 compiles, engines as serving builds them."""
+    found = []
+    for name in TABLE1:
+        workload = get_workload(name)
+        options = resolve_engine_options(workload.theory)
+        engine = TGDRewriter(
+            workload.theory,
+            use_elimination=options.use_elimination,
+            use_nc_pruning=options.use_nc_pruning,
+        )
+        for query_name in workload.query_names:
+            found.extend(collect_candidates(engine, workload.query(query_name)))
+    return tuple(found)
+
+
+class TestDerivedEncodingAgreement:
+    def test_every_table1_candidate(self):
+        candidates = table1_candidates()
+        assert len(candidates) > 5000
+        # Both kinds of candidate, and both ways a candidate reaches the
+        # merge: built, or as its key alone.
+        assert any(not c.derivation.added for c in candidates)
+        assert any(c.query is None for c in candidates)
+        for candidate in candidates:
+            assert_derived_encoding_agrees(candidate)
+
+    @pytest.mark.parametrize("fragment", FRAGMENTS)
+    def test_generated_candidates(self, fragment):
+        generator = WorkloadGenerator(seed=7, config=GeneratorConfig(fragment=fragment))
+        cases = checked = 0
+        for case in generator.cases(CASES_PER_FRAGMENT):
+            engine = TGDRewriter(case.theory.tgds)
+            candidates = collect_candidates(engine, case.query)[:CANDIDATE_CAP]
+            for candidate in candidates:
+                assert_derived_encoding_agrees(candidate)
+            cases += 1
+            checked += len(candidates)
+        assert cases >= CASES_PER_FRAGMENT and checked >= CASES_PER_FRAGMENT

@@ -150,7 +150,7 @@ class TestHitPath:
 
         serve(body)
 
-    def test_a_spent_deadline_takes_the_executor_and_times_out(self, app):
+    def test_a_spent_deadline_times_out_before_the_executor(self, app):
         async def body():
             await register(app, "acme")
             await app.request("POST", "/answer", QUERY)
@@ -162,6 +162,28 @@ class TestHitPath:
             assert response.payload["error"]["code"] == "timeout"
             assert "answer did not finish" in response.payload["error"]["message"]
             assert tenant.answered_on_loop == 0
+
+        serve(body)
+
+    def test_a_spent_deadline_runs_no_answer_work(self, app):
+        # After /invalidate the warm query misses the answer cache, so
+        # only the executor could answer it; with the budget already
+        # spent, the 504 must come before the hop, not instead of
+        # waiting for work that then runs for nobody.
+        async def body():
+            await register(app, "acme")
+            await app.request("POST", "/answer", QUERY)
+            invalidated = await app.request("POST", "/invalidate", {"tenant": "acme"})
+            assert invalidated.ok, invalidated.payload
+            tenant = app.registry.get("acme")
+            served = tenant.answers_served
+            response = await app.request(
+                "POST", "/answer", QUERY, headers={"x-deadline-ms": "0.000001"}
+            )
+            assert response.status == 504, response.payload
+            assert response.payload["error"]["code"] == "timeout"
+            await asyncio.sleep(0.2)
+            assert tenant.answers_served == served
 
         serve(body)
 
