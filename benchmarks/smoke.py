@@ -33,8 +33,9 @@ serve-smoke subscribe-smoke perf-smoke`` gate every CI run.
     3. P5 under TGD-rewrite* gives the same rewritings with memoisation on
        and off; the memoised engine runs at most
        :data:`COVERAGE_SEARCH_CEILING` coverage chain searches and exactly
-       :data:`ELIMINATION_RUNS` elimination runs, and the unmemoised one
-       eliminates every candidate and every input query.
+       :data:`ELIMINATION_RUNS` elimination runs, the unmemoised one
+       eliminates every candidate that is not a dead end plus every input
+       query, and both drop exactly :data:`DEAD_END_DROPS` dead ends.
     4. :data:`CHANGE_LOG_MUTATIONS` seeded single-fact mutations of S on
        SQLite are patched in by both change-log consumers: exactly
        :data:`CHANGE_LOG_COUNTS` full/incremental snapshot loads and
@@ -112,14 +113,20 @@ HERD = 50
 REPEATS = 5
 SPEEDUP_FLOOR = 1.0
 #: Coverage chain searches of a memoised TGD-rewrite* compile of P5: one
-#: per distinct pair shape the reachability table lets through (22 when
-#: pinned; the unmemoised engine runs 1118).
-COVERAGE_SEARCH_CEILING = 22
+#: per distinct pair shape the reachability table lets through (the
+#: unmemoised engine runs 230).
+COVERAGE_SEARCH_CEILING = 12
 #: Elimination runs of the same memoised compile: each run reduces its
-#: query, then only candidates whose exact key the run has not yet seen
-#: eliminate nothing (the unmemoised engine reduces all 5,400 candidates
-#: and the 5 queries: 5,405 runs).
-ELIMINATION_RUNS = 1868
+#: query, then each candidate that is not a dead end and whose exact key
+#: the run has not yet seen to eliminate nothing (the unmemoised engine
+#: reduces every candidate that is not a dead end, plus the 5 queries:
+#: 1,928 - 843 + 5 = 1,090 runs).
+ELIMINATION_RUNS = 455
+#: Dead-end candidates of the same compile, memoised or not: P5's
+#: multi-head rule is normalised through an internal predicate, and the
+#: candidates whose atom over it can never be satisfied are dropped
+#: before they are built (``repro.core.dead_ends``).
+DEAD_END_DROPS = 843
 #: Check 4's seeded mutation script on workload S, and the pinned
 #: (full, incremental) counts of both change-log consumers: one initial
 #: full load/refresh, then one incremental patch per mutation.
@@ -182,16 +189,18 @@ def example_queries() -> list:
     ]
 
 
-def compare(check, label: str, queries, engines: dict) -> None:
+def compare(check, label: str, queries, engines: dict) -> list:
     """The rewriting-identity check of two engines, one line per query.
 
     *engines* maps a display name to each engine, the reference first.
     Identical means the same size, the same canonical keys and the same
-    members in the same order.
+    members in the same order.  Returns each query's pair of results.
     """
     (base_name, base), (other_name, other) = engines.items()
+    results = []
     for name, query in queries:
         expected, actual = base.rewrite(query), other.rewrite(query)
+        results.append((expected, actual))
         identical = (
             len(actual.ucq) == len(expected.ucq)
             and [m.canonical_key for m in actual.ucq]
@@ -203,6 +212,7 @@ def compare(check, label: str, queries, engines: dict) -> None:
             f"{label}/{name}: {base_name} {len(expected.ucq)} CQs, "
             f"{other_name} {len(actual.ucq)} CQs",
         )
+    return results
 
 
 def fact_sampler(database, rng: random.Random):
@@ -441,7 +451,7 @@ def coverage_memo_ceiling(check) -> None:
         rules, use_elimination=True, use_memoisation=False, strategy=counted
     )
     queries = named(workload)
-    compare(check, "P5", queries, {"memo on": memoised, "memo off": plain})
+    results = compare(check, "P5", queries, {"memo on": memoised, "memo off": plain})
     searches = memoised.eliminator.checker.chain_searches
     check(
         searches <= COVERAGE_SEARCH_CEILING,
@@ -449,12 +459,21 @@ def coverage_memo_ceiling(check) -> None:
         f"{plain.eliminator.checker.chain_searches} "
         f"(ceiling {COVERAGE_SEARCH_CEILING})",
     )
-    runs, every = memoised.eliminator.runs, counted.candidates + len(queries)
+    drops = sum(memo_on.statistics.pruned_dead_ends for memo_on, _ in results)
+    plain_drops = sum(memo_off.statistics.pruned_dead_ends for _, memo_off in results)
+    runs = memoised.eliminator.runs
+    every = counted.candidates - plain_drops + len(queries)
     check(
         runs == ELIMINATION_RUNS and plain.eliminator.runs == every,
         f"elimination runs on P5: memo on {runs} (pinned {ELIMINATION_RUNS}), "
         f"off {plain.eliminator.runs} (every one of {counted.candidates} "
-        f"candidates and {len(queries)} queries: {every})",
+        f"candidates but {plain_drops} dead ends, and {len(queries)} "
+        f"queries: {every})",
+    )
+    check(
+        drops == DEAD_END_DROPS == plain_drops,
+        f"dead ends dropped on P5: memo on {drops}, off {plain_drops} "
+        f"(pinned {DEAD_END_DROPS})",
     )
 
 

@@ -35,8 +35,13 @@ from ..logic.unification import atom_sequence_profile
 #: (not merely its speed): every persisted entry keyed under the old
 #: version silently becomes stale.  Version 2: the frontier kernel
 #: explores generations breadth-first, which changes the representatives
-#: and insertion order of stored UCQs (sizes are unchanged).
-ENGINE_VERSION = 2
+#: and insertion order of stored UCQs (sizes are unchanged).  Version 3:
+#: candidates that are dead ends over internal predicates
+#: (:mod:`repro.core.dead_ends`) are dropped when keyed, so stored
+#: results of theories with multi-head or multi-existential rules list
+#: fewer auxiliary queries and smaller counters, plus the new
+#: ``pruned_dead_ends`` counter (their UCQs are byte-identical).
+ENGINE_VERSION = 3
 
 
 def rule_signature(rule: TGD) -> str:

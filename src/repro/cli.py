@@ -170,6 +170,10 @@ def _cmd_rewrite(arguments: argparse.Namespace) -> int:
             f"{statistics.canonical_buckets} buckets"
         )
         print(
+            f"# pruning: {statistics.pruned_by_constraints} by negative "
+            f"constraints, {statistics.pruned_dead_ends} dead ends dropped"
+        )
+        print(
             f"# memoisation: {statistics.unification_memo_hits} applicability "
             f"hits / {statistics.unification_memo_misses} misses, "
             f"{statistics.rename_cache_hits} rename-apart hits / "
@@ -276,6 +280,7 @@ def _cmd_compile(arguments: argparse.Namespace) -> int:
                 f"# workload totals: {totals.generated_by_rewriting} CQs by "
                 f"rewriting, {totals.generated_by_factorization} by "
                 f"factorization, {totals.pruned_by_constraints} pruned, "
+                f"{totals.pruned_dead_ends} dead ends dropped, "
                 f"{totals.eliminated_atoms} atoms eliminated, "
                 f"{totals.processed_queries} queries processed, "
                 f"{totals.variant_cache_hits} variant hits over "
@@ -688,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="disable query elimination (plain TGD-rewrite)")
     rewrite.add_argument("--sql", action="store_true", help="print the rewriting as SQL")
     rewrite.add_argument("--stats", action="store_true",
-                         help="print canonical-interning and rule-index counters")
+                         help="print rule-index, interning, pruning and memo counters")
     rewrite.add_argument("--strategy", choices=list(_strategy_choices()),
                          default=None,
                          help="frontier scheduling strategy (default sequential; "

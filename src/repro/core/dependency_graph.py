@@ -108,6 +108,21 @@ class DependencyGraph:
             for edge in self._by_source.get(source, ())
         )
 
+    def reachable(self, start: Position) -> frozenset[Position]:
+        """*start* and every position some path from it leads to.
+
+        A term the chase places at *start* can only ever be copied to
+        these positions.
+        """
+        seen = {start}
+        pending = [start]
+        while pending:
+            for edge in self._by_source.get(pending.pop(), ()):
+                if edge.target not in seen:
+                    seen.add(edge.target)
+                    pending.append(edge.target)
+        return frozenset(seen)
+
     def walk(
         self, start: Position, labels: Sequence[TGD]
     ) -> Iterator[tuple[Position, ...]]:

@@ -20,16 +20,20 @@ splitting the loop into three pieces:
   once, then reduced (query elimination) and marked if pruned by a
   negative constraint — unless the run's table already knows its exact
   key to eliminate nothing, in which case it keeps the table's pruning
-  verdict and carries no query object at all.  No interning, no labels,
-  no kernel-state mutation.
+  verdict and carries no query object at all.  A candidate whose
+  encoding shows it to be a dead end over an internal predicate
+  (:mod:`repro.core.dead_ends`) is marked before any of that, and
+  carries no query object either.  No interning, no labels, no
+  kernel-state mutation.
 * **merge** — :func:`merge_expansion` folds one expansion into the
   :class:`KernelState` (interning store, labels, next frontier,
   statistics).  The merge is the *only* place results are deduplicated and
   labelled, and it always runs single-threaded in expansion order, which
   is what keeps the final rewriting byte-identical under every
-  :class:`~repro.scheduling.SchedulingStrategy`.  A candidate without a
-  query object is interned by its exact key and built only if no variant
-  is stored yet.
+  :class:`~repro.scheduling.SchedulingStrategy`.  Pruned candidates and
+  dead ends are counted and dropped; any other candidate without a query
+  object is interned by its exact key and built only if no variant is
+  stored yet.
 
 The kernel iterates generations breadth-first: generation ``n + 1`` is the
 merge of the expansions of generation ``n``, in frontier order.  The set
@@ -96,11 +100,12 @@ class CandidateQuery:
     needs to account for it without re-deriving anything:
 
     ``query``
-        The candidate CQ, or ``None`` when the run's table settled it:
-        its exact canonical key is that of an earlier candidate of the
-        run that eliminated nothing.  The key then decides interning
-        alone, and the query is built only if no variant is stored when
-        the candidate reaches the merge (:meth:`build`).
+        The candidate CQ, or ``None`` when it is a dead end (see
+        ``dead_end``) or the run's table settled it: its exact canonical
+        key is that of an earlier candidate of the run that eliminated
+        nothing.  The key then decides interning alone, and the query is
+        built only if no variant is stored when the candidate reaches the
+        merge (:meth:`build`).
     ``label``
         :data:`LABEL_REWRITING` for rewriting-step results (they belong to
         the final rewriting), :data:`LABEL_FACTORIZATION` for
@@ -117,6 +122,12 @@ class CandidateQuery:
         elimination) and how it derives from the expanded query; the
         engine sets both, and the merge needs them when ``query`` is
         ``None``.
+    ``dead_end``
+        ``True`` when the candidate has an atom over an internal
+        predicate that no database can ever satisfy
+        (:mod:`repro.core.dead_ends`): nothing derived from it reaches
+        the final rewriting, so the merge counts it and drops it, and
+        ``query`` is ``None``.
     """
 
     query: ConjunctiveQuery | None
@@ -125,6 +136,7 @@ class CandidateQuery:
     eliminated_atoms: int = 0
     fingerprint: CanonicalFingerprint | None = None
     derivation: Derivation | None = None
+    dead_end: bool = False
 
     def build(self) -> ConjunctiveQuery:
         """The candidate's query, built from its derivation if it carries none."""
@@ -251,6 +263,9 @@ def merge_expansion(state: KernelState, expansion: Expansion, max_queries: int) 
     statistics.rules_skipped_by_index += expansion.rules_skipped
     for candidate in expansion.candidates:
         statistics.eliminated_atoms += candidate.eliminated_atoms
+        if candidate.dead_end:
+            statistics.pruned_dead_ends += 1
+            continue
         if candidate.pruned:
             statistics.pruned_by_constraints += 1
             continue

@@ -49,17 +49,26 @@ Between generations the kernel state can be checkpointed
 compilation resumes instead of restarting.
 
 A cold compile pays the full price only for candidates that are new to
-the run.  :meth:`TGDRewriter.expand` encodes every raw candidate straight
-from its unifier (:func:`repro.logic.flat.encode_query`) and takes its
-canonical key once from that encoding.  Each run keeps a table of the
-exact keys whose candidate eliminated nothing, with the candidate's
-NC-pruning verdict (:meth:`TGDRewriter.for_run`): a candidate whose key
-is in the table skips query elimination and NC pruning and reaches the
-merge point without a query object, built there only if its key is new
+the run and can reach its output.  :meth:`TGDRewriter.expand` encodes
+every raw candidate straight from its unifier
+(:func:`repro.logic.flat.encode_query`) and takes its canonical key once
+from that encoding.  When the theory was normalised through internal
+predicates, the same encoding then decides whether the candidate is a
+*dead end* (:mod:`repro.core.dead_ends`): an atom over an internal
+predicate that no database can satisfy, so that nothing derived from it
+reaches the final rewriting.  A dead end is dropped at the merge point,
+counted in ``pruned_dead_ends``, and never built, reduced or checked
+against the negative constraints; the final rewriting is unchanged.
+Each run keeps a table of the exact keys whose candidate eliminated
+nothing, with the candidate's NC-pruning verdict
+(:meth:`TGDRewriter.for_run`): a candidate whose key is in the table
+skips query elimination and NC pruning and reaches the merge point
+without a query object, built there only if its key is new
 to the store.  Only the other candidates are built as ``Atom`` and
 ``ConjunctiveQuery`` objects and reduced; one that lost atoms is keyed a
 second time, as its reduced form.  The table follows ``use_memoisation``
-and lives exactly as long as the run.
+and lives exactly as long as the run; the dead-end verdict is taken with
+memoisation on and off.
 """
 
 from __future__ import annotations
@@ -86,6 +95,7 @@ from .applicability import (
     factorizable_sets,
 )
 from .coverage import CoverageChecker
+from .dead_ends import DeadEndFilter
 from .elimination import QueryEliminator
 from .frontier import (
     LABEL_FACTORIZATION,
@@ -116,7 +126,9 @@ class RewritingBudgetExceeded(RuntimeError):
 class RewritingStatistics:
     """Counters describing a rewriting run.
 
-    Beyond the Algorithm 1 counters, the run records how the two indexes of
+    Beyond the Algorithm 1 counters (with ``pruned_dead_ends``, the
+    candidates dropped as dead ends over internal predicates, see
+    :mod:`repro.core.dead_ends`), the run records how the two indexes of
     the engine behaved: the canonical-key interning store (``variant_*`` and
     ``canonical_*`` fields, see :class:`repro.queries.ucq.QuerySet`) and the
     head-predicate rule index (``rules_*`` fields, see
@@ -126,6 +138,7 @@ class RewritingStatistics:
     generated_by_rewriting: int = 0
     generated_by_factorization: int = 0
     pruned_by_constraints: int = 0
+    pruned_dead_ends: int = 0
     eliminated_atoms: int = 0
     processed_queries: int = 0
     elapsed_seconds: float = 0.0
@@ -244,8 +257,9 @@ class TGDRewriter:
         coverage memo is finite for a fixed theory.  Each run also keeps
         its own table of candidate keys that eliminate nothing
         (:meth:`for_run`).  Disabling it reproduces the unmemoised engine,
-        which builds and reduces every candidate — useful for differential
-        testing; the computed rewritings are identical either way.
+        which builds and reduces every candidate that is not a dead end —
+        useful for differential testing; the computed rewritings are
+        identical either way.
     strategy:
         The :class:`~repro.scheduling.SchedulingStrategy` used to expand
         frontier generations (a registered name or an instance); default
@@ -290,8 +304,15 @@ class TGDRewriter:
         )
         # Auxiliary predicates introduced by the internal normalisation are
         # not part of the caller's schema: no database ever stores facts for
-        # them, so rewritten CQs mentioning them are dropped from the output.
+        # them, so rewritten CQs mentioning them are dropped from the output,
+        # and candidates with an atom over one that no chase can hold are
+        # dropped as soon as they are keyed.
         self._internal_predicates = internal_predicates
+        self._dead_ends = (
+            DeadEndFilter(self._rules, internal_predicates)
+            if internal_predicates
+            else None
+        )
         self._max_queries = max_queries
         self._negative_constraints = tuple(negative_constraints)
         from ..scheduling import create_strategy
@@ -393,12 +414,12 @@ class TGDRewriter:
         """The engine one :meth:`rewrite` run expands its generations with.
 
         With memoisation, a shallow copy that shares every memo layer of
-        this engine and adds the run's own table: the exact canonical
-        keys of candidates that eliminated nothing, each with its
-        NC-pruning verdict (see :meth:`expand`).  The table starts empty
-        and is dropped with the copy when the run ends, so no run sees
-        another's.  Without memoisation, the engine itself: every
-        candidate is built and reduced.
+        this engine, and its dead-end filter, and adds the run's own
+        table: the exact canonical keys of candidates that eliminated
+        nothing, each with its NC-pruning verdict (see :meth:`expand`).
+        The table starts empty and is dropped with the copy when the run
+        ends, so no run sees another's.  Without memoisation, the engine itself: every
+        candidate that is not a dead end is built and reduced.
         """
         if self._applicability_memo is None:
             return self
@@ -562,16 +583,19 @@ class TGDRewriter:
 
         Each candidate is encoded straight from the step's unifier
         (:func:`repro.logic.flat.encode_query`) and keyed once from that
-        encoding.  On an engine from :meth:`for_run`, an exact key already
-        in the run's table settles the candidate from the table: it
-        eliminates nothing, its pruning verdict is the table's, and it
-        reaches the merge as a key and a :class:`Derivation` without a
-        query object — cover sets and constraint violations are the same
-        for every variant of a query.  Every other candidate is built,
-        reduced (query elimination) and checked against the negative
-        constraints, and enters the table if it eliminated nothing; the
-        reduced form of a candidate that lost atoms is never reused, as
-        Lemma 9 fixes how many atoms go, not which.
+        encoding.  The same encoding then decides whether it is a dead
+        end (:mod:`repro.core.dead_ends`); a dead end reaches the merge
+        as a key and a :class:`Derivation` without a query object,
+        flagged to be dropped.  On an engine from :meth:`for_run`, an
+        exact key already in the run's table settles any other candidate
+        from the table: it eliminates nothing, its pruning verdict is the
+        table's, and it reaches the merge the same way — cover sets and
+        constraint violations are the same for every variant of a query.
+        Every other candidate is built, reduced (query elimination) and
+        checked against the negative constraints, and enters the table if
+        it eliminated nothing; the reduced form of a candidate that lost
+        atoms is never reused, as Lemma 9 fixes how many atoms go, not
+        which.
         """
         candidate_rules = self._rule_index.candidate_rules(query)
         candidates: list[CandidateQuery] = []
@@ -612,8 +636,11 @@ class TGDRewriter:
         )
 
     def _candidate(self, derivation: Derivation, label: int) -> CandidateQuery:
-        """Key one raw candidate, then settle it from the table or reduce it."""
-        fingerprint = encoded_fingerprint(encode_query(*derivation))
+        """Key one raw candidate, then drop it, settle it from the table or reduce it."""
+        flat = encode_query(*derivation)
+        fingerprint = encoded_fingerprint(flat)
+        if self._dead_ends is not None and self._dead_ends.is_dead_end(flat):
+            return CandidateQuery(None, label, False, 0, fingerprint, derivation, True)
         key, exact = fingerprint
         keys = self._run_keys
         if exact and keys is not None:

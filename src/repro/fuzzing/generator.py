@@ -12,23 +12,32 @@ a theory outside the fragment it claims.
 Determinism is a hard contract, in two layers:
 
 * the same ``(seed, config)`` always yields the same triple — every
-  random draw goes through one :class:`random.Random` stream, and
+  random draw goes through :class:`random.Random` streams seeded from
+  the case's coordinates (one for the schema, rules and query, one for
+  the linear fragment's qualified existentials, one for the instance),
+  and
 * the emitted rule order, variable names and fact order are independent
   of ``PYTHONHASHSEED``: the generator only ever iterates lists it built
   itself (never sets or dicts), so re-running under a different hash
   seed prints byte-identical theories (pinned by
   ``tests/fuzzing/test_hashseed_determinism.py``).
 
-Rules are generated directly in the normal form the rewriting engine
-assumes (single head atom, at most one existential variable occurring
-once), so normalisation never rewrites them behind the classifiers' back.
+Rules are generated in the normal form the rewriting engine assumes
+(single head atom, at most one existential variable occurring once),
+except the linear fragment's qualified existentials: a rule whose head
+invents a value may carry a second head atom sharing it, shaped like
+P5's ``Start(X) → ∃Y edge(X, Y), Target(Y)``.  The engine normalises
+those through an internal predicate (Lemma 1), which is what puts its
+dead-end verdict (:mod:`repro.core.dead_ends`) in front of the chase and
+elimination oracles; the chase runs the rules as generated.
 
 Fragment strategies:
 
-* ``linear`` — one body atom per rule; repeated body variables and
-  arbitrary recursion allowed (membership is purely syntactic, and the
-  rewriting of a linear set always terminates: bodies never grow, so the
-  variant-interned query space is finite);
+* ``linear`` — one body atom per rule; repeated body variables,
+  arbitrary recursion and two-atom heads sharing the invented value
+  allowed (membership is purely syntactic, and the rewriting of a linear
+  set always terminates: bodies never grow, so the variant-interned
+  query space is finite);
 * ``sticky`` — up to ``fan_out`` body atoms; join variables are steered
   into the head (the marking procedure then leaves them unmarked) and
   every candidate rule is accepted only if the *whole set so far* stays
@@ -214,6 +223,10 @@ class WorkloadGenerator:
         rules = self._rules(rng, schema)
         if not rules:  # pragma: no cover - only reachable with rules=1 + rejection
             rules = [self._linear_rule(rng, schema)]
+        if self._config.fragment == "linear":
+            # Qualified existentials draw from their own sub-stream, so
+            # every other draw of the case stays where it was.
+            rules = self._qualify(random.Random(case_seed ^ 0x0A0F), schema, rules)
         self._validate(rules)
         theory = OntologyTheory(
             tgds=rules,
@@ -307,6 +320,39 @@ class WorkloadGenerator:
                 body_variables.append(term)
         head = self._head_atom(rng, head_predicate, body_variables, slot)
         return TGD((body,), (head,), label=f"r{slot}")
+
+    def _qualify(
+        self, rng: random.Random, schema: list[Predicate], rules: list[TGD]
+    ) -> list[TGD]:
+        """Give half the linear rules that invent a value a second head atom.
+
+        The second atom shares the invented value (a qualified
+        existential), as ``Target(Y)`` does in P5's rule; its other terms
+        are body variables.
+        """
+        qualified: list[TGD] = []
+        for rule in rules:
+            (body,) = rule.body
+            (head,) = rule.head
+            body_variables: list[Variable] = []
+            for term in body.terms:
+                if term not in body_variables:
+                    body_variables.append(term)
+            invented = [term for term in head.terms if term not in body_variables]
+            if invented and rng.random() < 0.5:
+                predicate = rng.choice(schema)
+                position = rng.randrange(predicate.arity)
+                second = Atom(
+                    predicate,
+                    tuple(
+                        invented[0] if index == position else rng.choice(body_variables)
+                        for index in range(predicate.arity)
+                    ),
+                )
+                if second != head:
+                    rule = TGD((body,), (head, second), label=rule.label)
+            qualified.append(rule)
+        return qualified
 
     def _joined_rule(
         self, rng: random.Random, schema: list[Predicate], slot: int = 0

@@ -209,6 +209,12 @@ class TestNamedStrategyWorkers:
 
 
 class TestServingResumesABatchCheckpoint:
+    @pytest.fixture()
+    def workload(self):
+        # P5 q5 runs 8 generations, so the kill after 2 lands mid-run; A q5
+        # ends after 2 now that its dead ends are dropped.
+        return get_workload("P5")
+
     def test_shared_artifacts_resume_a_killed_batch_member(
         self, tmp_path, workload
     ):

@@ -50,6 +50,12 @@ def clean_result(workload):
 
 
 class TestKillAndResume:
+    @pytest.fixture()
+    def workload(self):
+        # P5 q5 under TGD-rewrite* runs 8 generations, so each kill lands
+        # mid-run; A q5 ends after 2 now that its dead ends are dropped.
+        return get_workload("P5")
+
     @pytest.mark.parametrize("killed_after", [1, 2, 3])
     def test_resumed_run_is_byte_identical(
         self, tmp_path, workload, clean_result, killed_after

@@ -72,21 +72,30 @@ class TestFragmentValidity:
         assert classify(list(case.theory.tgds)).fo_rewritable
 
     def test_normal_form_single_head_single_existential(self):
+        qualified = 0
         for fragment in FRAGMENTS:
             config = GeneratorConfig(fragment=fragment, existential_density=1.0)
             for case in WorkloadGenerator(seed=1, config=config).cases(3):
                 for rule in case.theory.tgds:
-                    assert len(rule.head) == 1
                     body_variables = set()
                     for atom in rule.body:
                         body_variables.update(atom.variables())
                     existentials = [
                         term
-                        for term in rule.head[0].terms
+                        for atom in rule.head
+                        for term in atom.terms
                         if isinstance(term, Variable)
                         and term not in body_variables
                     ]
-                    assert len(existentials) <= 1
+                    if len(rule.head) == 1:
+                        assert len(existentials) <= 1
+                        continue
+                    # The linear fragment's qualified existential: a second
+                    # head atom shares the one invented value, once per atom.
+                    assert fragment == "linear" and len(rule.head) == 2
+                    assert len(existentials) == 2 and len(set(existentials)) == 1
+                    qualified += 1
+        assert qualified
 
     def test_stratified_rules_descend_the_predicate_order(self):
         config = GeneratorConfig(fragment="sticky")

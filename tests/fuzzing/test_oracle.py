@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core import dead_ends
+from repro.core.rewriter import TGDRewriter
 from repro.fuzzing.generator import GeneratorConfig, WorkloadGenerator
 from repro.fuzzing.oracle import (
     DifferentialOracle,
@@ -68,6 +70,38 @@ class TestPlantedBug:
         case, _ = self._failing_case(buggy)
         failure = buggy.failure(case)
         assert failure is not None and failure.oracle == "chase"
+
+
+class TestPlantedDeadEndVerdict:
+    """The linear fragment's qualified existentials put the verdict under test."""
+
+    def test_linear_cases_drop_dead_ends(self):
+        dropped = 0
+        for case in WorkloadGenerator(seed=42).cases(10):
+            result = TGDRewriter(case.theory.tgds).rewrite(case.query)
+            dropped += result.statistics.pruned_dead_ends
+        assert dropped > 0
+
+    def test_an_unsound_verdict_fails_the_fuzz_run(self, monkeypatch):
+        reach = dead_ends.null_reach
+
+        def nowhere(rules, internal_predicates):
+            # "Every position is unreachable": every atom over an
+            # internal predicate makes its query a dead end.
+            return {
+                key: (index, frozenset())
+                for key, (index, _) in reach(rules, internal_predicates).items()
+            }
+
+        monkeypatch.setattr(dead_ends, "null_reach", nowhere)
+        oracle = DifferentialOracle()
+        for case in WorkloadGenerator(seed=42).cases(50):
+            verdict = oracle.check(case)
+            if not verdict.ok:
+                break
+        else:
+            pytest.fail("no generated case exposed the planted verdict in 50 tries")
+        assert {f.oracle for f in verdict.failures} <= {"chase", "elimination"}
 
 
 class TestOracleConfig:

@@ -56,6 +56,7 @@ class TestRewriteCommand:
         assert "skipped by head-predicate index" in output
         assert "# interning:" in output
         assert "key collisions" in output
+        assert "# pruning: 0 by negative constraints, 0 dead ends dropped" in output
 
     def test_sql_output(self, tbox_file, capsys):
         assert main(
@@ -226,6 +227,13 @@ class TestCompileCommand:
         output = capsys.readouterr().out
         assert "# workload totals:" in output
         assert "queries processed" in output
+        assert " 0 dead ends dropped, " in output
+
+    def test_stats_count_the_dead_ends_of_internal_predicates(self, capsys):
+        # P5's multi-head rule is normalised through an internal predicate.
+        assert main(["compile", "--workload", "P5", "--stats"]) == 0
+        output = capsys.readouterr().out
+        assert " 843 dead ends dropped, " in output
 
     def test_fail_on_miss_requires_a_cache(self, tbox_file, queries_file, capsys):
         assert main(
