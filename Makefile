@@ -83,7 +83,8 @@ chaos-smoke:
 
 # Perf gate (seconds, not minutes), five checks: (1) strategy="auto"
 # compiles the running example to the sequential bytes; (2) the
-# tuple-encoded canonical-key kernel is not slower than the reference;
+# tuple-encoded canonical-key kernel gives the reference's keys and
+# executes no more bytecode than the reference (counted, not timed);
 # (3) P5 under TGD-rewrite* compiles to the same rewritings with
 # memoisation on and off, within a pinned count of coverage chain
 # searches; (4) 20 seeded single-fact mutations of workload S on SQLite

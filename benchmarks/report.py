@@ -3,8 +3,9 @@
 Runs the four systems (QO, RQ, NY, NY*) on every workload and every query
 and prints one block per workload, in the layout of Table 1 of the paper
 (size, length and width per system), followed by the per-cell rewriting
-times.  The output of this script is the source of the measured numbers in
-``EXPERIMENTS.md``.
+times.  ``docs/BENCHMARKS.md`` ("Reading the Table 1 reproduction")
+explains the columns; ``repro table1`` prints the same blocks without
+the timings.
 
 Usage::
 

@@ -385,14 +385,6 @@ class OBDASystem:
         Default execution backend for :meth:`prepare` / :meth:`answer`: a
         registered name (``"memory"``, ``"sqlite"``) or a constructed
         :class:`~repro.backends.base.ExecutionBackend`.
-    strategy:
-        Scheduling strategy for the rewriting engine's frontier kernel: a
-        registered name (``"sequential"``, ``"threaded"``, ``"chunked"``)
-        or a constructed :class:`~repro.scheduling.SchedulingStrategy`.
-        Every strategy computes byte-identical rewritings; non-sequential
-        ones spread each frontier generation across threads or worker
-        processes (intra-query parallelism).  Strategies created here from
-        a name are closed by :meth:`close`.
     max_prepared:
         Optional LRU bound on the number of interned
         :class:`PreparedQuery` handles (mirroring the store's
@@ -420,7 +412,6 @@ class OBDASystem:
         schema: RelationalSchema | None = None,
         cache: RewritingStore | str | os.PathLike | None = None,
         backend: str | ExecutionBackend = "memory",
-        strategy: str | SchedulingStrategy | None = None,
         max_prepared: int | None = None,
         rewriting_cache: dict[ConjunctiveQuery, RewritingResult] | None = None,
     ) -> None:
@@ -432,13 +423,10 @@ class OBDASystem:
         self._use_elimination, self._use_nc_pruning, self._fingerprint = (
             resolve_engine_options(theory, use_elimination, use_nc_pruning)
         )
-        self._owns_strategy = not isinstance(strategy, SchedulingStrategy)
-        self._strategy = create_strategy(strategy)
         self._rewriter = TGDRewriter(
             theory,
             use_elimination=self._use_elimination,
             use_nc_pruning=self._use_nc_pruning,
-            strategy=self._strategy,
         )
         self._last_batch_statistics: RewritingStatistics | None = None
         self._rewriting_cache: dict[ConjunctiveQuery, RewritingResult] = (
@@ -580,7 +568,7 @@ class OBDASystem:
         return self.compile_traced(query, checkpoint=checkpoint)[0]
 
     def compile_traced(
-        self, query: ConjunctiveQuery, checkpoint=None
+        self, query: ConjunctiveQuery, checkpoint=None, on_generation=None
     ) -> tuple[RewritingResult, str]:
         """:meth:`compile` plus the serving layer that produced the result.
 
@@ -588,11 +576,17 @@ class OBDASystem:
         cache), ``"store"`` (persistent store) or ``"engine"`` (freshly
         rewritten).  The serving front end reports it per request and
         counts exactly one ``"engine"`` outcome per coalesced cold query.
+        *on_generation* reaches the engine run, if there is one, as
+        :meth:`TGDRewriter.rewrite <repro.core.rewriter.TGDRewriter.rewrite>`'s
+        generation-boundary callback: the serving tier cuts a compile
+        there for a deadline, a shutdown or an injected fault.
         """
         served = self._serve_from_caches(query)
         if served is not None:
             return served
-        result = self._rewriter.rewrite(query, checkpoint=checkpoint)
+        result = self._rewriter.rewrite(
+            query, checkpoint=checkpoint, on_generation=on_generation
+        )
         return self._absorb_fresh_result(query, result), "engine"
 
     def _serve_from_caches(
@@ -920,19 +914,12 @@ class OBDASystem:
         """
         return self.prepare(query, backend=backend).execute()
 
-    @property
-    def scheduling_strategy(self) -> SchedulingStrategy:
-        """The frontier-kernel scheduling strategy compilation runs under."""
-        return self._strategy
-
     def close(self) -> None:
         """Release the backends created by this system (connections etc.)."""
         for backend in self._backends.values():
             backend.close()
         self._backends.clear()
         self._prepared.clear()
-        if self._owns_strategy:
-            self._strategy.close()
 
     def __enter__(self) -> "OBDASystem":
         return self

@@ -139,11 +139,6 @@ class SQLitePlan(ExecutionPlan):
         )
 
     @property
-    def referenced_predicates(self) -> frozenset[Predicate]:
-        """Relations the SQL reads (they must exist as tables)."""
-        return self._referenced
-
-    @property
     def description(self) -> str:
         return self.sql
 

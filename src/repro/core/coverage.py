@@ -25,7 +25,7 @@ terms of ``b`` (which also makes the final atom of the chain an atom of
 and — when ``b`` has no shared terms at all — we still require *some* chain
 from ``pred(a)`` to ``pred(b)``, since otherwise the definition would be
 vacuously true and eliminate atoms of unrelated predicates.  Both choices are
-documented in DESIGN.md and covered by unit tests.
+documented here and covered by unit tests (``tests/core/test_coverage.py``).
 
 **Cost.**  The paper treats the per-pair check as constant time for a fixed
 Σ; :class:`CoverageChecker` makes it so in practice.  A reachability table

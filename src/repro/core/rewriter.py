@@ -46,7 +46,9 @@ thread- or process-parallel on demand — with byte-identical output under
 every strategy, because expansion is pure and the merge is ordered.
 Between generations the kernel state can be checkpointed
 (:class:`repro.cache.checkpoint.FrontierCheckpoint`), so a killed
-compilation resumes instead of restarting.
+compilation resumes instead of restarting, and a caller's
+``on_generation`` callback can cut the run (the serving tier's
+deadlines, shutdown and injected faults).
 
 A cold compile pays the full price only for candidates that are new to
 the run and can reach its output.  :meth:`TGDRewriter.expand` encodes
@@ -76,7 +78,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..logic.flat import encode_query
 from ..logic.unification import mgu
@@ -351,11 +353,6 @@ class TGDRewriter:
         return self._eliminator is not None
 
     @property
-    def uses_memoisation(self) -> bool:
-        """``True`` iff the engine-lifetime memo layers are active."""
-        return self._applicability_memo is not None
-
-    @property
     def applicability_memo(self) -> ApplicabilityMemo | None:
         """The engine's applicability memo (``None`` without memoisation)."""
         return self._applicability_memo
@@ -432,6 +429,7 @@ class TGDRewriter:
         query: ConjunctiveQuery,
         strategy: "SchedulingStrategy | None" = None,
         checkpoint: "FrontierCheckpoint | None" = None,
+        on_generation: Callable[[int], None] | None = None,
     ) -> RewritingResult:
         """Compute the perfect rewriting of *query* w.r.t. the rewriter's rules.
 
@@ -447,6 +445,14 @@ class TGDRewriter:
         kernel state between frontier generations, so a killed run can be
         resumed from the last completed generation (the checkpoint file is
         removed once the rewriting completes).
+
+        *on_generation*, if given, is called before each generation is
+        drained, with the number of generations drained so far: ``0``
+        first on a fresh run, the checkpointed generation first on a
+        resumed one, and always after the previous generation was merged
+        and checkpointed.  Whatever it raises cuts the run there, so a
+        deadline, a shutdown or an injected fault loses at most the
+        generation it stopped.
         """
         start = time.perf_counter()
         scheduling = strategy if strategy is not None else self._strategy
@@ -479,6 +485,8 @@ class TGDRewriter:
         engine = self.for_run()
         scheduling.begin_run(engine, query, state.frontier.generation)
         while state.frontier:
+            if on_generation is not None:
+                on_generation(state.frontier.generation)
             batch = state.frontier.take_generation()
             for expansion in scheduling.expand_generation(engine, batch):
                 merge_expansion(state, expansion, self._max_queries)

@@ -186,14 +186,6 @@ def is_weakly_acyclic(rules: Sequence[TGD]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _BodyOccurrence:
-    """Identifies an occurrence of a variable in the body of a rule."""
-
-    rule_index: int
-    variable: Variable
-
-
 def sticky_marking(rules: Sequence[TGD]) -> dict[int, frozenset[Variable]]:
     """Compute the sticky variable marking of Calì, Gottlob & Pieris (VLDB'10).
 

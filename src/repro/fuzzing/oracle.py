@@ -55,7 +55,7 @@ from ..logic.homomorphism import homomorphisms
 from ..logic.terms import Constant, is_constant
 from ..queries.conjunctive_query import ConjunctiveQuery
 from ..queries.ucq import UnionOfConjunctiveQueries
-from ..scheduling import SequentialStrategy, create_strategy
+from ..scheduling import create_strategy
 from .generator import GeneratedCase
 
 #: Strategies the determinism oracle compares by default.  ``chunked`` is
@@ -144,22 +144,6 @@ def format_answer_diff(
         suffix = "" if len(missing) <= limit else f", … ({len(missing)} total)"
         parts.append(f"only in {name}: {shown}{suffix}")
     return "; ".join(parts)
-
-
-class GenerationCountingStrategy(SequentialStrategy):
-    """A sequential strategy that counts the frontier generations it ran.
-
-    The count is the depth bound the chase oracle needs; measuring it
-    through a strategy keeps the kernel untouched (the same pattern the
-    checkpoint tests use to kill a run mid-flight).
-    """
-
-    def __init__(self) -> None:
-        self.generations = 0
-
-    def expand_generation(self, engine, batch):
-        self.generations += 1
-        return super().expand_generation(engine, batch)
 
 
 def _canonical_bytes(result: RewritingResult) -> str:
@@ -251,13 +235,16 @@ class DifferentialOracle:
         verdict = OracleVerdict(case=case)
         rules = list(case.theory.tgds)
 
-        counting = GenerationCountingStrategy()
+        # The generation count is the chase oracle's depth bound.
+        generations: list[int] = []
         try:
-            reference = self._rewrite(rules, case.query, counting)
+            reference = self._rewrite(
+                rules, case.query, on_generation=generations.append
+            )
         except RewritingBudgetExceeded:
             verdict.skipped = f"rewriting budget ({self._max_queries}) exceeded"
             return verdict
-        verdict.generations = counting.generations
+        verdict.generations = len(generations)
         verdict.rewriting_size = len(reference.ucq)
 
         backend_answers = self._backend_oracle(verdict, reference.ucq, case)
@@ -282,9 +269,11 @@ class DifferentialOracle:
 
     # -- internals ---------------------------------------------------------
 
-    def _rewrite(self, rules, query, strategy) -> RewritingResult:
+    def _rewrite(
+        self, rules, query, strategy=None, on_generation=None
+    ) -> RewritingResult:
         engine = TGDRewriter(rules, max_queries=self._max_queries)
-        result = engine.rewrite(query, strategy=strategy)
+        result = engine.rewrite(query, strategy=strategy, on_generation=on_generation)
         if self._mutator is not None:
             result = dataclasses.replace(result, ucq=self._mutator(result.ucq))
         return result

@@ -103,8 +103,7 @@ class SchedulingStrategy(ABC):
         *generation* is the frontier generation the run starts from (non-zero
         when resuming a checkpoint).  The default does nothing; adaptive
         strategies use it to observe per-query telemetry (rule fan-out,
-        resume depth) before the first batch arrives.  Wrappers must forward
-        the call to their inner strategy.
+        resume depth) before the first batch arrives.
         """
 
     def close(self) -> None:

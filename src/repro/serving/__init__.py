@@ -43,7 +43,6 @@ from .resilience import (
     CompileGate,
     CompileInterrupted,
     Deadline,
-    InterruptibleStrategy,
     OverloadedError,
     ResilienceConfig,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "CompileInterrupted",
     "Deadline",
     "FaultPlan",
-    "InterruptibleStrategy",
     "OverloadedError",
     "ResilienceConfig",
     "ServingApp",

@@ -220,8 +220,10 @@ class ServingApp:
     Parameters mirror ``repro serve``: *cache* is the persistent cache
     directory (rewriting store + compile checkpoints), *max_tenants* the
     admission-control bound, *backend* the default execution backend for
-    new tenants.  *warm_limit* bounds per-fingerprint store preloading
-    and *strategy_factory* injects compile strategies (tests only).
+    new tenants.  *warm_limit* bounds per-fingerprint store preloading.
+    *fault_plan* (see :class:`~repro.serving.chaos.FaultPlan`) injects
+    compile stalls and kills at generation boundaries and backend faults
+    on the answer path; the chaos harness and the tests use it.
     """
 
     def __init__(
@@ -230,7 +232,6 @@ class ServingApp:
         max_tenants: int | None = None,
         backend: str = "memory",
         warm_limit: int | None = DEFAULT_WARM_LIMIT,
-        strategy_factory=None,
         resilience: ResilienceConfig | None = None,
         fault_plan=None,
         change_log: int | None = None,
@@ -241,7 +242,6 @@ class ServingApp:
             max_tenants=max_tenants,
             backend=backend,
             warm_limit=warm_limit,
-            strategy_factory=strategy_factory,
             fault_plan=fault_plan,
             max_tracked_changes=change_log,
         )

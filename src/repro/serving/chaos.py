@@ -9,13 +9,14 @@ module turns those promises into executable invariants, the same way
 
 * :class:`FaultPlan` is the injection seam threaded through the stack
   (``ServingApp(fault_plan=...)`` → registry → artifact sets and
-  tenants).  It injects executor stalls and mid-compile kills at the
-  :class:`~repro.serving.resilience.InterruptibleStrategy` generation
-  boundary, ``sqlite3.OperationalError`` on the tenant execution path,
-  rewriting-store write failures (``OSError`` from ``put``) and
-  checkpoint write failures (a checkpoint pointed at an unwritable
-  path).  Every budget is drawn from one seeded stream, so a failing
-  case replays exactly.
+  tenants).  It injects executor stalls at compile start, mid-compile
+  kills through the generation-boundary callback that
+  :meth:`~repro.serving.tenants.SharedArtifacts.compile_blocking` hands
+  the rewriting kernel, ``sqlite3.OperationalError`` on the tenant
+  execution path, rewriting-store write failures (``OSError`` from
+  ``put``) and checkpoint write failures (a checkpoint pointed at an
+  unwritable path).  Every budget is drawn from one seeded stream, so a
+  failing case replays exactly.
 * :class:`ChaosHarness` runs seeded cases end to end.  Each case
   generates a workload (via the fuzzing generator), records the
   *undisturbed* answers and warm latency on a pristine app, then replays
@@ -68,7 +69,8 @@ class FaultPlan:
 
     The serving stack calls the three hooks from its executor threads:
     ``before_compile`` at compile start (stalls), ``generation_fault``
-    per engine run (mid-compile kills at the generation boundary) and
+    once per compile (its hook runs at every generation boundary of the
+    engine run: mid-compile kills) and
     ``before_execute`` on the tenant's answer path (backend faults); an
     answer-cache hit calls ``before_execute`` on the event loop instead.
     Bad bindings always take the executor path, so on both paths the
@@ -133,16 +135,19 @@ class FaultPlan:
     def generation_fault(self, digest: str):
         """The per-compile generation hook, or ``None`` when out of kills.
 
-        The returned callable runs between frontier generations; it kills
-        the engine run from its *second* generation on, so a killed
-        compile dies with at least one checkpointed generation behind it
-        — exactly the crash the resume machinery exists for.
+        The returned callable runs before each frontier generation, with
+        the number of generations drained so far (the kernel's
+        generation-boundary callback).  It counts its own calls per
+        digest, over every compile of the digest, and kills the engine
+        run from its *second* call on, so a killed compile dies with at
+        least one checkpointed generation behind it — exactly the crash
+        the resume machinery exists for.
         """
         with self._lock:
             if not self._armed or self._budgets["kill"] <= 0:
                 return None
 
-        def hook() -> None:
+        def hook(generation: int) -> None:
             fire = False
             with self._lock:
                 calls = self._generation_calls.get(digest, 0) + 1

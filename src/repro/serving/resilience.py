@@ -13,10 +13,13 @@ behaviour safe to deploy:
   (``compile_timeout`` / ``answer_timeout``, overridable per request via
   an ``X-Deadline-Ms`` header).  The event loop enforces them with
   ``asyncio.timeout``; the engine observes them *cooperatively* through
-  :class:`InterruptibleStrategy`, which checks the scope between frontier
-  generations and raises :class:`CompileInterrupted` — after the kernel
-  has already persisted the checkpoint of the last completed generation,
-  so a 504 leaves a resumable compile behind, not a wasted one.
+  the generation-boundary callback that
+  :meth:`SharedArtifacts.compile_blocking
+  <repro.serving.tenants.SharedArtifacts.compile_blocking>` hands the
+  rewriting kernel: it checks the scope before each frontier generation
+  and raises :class:`CompileInterrupted` — after the kernel has already
+  persisted the checkpoint of the last completed generation, so a 504
+  leaves a resumable compile behind, not a wasted one.
 * :class:`CompileGate` — admission control for the cold path: a global
   in-flight-compile bound plus a bounded per-tenant compile queue.  When
   full, cold requests are shed with 503 + ``Retry-After`` *before* they
@@ -42,19 +45,19 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, field
-
-from ..scheduling import SchedulingStrategy
+from dataclasses import dataclass
 
 
 class CompileInterrupted(RuntimeError):
     """A compile was cooperatively aborted between frontier generations.
 
-    Raised on the compile executor thread by
-    :class:`InterruptibleStrategy` when the request's
-    :class:`CancelScope` expires (deadline passed or explicitly
-    cancelled).  By construction the kernel has already checkpointed the
-    last *completed* generation, so the work is resumable, not lost.
+    Raised on the compile executor thread by the generation-boundary
+    callback of :meth:`SharedArtifacts.compile_blocking
+    <repro.serving.tenants.SharedArtifacts.compile_blocking>` when the
+    request's :class:`CancelScope` expires (deadline passed or explicitly
+    cancelled) or the artifact set is shutting down.  By construction the
+    kernel has already checkpointed the last *completed* generation, so
+    the work is resumable, not lost.
     """
 
 
@@ -151,10 +154,10 @@ class CancelScope:
 
     The event loop creates one per compile attempt (carrying the
     request's absolute deadline) and cancels it when the compile wait
-    times out or the app shuts down; the executor-side
-    :class:`InterruptibleStrategy` polls :meth:`expired` between frontier
-    generations.  Thread-safe by construction (an ``Event`` plus an
-    immutable deadline).
+    times out or the app shuts down; the compile's generation-boundary
+    callback, on the executor thread, polls :meth:`expired` before each
+    frontier generation.  Thread-safe by construction (an ``Event`` plus
+    an immutable deadline).
     """
 
     def __init__(self, deadline: float | None = None) -> None:
@@ -175,58 +178,6 @@ class CancelScope:
         if self._event.is_set():
             return True
         return self._deadline is not None and time.monotonic() >= self._deadline
-
-
-class InterruptibleStrategy(SchedulingStrategy):
-    """Wrap a scheduling strategy with cooperative cancellation.
-
-    :class:`~repro.serving.tenants.SharedArtifacts` installs the active
-    request's :class:`CancelScope` before each engine run (compiles per
-    artifact set are serialised, so one slot suffices) and a master
-    shutdown event for :meth:`ServingApp.aclose`.  The check runs
-    *before* each generation is expanded — after the kernel checkpointed
-    the previous one — so an interrupt loses at most the generation in
-    flight.
-    """
-
-    name = "interruptible"
-
-    def __init__(self, inner: SchedulingStrategy) -> None:
-        self._inner = inner
-        self.scope: CancelScope | None = None
-        #: Optional chaos seam: a zero-argument callable invoked before
-        #: each generation (installed per compile by the fault plan); it
-        #: may sleep (stall) or raise (mid-compile kill).
-        self.fault = None
-        self._shutdown = threading.Event()
-
-    @property
-    def inner(self) -> SchedulingStrategy:
-        """The wrapped strategy actually doing the expansion."""
-        return self._inner
-
-    def shutdown(self) -> None:
-        """Abort any current and future runs (service shutdown)."""
-        self._shutdown.set()
-
-    def begin_run(self, engine, query, generation=0):
-        self._inner.begin_run(engine, query, generation)
-
-    def expand_generation(self, engine, batch):
-        if self._shutdown.is_set():
-            raise CompileInterrupted("serving tier is shutting down")
-        scope = self.scope
-        if scope is not None and scope.expired():
-            raise CompileInterrupted(
-                "compile deadline exceeded; progress is checkpointed and the "
-                "next request for this query will resume it"
-            )
-        if self.fault is not None:
-            self.fault()
-        return self._inner.expand_generation(engine, batch)
-
-    def close(self) -> None:
-        self._inner.close()
 
 
 class OverloadedError(Exception):

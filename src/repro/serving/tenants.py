@@ -27,12 +27,13 @@ answers keep flowing through the tenant executors.
 
 Two resilience mechanisms live at this layer (PR 8):
 
-* **Cooperative cancellation** — every artifact set's strategy is wrapped
-  in :class:`~repro.serving.resilience.InterruptibleStrategy`; the app
-  hands :meth:`SharedArtifacts.compile_blocking` a per-request
-  :class:`~repro.serving.resilience.CancelScope` so a timed-out compile
-  aborts at the next generation boundary *after* the kernel checkpointed
-  the previous one — the request 504s, the work is resumable.
+* **Cooperative cancellation** — the app hands
+  :meth:`SharedArtifacts.compile_blocking` a per-request
+  :class:`~repro.serving.resilience.CancelScope`, and the compile hands
+  the rewriting kernel a callback that checks it before each frontier
+  generation, so a timed-out compile aborts at the next generation
+  boundary *after* the kernel checkpointed the previous one — the
+  request 504s, the work is resumable.
 * **Epoched live theory updates** — :meth:`TenantRegistry.update_theory`
   swaps a live tenant onto a new artifact set without downtime.  Requests
   pin the :class:`TenantEpoch` (artifacts + execution system) they
@@ -56,8 +57,7 @@ from ..database.instance import RelationalInstance
 from ..dependencies.theory import OntologyTheory
 from ..incremental.subscriptions import PollResult, Subscription, SubscriptionPool
 from ..queries.conjunctive_query import ConjunctiveQuery
-from ..scheduling import create_strategy
-from .resilience import CancelScope, InterruptibleStrategy
+from .resilience import CancelScope, CompileInterrupted
 
 #: Subdirectory of the store directory holding per-compile frontier
 #: checkpoints (one file per (canonical key, fingerprint) digest).
@@ -99,26 +99,20 @@ class SharedArtifacts:
         theory: OntologyTheory,
         store: RewritingStore | None = None,
         checkpoint_directory: str | Path | None = None,
-        strategy=None,
         warm_limit: int | None = DEFAULT_WARM_LIMIT,
         fault_plan=None,
     ) -> None:
         self.theory = theory
         self.rewriting_cache: dict[ConjunctiveQuery, RewritingResult] = {}
-        # Every compile runs under the interruptible wrapper so deadlines,
-        # shutdown and chaos faults all share one generation-boundary seam.
-        self.strategy = InterruptibleStrategy(create_strategy(strategy))
         self.system = OBDASystem(
-            theory,
-            cache=store,
-            strategy=self.strategy,
-            rewriting_cache=self.rewriting_cache,
+            theory, cache=store, rewriting_cache=self.rewriting_cache
         )
         self.fingerprint = self.system.theory_fingerprint
         self._checkpoint_directory = (
             Path(checkpoint_directory) if checkpoint_directory is not None else None
         )
         self._compile_lock = threading.Lock()
+        self._shutdown = threading.Event()
         self.executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"compile-{self.fingerprint[:8]}"
         )
@@ -182,28 +176,40 @@ class SharedArtifacts:
         costs warm requests nothing (warm requests are answered from the
         tenant's prepared pool without ever calling this).
 
-        *scope* is the request's cancellation scope: the wrapped strategy
-        polls it between frontier generations, so an expired deadline
-        aborts the engine run right after a checkpoint — resumable, not
-        wasted.  One slot suffices because compiles per artifact set are
-        serialised by the lock.
+        Deadlines, shutdown and injected kills all cut the engine run the
+        same way: through the generation-boundary callback this method
+        builds for the run.  Before each frontier generation — after the
+        kernel checkpointed the previous one — it raises
+        :class:`~repro.serving.resilience.CompileInterrupted` once
+        :meth:`interrupt` was called or *scope* (the request's
+        cancellation scope) expired, and then runs the fault plan's
+        ``generation_fault`` hook, which may stall or raise.  An expired
+        deadline therefore aborts the run right after a checkpoint —
+        resumable, not wasted.
         """
         plan = self._fault_plan
         digest = compile_digest(query, self.fingerprint)
         with self._compile_lock:
-            self.strategy.scope = scope
-            self.strategy.fault = (
-                plan.generation_fault(digest) if plan is not None else None
+            fault = plan.generation_fault(digest) if plan is not None else None
+
+            def at_generation(generation: int) -> None:
+                if self._shutdown.is_set():
+                    raise CompileInterrupted("serving tier is shutting down")
+                if scope is not None and scope.expired():
+                    raise CompileInterrupted(
+                        "compile deadline exceeded; progress is checkpointed "
+                        "and the next request for this query will resume it"
+                    )
+                if fault is not None:
+                    fault(generation)
+
+            if plan is not None:
+                plan.before_compile(digest)
+            result, source = self.system.compile_traced(
+                query,
+                checkpoint=self.checkpoint_for(query),
+                on_generation=at_generation,
             )
-            try:
-                if plan is not None:
-                    plan.before_compile(digest)
-                result, source = self.system.compile_traced(
-                    query, checkpoint=self.checkpoint_for(query)
-                )
-            finally:
-                self.strategy.scope = None
-                self.strategy.fault = None
         if source == "engine":
             self.compiles += 1
         elif source == "store":
@@ -248,7 +254,7 @@ class SharedArtifacts:
         after the kernel persisted the previous generation's checkpoint —
         so shutdown never loses more than one generation of work.
         """
-        self.strategy.shutdown()
+        self._shutdown.set()
 
     def describe(self) -> dict:
         """The stats-endpoint view of this artifact set.
@@ -275,7 +281,6 @@ class SharedArtifacts:
             self._closed = True
         self.executor.shutdown(wait=True)
         self.system.close()
-        self.strategy.close()
 
 
 class TenantEpoch:
@@ -662,14 +667,11 @@ class TenantRegistry:
         Default execution backend name for new tenants.
     warm_limit:
         Bound on rewritings preloaded from the store per fingerprint.
-    strategy_factory:
-        Optional zero-argument callable producing the scheduling strategy
-        for each artifact set's compile engine (tests inject failing
-        strategies to simulate kills; the default is sequential).
     fault_plan:
         Optional chaos-harness fault plan (see
         :mod:`repro.serving.chaos`), threaded into every artifact set
-        (compile stalls/kills) and tenant (backend faults).
+        (compile stalls/kills at generation boundaries) and tenant
+        (backend faults).
     """
 
     def __init__(
@@ -678,7 +680,6 @@ class TenantRegistry:
         max_tenants: int | None = None,
         backend: str = "memory",
         warm_limit: int | None = DEFAULT_WARM_LIMIT,
-        strategy_factory=None,
         fault_plan=None,
         max_tracked_changes: int | None = None,
     ) -> None:
@@ -695,7 +696,6 @@ class TenantRegistry:
         self.max_tenants = max_tenants
         self._default_backend = backend
         self._warm_limit = warm_limit
-        self._strategy_factory = strategy_factory
         self._fault_plan = fault_plan
         #: Per-tenant change-log bound (``repro serve --change-log``);
         #: ``None`` keeps :data:`RelationalInstance.MAX_TRACKED_CHANGES`.
@@ -793,9 +793,6 @@ class TenantRegistry:
                 self._cache_directory / CHECKPOINT_DIRNAME
                 if self._cache_directory is not None
                 else None
-            ),
-            strategy=(
-                self._strategy_factory() if self._strategy_factory else None
             ),
             warm_limit=self._warm_limit,
             fault_plan=self._fault_plan,

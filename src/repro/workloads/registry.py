@@ -18,7 +18,7 @@ relations are internal and always empty in the stored database.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable
 
 from ..database.generator import DatabaseGenerator
 from ..database.instance import RelationalInstance
@@ -131,7 +131,3 @@ class WorkloadRegistry:
     def names(self) -> tuple[str, ...]:
         """All registered workload names."""
         return tuple(sorted(self._workloads))
-
-    def as_mapping(self) -> Mapping[str, Workload]:
-        """A read-only view of the registry."""
-        return dict(self._workloads)

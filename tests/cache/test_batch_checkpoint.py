@@ -8,6 +8,7 @@ from repro.scheduling import SequentialStrategy
 from repro.serving.tenants import SharedArtifacts
 from repro.workloads import get_workload
 
+from ..serving.conftest import OnGeneration
 from .test_checkpoint import KillingStrategy, SimulatedKill
 
 
@@ -220,8 +221,10 @@ class TestServingResumesABatchCheckpoint:
     ):
         query = workload.query("q5")
         directory = tmp_path / "checkpoints"
-        clean = CountingStrategy()
-        reference = OBDASystem(workload.theory, strategy=clean).compile(query)
+        clean = []
+        reference, _ = OBDASystem(workload.theory).compile_traced(
+            query, on_generation=clean.append
+        )
 
         with pytest.raises(SimulatedKill):
             OBDASystem(workload.theory, use_nc_pruning=True).compile_many(
@@ -229,16 +232,18 @@ class TestServingResumesABatchCheckpoint:
             )
         assert len(_checkpoints(directory)) == 1
 
-        counter = CountingStrategy()
+        generations = []
         artifacts = SharedArtifacts(
-            workload.theory, checkpoint_directory=directory, strategy=counter
+            workload.theory,
+            checkpoint_directory=directory,
+            fault_plan=OnGeneration(generations.append),
         )
         try:
             result, source = artifacts.compile_blocking(query)
         finally:
             artifacts.close()
         assert source == "engine"
-        assert counter.starts == [2]
-        assert counter.generations < clean.generations
+        assert generations[0] == 2
+        assert len(generations) < len(clean)
         assert list(result.ucq) == list(reference.ucq)
         assert _checkpoints(directory) == []

@@ -108,6 +108,47 @@ class TestKillAndResume:
             FrontierCheckpoint(tmp_path / "x.json", every=0)
 
 
+class TestGenerationCallback:
+    """``rewrite(on_generation=...)``: the kernel's generation-boundary hook."""
+
+    @pytest.fixture()
+    def workload(self):
+        return get_workload("P5")
+
+    def test_called_before_every_generation_with_its_number(
+        self, workload, clean_result
+    ):
+        seen = []
+        engine = TGDRewriter(workload.theory.tgds, use_elimination=True)
+        result = engine.rewrite(workload.query("q5"), on_generation=seen.append)
+        assert seen == list(range(8))
+        assert result.ucq.queries == clean_result.ucq.queries
+
+    def test_raising_cuts_the_run_after_the_last_checkpoint(
+        self, tmp_path, workload, clean_result
+    ):
+        def cut(generation: int) -> None:
+            if generation == 3:
+                raise SimulatedKill()
+
+        path = tmp_path / "frontier.json"
+        checkpoint = FrontierCheckpoint(path)
+        engine = TGDRewriter(workload.theory.tgds, use_elimination=True)
+        with pytest.raises(SimulatedKill):
+            engine.rewrite(workload.query("q5"), checkpoint=checkpoint, on_generation=cut)
+        assert checkpoint.saves == 3
+
+        seen = []
+        resumed = TGDRewriter(workload.theory.tgds, use_elimination=True).rewrite(
+            workload.query("q5"),
+            checkpoint=FrontierCheckpoint(path),
+            on_generation=seen.append,
+        )
+        # The resumed run starts at the generation the cut stopped.
+        assert seen == [3, 4, 5, 6, 7]
+        assert resumed.ucq.queries == clean_result.ucq.queries
+
+
 class TestForQuery:
     """One file name per (fingerprint, canonical key), whoever compiles."""
 

@@ -10,7 +10,6 @@ from repro.scheduling import (
     create_strategy,
     strategy_names,
 )
-from repro.serving.resilience import InterruptibleStrategy
 from repro.serving.tenants import SharedArtifacts
 from repro.workloads.stock_exchange_example import running_query, theory
 
@@ -129,21 +128,12 @@ class TestByteIdentity:
 
 
 class TestIntegrationSeams:
-    def test_interruptible_wrapper_forwards_begin_run(self):
-        inner = AutoStrategy()
-        wrapper = InterruptibleStrategy(inner)
-        try:
-            wrapper.begin_run(_StubEngine(fan_out=17), None, generation=2)
-            assert inner._fan_out == 17
-            assert inner._generation == 2
-        finally:
-            wrapper.close()
-
     def test_serving_tier_compiles_sequentially(self):
         artifacts = SharedArtifacts(theory())
         try:
-            assert isinstance(artifacts.strategy, InterruptibleStrategy)
-            assert isinstance(artifacts.strategy.inner, SequentialStrategy)
+            # The artifact set's engine keeps its default strategy.
+            strategy = artifacts.system._rewriter.strategy
+            assert type(strategy) is SequentialStrategy
         finally:
             artifacts.release()
 

@@ -106,7 +106,8 @@ class TestCoverageConditions:
         # σA : p(X, Y) -> ∃W r(X, W) and σB : p(X, Y) -> ∃W r(W, Y).
         # Each shared term of r(A, B) individually reaches its position, but
         # no single chain carries both, and indeed chase({p(a,b)}) contains no
-        # atom r(a, b) — so coverage must NOT hold (see DESIGN.md).
+        # atom r(a, b) — so coverage must NOT hold (see the docstring of
+        # repro.core.coverage).
         rules = [
             tgd(Atom.of("p", X, Y), Atom.of("r", X, W)),
             tgd(Atom.of("p", X, Y), Atom.of("r", W, Y)),

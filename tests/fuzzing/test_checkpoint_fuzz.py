@@ -15,7 +15,6 @@ from repro.cache.checkpoint import FrontierCheckpoint
 from repro.cache.serialization import result_to_json
 from repro.core.rewriter import TGDRewriter
 from repro.fuzzing.generator import FRAGMENTS, GeneratorConfig, WorkloadGenerator
-from repro.fuzzing.oracle import GenerationCountingStrategy
 from tests.cache.test_checkpoint import KillingStrategy, SimulatedKill
 
 #: How many generated theories the gate replays.
@@ -37,10 +36,12 @@ def _interruptible_cases():
         fragment = FRAGMENTS[index % len(FRAGMENTS)]
         config = GeneratorConfig(fragment=fragment)
         case = WorkloadGenerator(seed=23, config=config).case(index)
-        counting = GenerationCountingStrategy()
-        clean = TGDRewriter(case.theory.tgds).rewrite(case.query, strategy=counting)
-        if counting.generations >= 2:
-            found.append((case, clean, counting.generations))
+        generations = []
+        clean = TGDRewriter(case.theory.tgds).rewrite(
+            case.query, on_generation=generations.append
+        )
+        if len(generations) >= 2:
+            found.append((case, clean, len(generations)))
         if len(found) == _THEORIES:
             return found
     raise AssertionError(

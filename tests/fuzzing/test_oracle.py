@@ -10,7 +10,74 @@ from repro.fuzzing.oracle import (
     answer_diff,
     format_answer_diff,
 )
+from repro.queries.containment import is_contained_in
 from repro.queries.ucq import UnionOfConjunctiveQueries
+
+#: Seed-42 cases the planted-bug tests search for one to expose it on.
+PLANTED_BUG_CASES = 20
+
+
+def uncontained_member(ucq: UnionOfConjunctiveQueries) -> int | None:
+    """Position of the last member of *ucq* that no other member contains.
+
+    ``None`` when *ucq* has fewer than two members or every member is
+    contained in another one.
+    """
+    members = ucq.queries
+    if len(members) < 2:
+        return None
+    for position in reversed(range(len(members))):
+        others = members[:position] + members[position + 1 :]
+        if not any(is_contained_in(members[position], other) for other in others):
+            return position
+    return None
+
+
+def drop_uncontained_member(ucq: UnionOfConjunctiveQueries):
+    """The planted bug: drop :func:`uncontained_member` from the rewriting.
+
+    An unsound rewriting that loses certain answers but stays
+    deterministic.
+    """
+    position = uncontained_member(ucq)
+    if position is None:
+        return ucq
+    members = ucq.queries
+    return UnionOfConjunctiveQueries(members[:position] + members[position + 1 :])
+
+
+def exposing_case(index: int):
+    """Seed-42 case *index* with facts that expose the planted bug, or ``None``.
+
+    The facts are the canonical database of the member the bug drops
+    (``ConjunctiveQuery.freeze``).  On it that member returns its frozen
+    head, a certain answer, which the depth-bounded chase derives.  Any
+    other member returns that tuple only if it contains the dropped
+    member, and none does.  So the mutated rewriting misses a certain
+    answer and the chase oracle fails the case, whatever the generator
+    draws.
+    """
+    case = WorkloadGenerator(seed=42).case(index)
+    ucq = TGDRewriter(case.theory.tgds).rewrite(case.query).ucq
+    position = uncontained_member(ucq)
+    if position is None:
+        return None
+    facts, _ = ucq.queries[position].freeze()
+    return case.with_facts(facts)
+
+
+def first_exposing_case(buggy: DifferentialOracle):
+    """The first of :data:`PLANTED_BUG_CASES` exposing cases, and its verdict."""
+    for index in range(PLANTED_BUG_CASES):
+        case = exposing_case(index)
+        if case is None:
+            continue
+        verdict = buggy.check(case)
+        if not verdict.ok:
+            return case, verdict
+    pytest.fail(
+        f"no generated case exposed the planted bug in {PLANTED_BUG_CASES} tries"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -37,25 +104,16 @@ class TestCleanCases:
 
 
 class TestPlantedBug:
-    def _mutator(self, ucq: UnionOfConjunctiveQueries):
-        # Drop the last CQ of any multi-CQ rewriting: an unsound
-        # rewriting that loses certain answers but stays deterministic.
-        queries = list(ucq.queries)
-        if len(queries) > 1:
-            queries = queries[:-1]
-        return UnionOfConjunctiveQueries(queries)
+    """The chase oracle catches a rewriting that lost a member.
 
-    def _failing_case(self, buggy):
-        for index in range(20):
-            case = WorkloadGenerator(seed=42).case(index)
-            verdict = buggy.check(case)
-            if not verdict.ok:
-                return case, verdict
-        pytest.fail("no generated case exposed the planted bug in 20 tries")
+    Each case is built to expose the bug (see :func:`exposing_case`), so
+    the first seed-42 case whose rewriting has a member to drop is
+    caught, whatever the generator draws.
+    """
 
     def test_chase_oracle_catches_dropped_cq(self):
-        buggy = DifferentialOracle(rewriting_mutator=self._mutator)
-        case, verdict = self._failing_case(buggy)
+        buggy = DifferentialOracle(rewriting_mutator=drop_uncontained_member)
+        case, verdict = first_exposing_case(buggy)
         assert any(f.oracle == "chase" for f in verdict.failures), (
             verdict.summary()
         )
@@ -66,8 +124,8 @@ class TestPlantedBug:
         assert DifferentialOracle().check(case).ok
 
     def test_failure_predicate_reports_planted_bug(self):
-        buggy = DifferentialOracle(rewriting_mutator=self._mutator)
-        case, _ = self._failing_case(buggy)
+        buggy = DifferentialOracle(rewriting_mutator=drop_uncontained_member)
+        case, _ = first_exposing_case(buggy)
         failure = buggy.failure(case)
         assert failure is not None and failure.oracle == "chase"
 

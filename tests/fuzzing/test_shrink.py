@@ -10,28 +10,25 @@ from repro.fuzzing.shrink import (
     shrink_case,
     write_repro,
 )
-from repro.queries.ucq import UnionOfConjunctiveQueries
 
-
-def _drop_last_cq(ucq: UnionOfConjunctiveQueries):
-    queries = list(ucq.queries)
-    if len(queries) > 1:
-        queries = queries[:-1]
-    return UnionOfConjunctiveQueries(queries)
+from .test_oracle import drop_uncontained_member, first_exposing_case
 
 
 @pytest.fixture(scope="module")
 def buggy_oracle():
-    return DifferentialOracle(rewriting_mutator=_drop_last_cq)
+    return DifferentialOracle(rewriting_mutator=drop_uncontained_member)
 
 
 @pytest.fixture(scope="module")
 def failing_case(buggy_oracle):
-    for index in range(20):
-        case = WorkloadGenerator(seed=42).case(index)
-        if buggy_oracle.failure(case) is not None:
-            return case
-    pytest.fail("no generated case exposed the planted bug in 20 tries")
+    """A case built to expose the planted bug (see ``exposing_case``).
+
+    Its first failure must be the chase oracle's, so the shrinker is
+    exercised on the failure the planted bug is meant to cause.
+    """
+    case, verdict = first_exposing_case(buggy_oracle)
+    assert verdict.failures[0].oracle == "chase", verdict.summary()
+    return case
 
 
 class TestShrinking:

@@ -123,13 +123,14 @@ class TestParallelServingSemantics:
         query = workload.query("q5")
         variant = query.rename_variables(prefix="VV")
         counter = CountingStrategy()
+        system = OBDASystem(workload.theory, cache=tmp_path)
         if explicit_strategy:
-            system = OBDASystem(workload.theory, cache=tmp_path)
             first, second = system.compile_many(
                 [query, variant], workers=1, strategy=counter
             )
         else:
-            system = OBDASystem(workload.theory, cache=tmp_path, strategy=counter)
+            # The engine's own strategy runs when the batch names none.
+            system._rewriter._strategy = counter
             first, second = system.compile_many([query, variant], workers=1)
         assert counter.runs == 1
         assert second.statistics.persistent_cache_hits == 1
@@ -280,15 +281,11 @@ class TestIntraQueryInvariance:
             workload.theory, use_nc_pruning=False, cache=sequential_dir
         ).compile_many(queries, workers=1)
 
-        system_dir = tmp_path / "system-strategy"
+        threaded_dir = tmp_path / "threaded"
         with OBDASystem(
-            workload.theory,
-            use_nc_pruning=False,
-            cache=system_dir,
-            strategy="threaded",
+            workload.theory, use_nc_pruning=False, cache=threaded_dir
         ) as system:
-            for query in queries:
-                system.compile(query)
-        assert (system_dir / "rewritings.jsonl").read_bytes() == (
+            system.compile_many(queries, strategy="threaded")
+        assert (threaded_dir / "rewritings.jsonl").read_bytes() == (
             sequential_dir / "rewritings.jsonl"
         ).read_bytes()

@@ -10,7 +10,8 @@ relies on: on ≥100 :class:`~repro.fuzzing.WorkloadGenerator` triples per
 fragment (linear, sticky, sticky-join) the flat and reference
 implementations must agree exactly —
 
-* canonical fingerprints are byte-identical,
+* canonical fingerprints are byte-identical, and so are the variable
+  colourings they are built from,
 * homomorphism enumerations yield the same mappings in the same order
   (hence identical verdicts), and
 * MGUs are equal substitutions (including the non-unifiable verdict).
@@ -40,6 +41,8 @@ from repro.fuzzing import FRAGMENTS, GeneratorConfig, WorkloadGenerator
 from repro.logic.canonical import (
     canonical_fingerprint,
     canonical_fingerprint_reference,
+    refine_variable_colors,
+    refine_variable_colors_reference,
 )
 from repro.logic.flat import FlatQuery, encode_query
 from repro.scheduling import SequentialStrategy
@@ -75,6 +78,9 @@ class TestFlatAgreement:
     def test_canonical_keys_byte_identical(self, fragment):
         for query in corpus(fragment):
             assert canonical_fingerprint(query) == canonical_fingerprint_reference(
+                query
+            )
+            assert refine_variable_colors(query) == refine_variable_colors_reference(
                 query
             )
 

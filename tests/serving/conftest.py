@@ -11,10 +11,11 @@ a plain ``asyncio.run`` via the ``serve`` helper.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
-from repro.serving import ServingApp
+from repro.serving import FaultPlan, ServingApp
 
 #: A small university-shaped DL-Lite TBox (textual syntax): enough
 #: hierarchy for multi-CQ rewritings, cheap enough to compile in
@@ -34,6 +35,39 @@ FACTS = [
     ["attends", ["bob", "cs101"]],
     ["Professor", ["eve"]],
 ]
+
+
+class OnGeneration(FaultPlan):
+    """A fault plan whose one fault is *hook*, run at every generation boundary.
+
+    A serving compile calls ``hook(generation)`` before the engine drains
+    each frontier generation, after its deadline and shutdown checks,
+    with the number of generations already drained: a hook that sleeps
+    makes a slow compile, one that waits holds it, one that raises fails
+    or kills it.
+    """
+
+    def __init__(self, hook) -> None:
+        super().__init__()
+        self._hook = hook
+
+    def generation_fault(self, digest: str):
+        return self._hook
+
+
+def slow_generations(delay: float) -> OnGeneration:
+    """Sleep *delay* seconds before each frontier generation."""
+    return OnGeneration(lambda generation: time.sleep(delay))
+
+
+def held_generations(started, release) -> OnGeneration:
+    """Set *started*, then hold each generation until *release* is set."""
+
+    def hold(generation: int) -> None:
+        started.set()
+        assert release.wait(timeout=30.0), "the held compile was never released"
+
+    return OnGeneration(hold)
 
 
 def serve(coroutine_function, *args, **kwargs):

@@ -45,9 +45,9 @@ class TestFaultPlan:
         plan.arm()
         hook = plan.generation_fault("digest")
         assert hook is not None
-        hook()  # generation 1: the checkpointable prefix survives
+        hook(0)  # generation 1: the checkpointable prefix survives
         with pytest.raises(ChaosKill):
-            hook()  # generation 2: the injected crash
+            hook(1)  # generation 2: the injected crash
         assert plan.injected["kill"] == 1
         assert plan.generation_fault("digest") is None  # out of kills
 

@@ -5,10 +5,9 @@ import threading
 
 import pytest
 
-from repro.scheduling import SequentialStrategy
 from repro.serving import ServingApp, SingleFlight
 
-from .conftest import register, serve
+from .conftest import held_generations, register, serve
 
 
 class TestSingleFlightUnit:
@@ -128,9 +127,7 @@ class TestServingCoalescing:
         release = threading.Event()
 
         async def body():
-            app = ServingApp(
-                strategy_factory=lambda: GatedStrategy(started, release)
-            )
+            app = ServingApp(fault_plan=held_generations(started, release))
             try:
                 await register(app, "acme")
                 query = {"tenant": "acme", "query": "q(A) :- Person(A)"}
@@ -211,28 +208,14 @@ class TestServingCoalescing:
         serve(body)
 
 
-class GatedStrategy(SequentialStrategy):
-    """Blocks every expansion until released — a compile held mid-flight."""
-
-    def __init__(self, started: threading.Event, release: threading.Event):
-        self._started = started
-        self._release = release
-
-    def expand_generation(self, engine, batch):
-        self._started.set()
-        assert self._release.wait(timeout=30), "starvation test deadlocked"
-        return super().expand_generation(engine, batch)
-
-
 class TestNoStarvation:
     def test_slow_compile_does_not_block_warm_answers(self):
         """Warm answers on other queries flow while a compile is stuck."""
         started = threading.Event()
         release = threading.Event()
-        strategies = iter([GatedStrategy(started, release), None])
 
         async def body():
-            app = ServingApp(strategy_factory=lambda: next(strategies))
+            app = ServingApp(fault_plan=held_generations(started, release))
             try:
                 await register(app, "acme")
                 warm_query = {"tenant": "acme", "query": "q(A) :- Person(A)"}

@@ -12,28 +12,25 @@ from __future__ import annotations
 
 import sqlite3
 
-from repro.scheduling import SequentialStrategy
 from repro.serving import FaultPlan, ServingApp
 from repro.serving.app import ServingError, ServingResponse
 from repro.serving.http import _encode_response
 from repro.serving.resilience import ResilienceConfig
 
-from .conftest import register, serve
+from .conftest import OnGeneration, register, serve
 
 QUERY = {"tenant": "acme", "query": "q(A) :- Person(A)"}
 
 
-class BrokenStrategy(SequentialStrategy):
+def broken(generation: int) -> None:
     """Deterministically fails every engine run."""
-
-    def expand_generation(self, engine, batch):
-        raise RuntimeError("deterministic compile breakage")
+    raise RuntimeError("deterministic compile breakage")
 
 
 class TestClassifiedCodes:
     def test_compile_failure_is_500_compile_failed(self):
         async def body():
-            app = ServingApp(strategy_factory=BrokenStrategy)
+            app = ServingApp(fault_plan=OnGeneration(broken))
             try:
                 await register(app, "acme")
                 response = await app.request("POST", "/answer", QUERY)

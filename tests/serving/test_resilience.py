@@ -15,7 +15,6 @@ import asyncio
 import threading
 import time
 
-from repro.scheduling import SequentialStrategy
 from repro.serving import ServingApp
 from repro.serving.resilience import (
     CancelScope,
@@ -28,50 +27,30 @@ from repro.serving.resilience import (
 )
 from repro.serving.tenants import CHECKPOINT_DIRNAME
 
-from .conftest import register, serve
-from .test_restart import CountingStrategy
+from .conftest import (
+    OnGeneration,
+    held_generations,
+    register,
+    serve,
+    slow_generations,
+)
 
 import pytest
 
 QUERY = {"tenant": "acme", "query": "q(A) :- Person(A)"}
 
 
-class SleepyStrategy(SequentialStrategy):
-    """Sleeps before each frontier generation (a slow compile)."""
-
-    def __init__(self, delay: float) -> None:
-        self._delay = delay
-
-    def expand_generation(self, engine, batch):
-        time.sleep(self._delay)
-        return super().expand_generation(engine, batch)
-
-
-class FlakyStrategy(SequentialStrategy):
+class Flaky:
     """Fails the first N engine runs, then behaves."""
 
     def __init__(self, failures: int) -> None:
         self._failures = failures
         self._failed_runs = 0
 
-    def expand_generation(self, engine, batch):
+    def __call__(self, generation: int) -> None:
         if self._failed_runs < self._failures:
             self._failed_runs += 1
             raise RuntimeError("flaky compile backend")
-        return super().expand_generation(engine, batch)
-
-
-class GatedStrategy(SequentialStrategy):
-    """Blocks the first generation until the test releases it."""
-
-    def __init__(self, started: threading.Event, release: threading.Event) -> None:
-        self._started = started
-        self._release = release
-
-    def expand_generation(self, engine, batch):
-        self._started.set()
-        assert self._release.wait(timeout=30.0)
-        return super().expand_generation(engine, batch)
 
 
 class TestDeadline:
@@ -231,7 +210,7 @@ class TestCompileTimeout:
             # before the deadline fires.
             slow = ServingApp(
                 cache=str(tmp_path),
-                strategy_factory=lambda: SleepyStrategy(0.15),
+                fault_plan=slow_generations(0.15),
                 resilience=ResilienceConfig(compile_timeout=0.25),
             )
             try:
@@ -245,8 +224,8 @@ class TestCompileTimeout:
             assert self._checkpoints(tmp_path), "504 must leave a checkpoint"
 
             # A fresh compile of the same query costs this many generations...
-            fresh_counter = CountingStrategy()
-            fresh = ServingApp(strategy_factory=lambda: fresh_counter)
+            fresh_generations = []
+            fresh = ServingApp(fault_plan=OnGeneration(fresh_generations.append))
             try:
                 await register(fresh, "acme")
                 reference = await fresh.request("POST", "/answer", QUERY)
@@ -256,18 +235,18 @@ class TestCompileTimeout:
 
             # ...and the retry over the same cache resumes from the
             # checkpoint: same answers, strictly fewer generations.
-            resumed_counter = CountingStrategy()
+            resumed_generations = []
             resumed = ServingApp(
                 cache=str(tmp_path),
                 warm_limit=0,
-                strategy_factory=lambda: resumed_counter,
+                fault_plan=OnGeneration(resumed_generations.append),
             )
             try:
                 await register(resumed, "acme")
                 retry = await resumed.request("POST", "/answer", QUERY)
                 assert retry.ok, retry.payload
                 assert retry.payload["answers"] == reference.payload["answers"]
-                assert 0 < resumed_counter.generations < fresh_counter.generations
+                assert 0 < len(resumed_generations) < len(fresh_generations)
             finally:
                 await resumed.aclose()
 
@@ -275,7 +254,7 @@ class TestCompileTimeout:
 
     def test_deadline_header_tightens_the_budget(self):
         async def body():
-            app = ServingApp(strategy_factory=lambda: SleepyStrategy(0.2))
+            app = ServingApp(fault_plan=slow_generations(0.2))
             try:
                 await register(app, "acme")
                 response = await app.request(
@@ -360,7 +339,7 @@ class TestLoadShedding:
         async def body():
             started, release = threading.Event(), threading.Event()
             app = ServingApp(
-                strategy_factory=lambda: GatedStrategy(started, release),
+                fault_plan=held_generations(started, release),
                 resilience=ResilienceConfig(
                     max_inflight_compiles=1, shed_retry_after=0.25
                 ),
@@ -408,7 +387,7 @@ class TestLoadShedding:
         async def body():
             started, release = threading.Event(), threading.Event()
             app = ServingApp(
-                strategy_factory=lambda: GatedStrategy(started, release),
+                fault_plan=held_generations(started, release),
                 resilience=ResilienceConfig(queue_depth=2),
             )
             try:
@@ -466,7 +445,7 @@ class TestBreakerIntegration:
     def test_deterministic_failures_trip_probe_and_recover(self):
         async def body():
             app = ServingApp(
-                strategy_factory=lambda: FlakyStrategy(failures=2),
+                fault_plan=OnGeneration(Flaky(failures=2)),
                 resilience=ResilienceConfig(
                     breaker_threshold=2,
                     breaker_base_delay=0.05,
@@ -487,7 +466,7 @@ class TestBreakerIntegration:
                 assert rejected.payload["error"]["retry_after"] >= 0
 
                 # After the backoff window a half-open probe runs for real;
-                # the strategy has recovered, so it closes the circuit.
+                # the flaky hook has recovered, so it closes the circuit.
                 await asyncio.sleep(0.12)
                 recovered = await app.request("POST", "/answer", QUERY)
                 assert recovered.ok, recovered.payload

@@ -10,11 +10,10 @@ of the kill-and-resume contract in ``tests/cache/test_checkpoint.py``.
 
 import pytest
 
-from repro.scheduling import SequentialStrategy
 from repro.serving import ServingApp
 from repro.serving.tenants import CHECKPOINT_DIRNAME
 
-from .conftest import register, serve
+from .conftest import OnGeneration, register, serve
 
 QUERY = {"tenant": "acme", "query": "q(A) :- Person(A)"}
 
@@ -23,29 +22,14 @@ class SimulatedKill(Exception):
     """Stands in for SIGKILL: aborts the compile between generations."""
 
 
-class KillingStrategy(SequentialStrategy):
-    """Dies after N completed frontier generations."""
+def kill_after(generations: int):
+    """A generation hook that kills the compile once N generations are done."""
 
-    def __init__(self, after_generations: int) -> None:
-        self._after = after_generations
-        self._count = 0
-
-    def expand_generation(self, engine, batch):
-        self._count += 1
-        if self._count > self._after:
+    def kill(generation: int) -> None:
+        if generation >= generations:
             raise SimulatedKill()
-        return super().expand_generation(engine, batch)
 
-
-class CountingStrategy(SequentialStrategy):
-    """Counts frontier generations (to prove a resume skipped some)."""
-
-    def __init__(self) -> None:
-        self.generations = 0
-
-    def expand_generation(self, engine, batch):
-        self.generations += 1
-        return super().expand_generation(engine, batch)
+    return kill
 
 
 class TestRestartWarm:
@@ -158,8 +142,7 @@ class TestKillAndResume:
     def test_killed_compile_leaves_a_checkpoint_and_returns_500(self, tmp_path):
         async def body():
             app = ServingApp(
-                cache=str(tmp_path),
-                strategy_factory=lambda: KillingStrategy(1),
+                cache=str(tmp_path), fault_plan=OnGeneration(kill_after(1))
             )
             try:
                 await register(app, "acme")
@@ -177,8 +160,7 @@ class TestKillAndResume:
         async def body():
             # Run 1: die after one frontier generation, mid-compile.
             crashed = ServingApp(
-                cache=str(tmp_path),
-                strategy_factory=lambda: KillingStrategy(1),
+                cache=str(tmp_path), fault_plan=OnGeneration(kill_after(1))
             )
             await register(crashed, "acme")
             assert (await crashed.request("POST", "/answer", QUERY)).status == 500
@@ -186,26 +168,28 @@ class TestKillAndResume:
             assert len(self._checkpoints(tmp_path)) == 1
 
             # Reference: generations of an uninterrupted compile.
-            fresh_counter = CountingStrategy()
-            fresh = ServingApp(strategy_factory=lambda: fresh_counter)
+            fresh_generations = []
+            fresh = ServingApp(fault_plan=OnGeneration(fresh_generations.append))
             await register(fresh, "acme")
             reference = await fresh.request("POST", "/answer", QUERY)
             assert reference.status == 200
             await fresh.aclose()
 
-            # Run 2: same cache directory, healthy strategy.  The compile
-            # must resume past the checkpointed generation, produce the
-            # same answers, and consume the checkpoint file.
-            resumed_counter = CountingStrategy()
+            # Run 2: same cache directory, no kill.  The compile must
+            # resume past the checkpointed generation, produce the same
+            # answers, and consume the checkpoint file.
+            resumed_generations = []
             recovered = ServingApp(
-                cache=str(tmp_path), strategy_factory=lambda: resumed_counter
+                cache=str(tmp_path),
+                fault_plan=OnGeneration(resumed_generations.append),
             )
             try:
                 await register(recovered, "acme")
                 response = await recovered.request("POST", "/answer", QUERY)
                 assert response.status == 200
                 assert response.payload["answers"] == reference.payload["answers"]
-                assert resumed_counter.generations < fresh_counter.generations
+                assert resumed_generations[0] == 1
+                assert len(resumed_generations) < len(fresh_generations)
                 assert self._checkpoints(tmp_path) == []
             finally:
                 await recovered.aclose()
@@ -228,15 +212,16 @@ class TestKillAndResume:
         """One tenant's compile crash is that request's 500, not an outage."""
 
         async def body():
-            strategies = iter([KillingStrategy(1)])
+            killed = []
 
-            def factory():
-                try:
-                    return next(strategies)
-                except StopIteration:
-                    return None
+            def kill_once(generation: int) -> None:
+                # acme's compile dies after one generation; beta's, the
+                # next run, compiles undisturbed.
+                if generation >= 1 and not killed:
+                    killed.append(generation)
+                    raise SimulatedKill()
 
-            app = ServingApp(cache=str(tmp_path), strategy_factory=factory)
+            app = ServingApp(cache=str(tmp_path), fault_plan=OnGeneration(kill_once))
             try:
                 await register(app, "acme")
                 assert (await app.request("POST", "/answer", QUERY)).status == 500

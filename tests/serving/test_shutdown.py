@@ -13,24 +13,12 @@ import asyncio
 import threading
 import time
 
-from repro.scheduling import SequentialStrategy
 from repro.serving import ServingApp
 from repro.serving.tenants import CHECKPOINT_DIRNAME
 
-from .conftest import register, serve
+from .conftest import register, serve, slow_generations
 
 QUERY = {"tenant": "acme", "query": "q(A) :- Person(A)"}
-
-
-class SleepyStrategy(SequentialStrategy):
-    """Sleeps before each frontier generation (a slow compile)."""
-
-    def __init__(self, delay: float) -> None:
-        self._delay = delay
-
-    def expand_generation(self, engine, batch):
-        time.sleep(self._delay)
-        return super().expand_generation(engine, batch)
 
 
 def _executor_threads() -> list[str]:
@@ -46,10 +34,7 @@ class TestShutdownUnderLoad:
         self, tmp_path
     ):
         async def body():
-            app = ServingApp(
-                cache=str(tmp_path),
-                strategy_factory=lambda: SleepyStrategy(0.1),
-            )
+            app = ServingApp(cache=str(tmp_path), fault_plan=slow_generations(0.1))
             await register(app, "acme")
             inflight = asyncio.ensure_future(app.request("POST", "/answer", QUERY))
             # Let at least one generation finish (and checkpoint).
@@ -67,8 +52,7 @@ class TestShutdownUnderLoad:
         async def body():
             generation = 0.2
             app = ServingApp(
-                cache=str(tmp_path),
-                strategy_factory=lambda: SleepyStrategy(generation),
+                cache=str(tmp_path), fault_plan=slow_generations(generation)
             )
             await register(app, "acme")
             inflight = asyncio.ensure_future(app.request("POST", "/answer", QUERY))
