@@ -37,8 +37,8 @@ answer-smoke:
 	$(REPRO) answer --workload S --backend both --repeat 2
 
 # Strategy-equality gate: the StockExchange rewritings must be identical
-# (sizes + canonical keys + members) under sequential and threaded
-# frontier scheduling.
+# (sizes + canonical keys + members) expanded sequentially and through a
+# threaded strategy passed to each run (rewrite(query, strategy=s)).
 strategy-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) \
 	    benchmarks/smoke.py strategy
@@ -81,8 +81,9 @@ subscribe-smoke:
 chaos-smoke:
 	$(REPRO) chaos --seed 0 --cases 6 --quiet
 
-# Perf gate (seconds, not minutes), five checks: (1) strategy="auto"
-# compiles the running example to the sequential bytes; (2) the
+# Perf gate (seconds, not minutes), five checks: (1) the running example
+# rewritten through an auto strategy passed to each run
+# (rewrite(query, strategy=auto)) gives the sequential bytes; (2) the
 # tuple-encoded canonical-key kernel gives the reference's keys and
 # executes no more bytecode than the reference (counted, not timed);
 # (3) P5 under TGD-rewrite* compiles to the same rewritings with

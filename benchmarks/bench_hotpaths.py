@@ -20,11 +20,12 @@ implementations must produce byte-identical canonical keys, the same
 found/not-found verdicts and first homomorphisms, and equal MGUs — the
 document records the flags and any mismatch aborts the run.
 
-A second section measures the ``strategy="auto"`` autotuner against the
-sequential baseline on full workload compilations and records the hard
-invariant the tuner promises: auto never loses to sequential by more
-than :data:`repro.scheduling.AutoStrategy.EPSILON`, and the rewritings
-are byte-identical.
+A second section measures the ``auto`` scheduling strategy, passed to
+each run as ``rewrite(query, strategy=auto)``, against sequential
+expansion on full workload compilations and records the hard invariant
+the tuner promises: auto never loses to sequential by more than
+:data:`repro.scheduling.AutoStrategy.EPSILON`, and the rewritings are
+byte-identical.
 
 The script is import-safe for test collectors; it only runs under
 ``python benchmarks/bench_hotpaths.py``.
@@ -225,22 +226,22 @@ def _bench_auto(repeats: int) -> dict:
         workload = get_workload(name)
         queries = [workload.query(q) for q in workload.query_names]
 
-        def compile_with(strategy_name):
-            engine = TGDRewriter(workload.theory.tgds, strategy=strategy_name)
-            try:
-                return [engine.rewrite(query) for query in queries]
-            finally:
-                engine.strategy.close()
+        def compile_sequentially():
+            engine = TGDRewriter(workload.theory.tgds)
+            return [engine.rewrite(query) for query in queries]
 
-        sequential_results = compile_with("sequential")
-        auto_results = compile_with("auto")
+        def compile_with_auto():
+            engine = TGDRewriter(workload.theory.tgds)
+            with AutoStrategy() as auto:
+                return [engine.rewrite(query, strategy=auto) for query in queries]
+
+        sequential_results = compile_sequentially()
+        auto_results = compile_with_auto()
         identical = [list(a.ucq) for a in auto_results] == [
             list(s.ucq) for s in sequential_results
         ]
-        sequential_seconds = _best_of(
-            lambda: compile_with("sequential"), repeats
-        )
-        auto_seconds = _best_of(lambda: compile_with("auto"), repeats)
+        sequential_seconds = _best_of(compile_sequentially, repeats)
+        auto_seconds = _best_of(compile_with_auto, repeats)
         per_workload[name] = {
             "sequential_seconds": round(sequential_seconds, 4),
             "auto_seconds": round(auto_seconds, 4),

@@ -11,11 +11,12 @@ trajectory of the repository is tracked by artifacts instead of prose:
 * batch wall-clock and speedup for the parallel run, plus the two
   invariants that make the speedup trustworthy: identical sizes and
   byte-identical stores under every worker count;
-* the **intra-query axis**: the slowest ontology recompiled through
-  ``compile_many(queries, workers=N, strategy=...)`` with its frontier
-  generations split across the pool
-  (:class:`repro.scheduling.ChunkedProcessStrategy`), together with the
-  per-query granularity ceiling (``ontology total / slowest query``)
+* the **intra-query axis**: the slowest ontology recompiled query by
+  query as ``rewrite(query, strategy=chunked)``, its frontier
+  generations split across a pool of N processes
+  (:class:`repro.scheduling.ChunkedProcessStrategy`, a test instrument
+  that no compile path uses), and stored in input order, together with
+  the per-query granularity ceiling (``ontology total / slowest query``)
   that intra-query scheduling exists to break — with few cores the
   recorded speedups fall below 1, so read them alongside the recorded
   ``cpu_count``;
@@ -45,8 +46,11 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.api import OBDASystem  # noqa: E402
+from repro.api import OBDASystem, resolve_engine_options  # noqa: E402
+from repro.cache.store import RewritingStore  # noqa: E402
+from repro.core.rewriter import TGDRewriter  # noqa: E402
 from repro.parallel import compile_workloads, resolve_workers  # noqa: E402
+from repro.scheduling import ChunkedProcessStrategy  # noqa: E402
 from repro.workloads import get_workload  # noqa: E402
 
 WORKLOADS = ("V", "S", "U", "A", "P5")
@@ -168,25 +172,26 @@ def run(workers: int | None, use_elimination: bool) -> dict:
         ceiling = (
             slowest_sequential / slowest_query if slowest_query > 0 else None
         )
-        from repro.scheduling import ChunkedProcessStrategy  # noqa: E402
-
+        # The engine and fingerprint of the sequential run's system.
         workload = get_workload(slowest)
-        intra_root = scratch / "intra"
-        system = OBDASystem(
-            workload.theory,
-            use_elimination=use_elimination,
-            use_nc_pruning=False,
-            cache=intra_root / slowest,
+        options = resolve_engine_options(
+            workload.theory, use_elimination=use_elimination, use_nc_pruning=False
         )
-        strategy = ChunkedProcessStrategy(workers=workers)
+        engine = TGDRewriter(
+            workload.theory,
+            use_elimination=options.use_elimination,
+            use_nc_pruning=options.use_nc_pruning,
+        )
+        intra_root = scratch / "intra"
+        store = RewritingStore(intra_root / slowest)
         queries = [workload.query(q) for q in workload.query_names]
         started = time.perf_counter()
-        try:
-            intra_results = system.compile_many(
-                queries, workers=workers, strategy=strategy
-            )
-        finally:
-            strategy.close()
+        with ChunkedProcessStrategy(workers=workers) as strategy:
+            intra_results = [
+                engine.rewrite(query, strategy=strategy) for query in queries
+            ]
+        for query, result in zip(queries, intra_results):
+            store.put(query, options.fingerprint, result)
         intra_total = time.perf_counter() - started
         document["intra_query"] = {
             "ontology": slowest,

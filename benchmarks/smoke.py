@@ -5,10 +5,10 @@ exits 1 if any failed.  A few seconds each, so ``make strategy-smoke
 serve-smoke subscribe-smoke perf-smoke`` gate every CI run.
 
 ``strategy``
-    Workload S (TGD-rewrite*) compiled under the sequential and the
-    threaded(4) strategy must give identical rewritings.  Threads share
-    one engine, so any order-dependence in the frontier kernel's merge
-    shows up here.  The exhaustive matrix is
+    Workload S (TGD-rewrite*) compiled sequentially and through a
+    threaded(4) strategy passed to each run must give identical
+    rewritings.  Threads share one engine, so any order-dependence in
+    the frontier kernel's merge shows up here.  The exhaustive matrix is
     ``tests/integration/test_strategy_determinism.py``.
 ``serve``
     A workload-S tenant behind a real socket.  :data:`QUERY` answered
@@ -25,8 +25,9 @@ serve-smoke subscribe-smoke perf-smoke`` gate every CI run.
     byte-identical to a fresh ``/answer``; a repeat poll is empty; after
     unsubscribing, a poll is a 404.
 ``perf``
-    1. ``strategy="auto"`` compiles the paper's running example and the
-       Figure 1 queries to the sequential rewritings.
+    1. The running example and the Figure 1 queries, each rewritten
+       through an ``auto`` strategy (``rewrite(query, strategy=auto)``),
+       give the sequential rewritings.
     2. The flat canonical-key kernel gives the reference kernel's keys and
        executes no more bytecode than the reference doing so
        (:func:`executed_bytecode`).
@@ -61,6 +62,7 @@ import json
 import random
 import sys
 import traceback
+from functools import partial
 from pathlib import Path
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -186,17 +188,18 @@ def example_queries() -> list:
     ]
 
 
-def compare(check, label: str, queries, engines: dict) -> list:
-    """The rewriting-identity check of two engines, one line per query.
+def compare(check, label: str, queries, rewriters: dict) -> list:
+    """The rewriting-identity check of two rewrite functions, one line per query.
 
-    *engines* maps a display name to each engine, the reference first.
-    Identical means the same size, the same canonical keys and the same
-    members in the same order.  Returns each query's pair of results.
+    *rewriters* maps a display name to each function ``query -> result``,
+    the reference first.  Identical means the same size, the same
+    canonical keys and the same members in the same order.  Returns each
+    query's pair of results.
     """
-    (base_name, base), (other_name, other) = engines.items()
+    (base_name, base), (other_name, other) = rewriters.items()
     results = []
     for name, query in queries:
-        expected, actual = base.rewrite(query), other.rewrite(query)
+        expected, actual = base(query), other(query)
         results.append((expected, actual))
         identical = (
             len(actual.ucq) == len(expected.ucq)
@@ -277,12 +280,13 @@ def strategy_identity(check) -> None:
     """S q1-q5 under TGD-rewrite*, sequential against threaded(4)."""
     workload = get_workload(WORKLOAD)
     rules = workload.theory.tgds
+    threaded_engine = TGDRewriter(rules, use_elimination=True)
     with ThreadedStrategy(threads=4) as threaded:
-        engines = {
-            "sequential": TGDRewriter(rules, use_elimination=True),
-            "threaded": TGDRewriter(rules, use_elimination=True, strategy=threaded),
+        rewriters = {
+            "sequential": TGDRewriter(rules, use_elimination=True).rewrite,
+            "threaded": partial(threaded_engine.rewrite, strategy=threaded),
         }
-        compare(check, WORKLOAD, named(workload), engines)
+        compare(check, WORKLOAD, named(workload), rewriters)
 
 
 async def serve_checks(check, app, client) -> None:
@@ -387,12 +391,13 @@ async def subscribe_checks(check, app, client) -> None:
 def auto_identity(check) -> None:
     """Perf check 1: auto against sequential on the running example."""
     rules = theory().tgds
+    auto_engine = TGDRewriter(rules)
     with AutoStrategy() as auto:
-        engines = {
-            "sequential": TGDRewriter(rules),
-            "auto": TGDRewriter(rules, strategy=auto),
+        rewriters = {
+            "sequential": TGDRewriter(rules).rewrite,
+            "auto": partial(auto_engine.rewrite, strategy=auto),
         }
-        compare(check, "stock-exchange", example_queries(), engines)
+        compare(check, "stock-exchange", example_queries(), rewriters)
 
 
 def executed_bytecode(function) -> int:
@@ -457,13 +462,15 @@ def coverage_memo_ceiling(check) -> None:
     """Perf check 3: memo on and off agree on P5, within the work pins."""
     workload = get_workload("P5")
     rules = workload.theory.tgds
-    counted = CandidateCount()
     memoised = TGDRewriter(rules, use_elimination=True)
-    plain = TGDRewriter(
-        rules, use_elimination=True, use_memoisation=False, strategy=counted
-    )
+    plain = TGDRewriter(rules, use_elimination=True, use_memoisation=False)
     queries = named(workload)
-    results = compare(check, "P5", queries, {"memo on": memoised, "memo off": plain})
+    with CandidateCount() as counted:
+        rewriters = {
+            "memo on": memoised.rewrite,
+            "memo off": partial(plain.rewrite, strategy=counted),
+        }
+        results = compare(check, "P5", queries, rewriters)
     searches = memoised.eliminator.checker.chain_searches
     check(
         searches <= COVERAGE_SEARCH_CEILING,

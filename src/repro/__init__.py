@@ -32,13 +32,6 @@ from .api import (
     PreparedQuery,
     RewritingCacheInfo,
 )
-from .scheduling import (
-    ChunkedProcessStrategy,
-    SchedulingStrategy,
-    SequentialStrategy,
-    ThreadedStrategy,
-    create_strategy,
-)
 from .backends import (
     BACKENDS,
     BackendError,
@@ -126,14 +119,9 @@ __all__ = [
     "create_backend",
     "ChaseBackchase",
     "ChaseEngine",
-    "ChunkedProcessStrategy",
     "DLLiteOntology",
     "FrontierCheckpoint",
     "PreparedCacheInfo",
-    "SchedulingStrategy",
-    "SequentialStrategy",
-    "ThreadedStrategy",
-    "create_strategy",
     "QuOntoStyleRewriter",
     "ResolutionRewriter",
     "SYSTEMS",

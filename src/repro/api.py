@@ -53,7 +53,6 @@ from .dependencies.theory import OntologyTheory
 from .incremental.maintain import AnswerDelta, MaintainedAnswerSet
 from .logic.terms import Constant
 from .queries.conjunctive_query import ConjunctiveQuery
-from .scheduling import SchedulingStrategy, create_strategy
 
 logger = logging.getLogger(__name__)
 
@@ -660,9 +659,7 @@ class OBDASystem:
         self,
         queries: Iterable[ConjunctiveQuery],
         workers: int | None = None,
-        strategy: str | SchedulingStrategy | None = None,
         checkpoint_dir: "str | os.PathLike | None" = None,
-        checkpoint_every: int = 1,
     ) -> list[RewritingResult]:
         """Compile a batch of queries through the shared cache layers.
 
@@ -672,57 +669,41 @@ class OBDASystem:
         variant inputs each get their — shared — result).  Cache probes
         and store writes always happen in this process, in input order,
         so the stored bytes — and the pinned Table 1 sizes — are
-        identical under every worker count and strategy.  After the call,
-        :attr:`last_batch_statistics` holds the merged per-workload
-        totals.
+        identical under every worker count.  After the call,
+        :attr:`last_batch_statistics` holds the merged per-workload totals.
 
         ``workers`` (default: one per CPU) fans cold queries out to a
         process pool, one query per task (see
-        :func:`repro.parallel.compile_workloads`).  ``workers=1``, an
-        explicit ``strategy`` or a ``checkpoint_dir`` instead compile one
-        member at a time in this process, each probing the caches first.
-        A ``strategy`` name is built with *workers*; an instance is used
-        as given and left open.
+        :func:`repro.parallel.compile_workloads`).  ``workers=1`` or a
+        ``checkpoint_dir`` instead compile one member at a time in this
+        process, each probing the caches first.
 
         ``checkpoint_dir`` makes the batch resumable: each cold member
         runs under :meth:`FrontierCheckpoint.for_query
         <repro.cache.checkpoint.FrontierCheckpoint.for_query>`, saved
-        every ``checkpoint_every`` generations, so a rerun of a killed
-        batch resumes the interrupted member.  Members that completed
-        before the kill are skipped only when the caches hold them (the
-        persistent store, in a new process); otherwise they run again.
+        after every generation, so a rerun of a killed batch resumes the
+        interrupted member.  Members that completed before the kill are
+        skipped only when the caches hold them (the persistent store, in
+        a new process); otherwise they run again.
         """
         from .parallel import compile_workloads, resolve_workers
 
         queries = list(queries)
-        if checkpoint_dir is not None and checkpoint_every < 1:
-            raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-        if resolve_workers(workers) > 1 and strategy is None and checkpoint_dir is None:
+        if resolve_workers(workers) > 1 and checkpoint_dir is None:
             return compile_workloads([(self, queries)], workers=workers)[0]
-        run_strategy = (
-            create_strategy(strategy, workers=workers) if strategy is not None else None
-        )
         results = []
-        try:
-            for query in queries:
-                served = self._serve_from_caches(query)
-                if served is not None:
-                    results.append(served[0])
-                    continue
-                checkpoint = (
-                    FrontierCheckpoint.for_query(
-                        checkpoint_dir, self._fingerprint, query, checkpoint_every
-                    )
-                    if checkpoint_dir is not None
-                    else None
-                )
-                result = self._rewriter.rewrite(
-                    query, strategy=run_strategy, checkpoint=checkpoint
-                )
-                results.append(self._absorb_fresh_result(query, result))
-        finally:
-            if run_strategy is not None and not isinstance(strategy, SchedulingStrategy):
-                run_strategy.close()
+        for query in queries:
+            served = self._serve_from_caches(query)
+            if served is not None:
+                results.append(served[0])
+                continue
+            checkpoint = (
+                FrontierCheckpoint.for_query(checkpoint_dir, self._fingerprint, query)
+                if checkpoint_dir is not None
+                else None
+            )
+            result = self._rewriter.rewrite(query, checkpoint=checkpoint)
+            results.append(self._absorb_fresh_result(query, result))
         self._record_batch_statistics(results)
         return results
 

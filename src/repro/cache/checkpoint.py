@@ -72,24 +72,19 @@ class FrontierCheckpoint:
     path:
         The checkpoint file.  One checkpoint describes one ``(engine,
         query)`` run; reusing the path for a different run overwrites it.
-    every:
-        Save after every *every*-th completed generation (default 1).  A
-        kill between saves loses at most *every* generations of work.
 
     The rewriter drives the protocol: :meth:`load` at the start of
     :meth:`~repro.core.rewriter.TGDRewriter.rewrite` (resume if the file
-    matches), :meth:`due`/:meth:`save` after each merged generation, and
-    :meth:`clear` once the rewriting completes.
+    matches), :meth:`save` after each merged generation, so a kill loses
+    at most the generation it interrupted, and :meth:`clear` once the
+    rewriting completes.
     """
 
     #: On-disk checkpoint format; bump on any incompatible change.
     FORMAT_VERSION = 1
 
-    def __init__(self, path: str | os.PathLike, every: int = 1) -> None:
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
+    def __init__(self, path: str | os.PathLike) -> None:
         self._path = Path(path)
-        self._every = every
         self.saves = 0
         self.save_failures = 0
         self.resumed_generation: int | None = None
@@ -100,7 +95,6 @@ class FrontierCheckpoint:
         directory: str | os.PathLike,
         fingerprint: str,
         query: ConjunctiveQuery,
-        every: int = 1,
     ) -> "FrontierCheckpoint":
         """The checkpoint of *query*'s compile inside *directory*.
 
@@ -108,21 +102,12 @@ class FrontierCheckpoint:
         fingerprint, canonical key)``, whoever runs the compile.
         """
         digest = compile_digest(query, fingerprint)
-        return cls(Path(directory) / f"{digest}.json", every=every)
+        return cls(Path(directory) / f"{digest}.json")
 
     @property
     def path(self) -> Path:
         """The checkpoint file path."""
         return self._path
-
-    @property
-    def every(self) -> int:
-        """Checkpoint cadence in generations."""
-        return self._every
-
-    def due(self, generation: int) -> bool:
-        """``True`` when *generation* completes a checkpoint interval."""
-        return generation % self._every == 0
 
     def _fingerprint(self, rewriter: "TGDRewriter") -> str:
         """The engine fingerprint a checkpoint is valid for.

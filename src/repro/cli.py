@@ -11,11 +11,10 @@ Six small commands expose the library without writing Python:
 ``rewrite --tbox FILE --query "q(A) :- Person(A)" [--no-elimination] [--sql]``
     Parse a DL-Lite_R TBox (textual syntax of :mod:`repro.ontology.parser`),
     rewrite one conjunctive query and print the resulting UCQ (optionally as
-    SQL).  ``--strategy threaded|chunked`` expands frontier generations in
-    parallel (identical output, different wall-clock); ``--checkpoint FILE``
-    persists the frontier between generations, and a rerun with the same
-    file continues a killed run from its last completed generation (a file
-    from another TBox, query or engine option is ignored).
+    SQL).  ``--checkpoint FILE`` saves the frontier after every generation,
+    and a rerun with the same file continues a killed run from its last
+    completed generation (a file from another TBox, query or engine option
+    is ignored).
 
 ``compile (--tbox FILE | --workload NAME) [--queries FILE] [--cache DIR]``
     Batch-compile a whole query workload through one engine — optionally
@@ -23,13 +22,11 @@ Six small commands expose the library without writing Python:
     same ``--cache`` directory serves every rewriting from disk.
     ``--workers N`` compiles cold misses on a process pool, one query per
     task (default: one worker per CPU; the stored bytes are identical
-    under any worker count).  ``--strategy chunked`` compiles the queries
-    one after another instead, splitting each query's frontier
-    generations across N workers; ``--checkpoint-dir DIR`` also compiles
-    one query at a time, each under a frontier checkpoint in DIR, so a
-    rerun resumes the query a kill interrupted.  With ``--fail-on-miss``
-    the command reports every query not served from the cache and exits
-    non-zero (the warm-run assertion used in CI).
+    under any worker count).  ``--checkpoint-dir DIR`` compiles one query
+    at a time instead, each under a frontier checkpoint in DIR saved after
+    every generation, so a rerun resumes the query a kill interrupted.
+    With ``--fail-on-miss`` the command reports every query not served
+    from the cache and exits non-zero (the warm-run assertion used in CI).
 
 ``cache compact --cache DIR --max-entries N``
     Bound a persistent rewriting cache to its N most-recently-served
@@ -123,12 +120,10 @@ def _cmd_table1(arguments: argparse.Namespace) -> int:
 def _cmd_rewrite(arguments: argparse.Namespace) -> int:
     """Rewrite a single query against a textual DL-Lite TBox."""
     from .cache.checkpoint import FrontierCheckpoint
-    from .scheduling import create_strategy
 
     tbox_text = Path(arguments.tbox).read_text(encoding="utf-8")
     theory = to_theory(parse_ontology(tbox_text, name=Path(arguments.tbox).stem))
     query = parse_query(arguments.query)
-    strategy = create_strategy(arguments.strategy, workers=arguments.workers)
     options = resolve_engine_options(
         theory, use_elimination=not arguments.no_elimination
     )
@@ -136,17 +131,11 @@ def _cmd_rewrite(arguments: argparse.Namespace) -> int:
         theory,
         use_elimination=options.use_elimination,
         use_nc_pruning=options.use_nc_pruning,
-        strategy=strategy,
     )
-    checkpoint = None
-    if arguments.checkpoint:
-        checkpoint = FrontierCheckpoint(
-            arguments.checkpoint, every=arguments.checkpoint_every
-        )
-    try:
-        result = rewriter.rewrite(query, checkpoint=checkpoint)
-    finally:
-        strategy.close()
+    checkpoint = (
+        FrontierCheckpoint(arguments.checkpoint) if arguments.checkpoint else None
+    )
+    result = rewriter.rewrite(query, checkpoint=checkpoint)
     metrics = ucq_metrics(result.ucq)
     print(f"# perfect rewriting: {metrics.size} CQs, {metrics.length} atoms, "
           f"{metrics.width} joins ({result.statistics.elapsed_seconds:.3f}s)")
@@ -240,9 +229,7 @@ def _cmd_compile(arguments: argparse.Namespace) -> int:
     results = system.compile_many(
         [query for _, query in named],
         workers=arguments.workers,
-        strategy=arguments.strategy,
         checkpoint_dir=arguments.checkpoint_dir,
-        checkpoint_every=arguments.checkpoint_every,
     )
     total_seconds = 0.0
     seen: set[int] = set()
@@ -459,7 +446,6 @@ def _cmd_fuzz(arguments: argparse.Namespace) -> int:
     )
 
     oracle = DifferentialOracle(
-        strategies=tuple(arguments.strategies),
         backends=tuple(arguments.backends),
         max_queries=arguments.max_queries,
         max_chase_atoms=arguments.max_chase_atoms,
@@ -662,12 +648,6 @@ def _cmd_cache_compact(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _strategy_choices() -> tuple[str, ...]:
-    from .scheduling import strategy_names
-
-    return strategy_names()
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -694,19 +674,10 @@ def build_parser() -> argparse.ArgumentParser:
     rewrite.add_argument("--sql", action="store_true", help="print the rewriting as SQL")
     rewrite.add_argument("--stats", action="store_true",
                          help="print rule-index, interning, pruning and memo counters")
-    rewrite.add_argument("--strategy", choices=list(_strategy_choices()),
-                         default=None,
-                         help="frontier scheduling strategy (default sequential; "
-                         "all strategies produce identical rewritings)")
-    rewrite.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="threads/processes for a parallel --strategy "
-                         "(default: one per CPU)")
     rewrite.add_argument("--checkpoint", metavar="FILE",
-                         help="checkpoint the frontier between generations; a "
-                         "rerun resumes from FILE when it matches this TBox "
+                         help="checkpoint the frontier after every generation; "
+                         "a rerun resumes from FILE when it matches this TBox "
                          "and query (otherwise it starts fresh)")
-    rewrite.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
-                         help="generations between checkpoint saves (default 1)")
     rewrite.set_defaults(handler=_cmd_rewrite)
 
     compile_ = commands.add_parser(
@@ -728,21 +699,12 @@ def build_parser() -> argparse.ArgumentParser:
     compile_.add_argument("--workers", type=int, default=None, metavar="N",
                           help="worker processes for cold compilation "
                           "(default: one per CPU; 1 = sequential)")
-    compile_.add_argument("--strategy", choices=list(_strategy_choices()),
-                          default=None,
-                          help="intra-query scheduling: compile one query at a "
-                          "time, splitting its frontier across --workers "
-                          "instead of one query per task (same stored bytes "
-                          "either way)")
     compile_.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                           help="make the batch resumable: compile one query at "
                           "a time under a frontier checkpoint in DIR, so a "
                           "rerun resumes the interrupted query; queries "
                           "finished before the kill are skipped only when "
                           "--cache holds them")
-    compile_.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
-                          help="checkpoint cadence in frontier generations "
-                          "(default 1)")
     compile_.add_argument("--stats", action="store_true",
                           help="print workload totals, persistent-store counters "
                           "and the theory fingerprint")
@@ -824,11 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "cases (default: repro-failures)")
     fuzz.add_argument("--replay", metavar="FILE",
                       help="re-run one repro file instead of generating cases")
-    fuzz.add_argument("--strategies", nargs="+", metavar="S",
-                      default=["sequential", "threaded", "auto"],
-                      choices=list(_strategy_choices()),
-                      help="scheduling strategies the determinism oracle "
-                      "compares (default: sequential threaded auto)")
     fuzz.add_argument("--backends", nargs="+", metavar="B",
                       default=["memory", "sqlite"],
                       choices=["memory", "sqlite"],

@@ -39,11 +39,12 @@ Structurally, :meth:`TGDRewriter.rewrite` is a *frontier kernel* (see
 :class:`~repro.core.frontier.RewriteFrontier` drained one generation at a
 time, each pending CQ is turned into candidates by the pure step function
 :meth:`TGDRewriter.expand`, and results are deduplicated, labelled and
-scheduled at a single merge point.  How a generation's expansions are
-computed is delegated to a pluggable
-:class:`~repro.scheduling.SchedulingStrategy` — sequential by default,
-thread- or process-parallel on demand — with byte-identical output under
-every strategy, because expansion is pure and the merge is ordered.
+scheduled at a single merge point.  Each generation is expanded in
+order, one query at a time, in the calling thread.  Because expansion is
+pure and the merge is ordered, how a generation is expanded cannot change
+a byte of the output; tests hold the kernel to that by passing one of the
+:mod:`repro.scheduling` strategies to a run, which expand a generation
+across threads or processes.
 Between generations the kernel state can be checkpointed
 (:class:`repro.cache.checkpoint.FrontierCheckpoint`), so a killed
 compilation resumes instead of restarting, and a caller's
@@ -262,11 +263,6 @@ class TGDRewriter:
         which builds and reduces every candidate that is not a dead end —
         useful for differential testing; the computed rewritings are
         identical either way.
-    strategy:
-        The :class:`~repro.scheduling.SchedulingStrategy` used to expand
-        frontier generations (a registered name or an instance); default
-        sequential.  Every strategy produces byte-identical rewritings —
-        this knob trades wall-clock only.
     """
 
     def __init__(
@@ -277,7 +273,6 @@ class TGDRewriter:
         use_nc_pruning: bool = False,
         max_queries: int = 200_000,
         use_memoisation: bool = True,
-        strategy: "SchedulingStrategy | str | None" = None,
     ) -> None:
         if isinstance(rules, OntologyTheory):
             theory = rules
@@ -317,9 +312,6 @@ class TGDRewriter:
         )
         self._max_queries = max_queries
         self._negative_constraints = tuple(negative_constraints)
-        from ..scheduling import create_strategy
-
-        self._strategy = create_strategy(strategy)
         self._pruner = (
             NegativeConstraintPruner(self._negative_constraints)
             if use_nc_pruning and self._negative_constraints
@@ -376,11 +368,6 @@ class TGDRewriter:
     def max_queries(self) -> int:
         """The budget on the number of distinct CQs generated."""
         return self._max_queries
-
-    @property
-    def strategy(self) -> "SchedulingStrategy":
-        """The engine's default scheduling strategy for frontier generations."""
-        return self._strategy
 
     def specification(self) -> tuple:
         """The constructor arguments that rebuild an equal engine.
@@ -440,11 +427,12 @@ class TGDRewriter:
         :func:`repro.parallel.compile_workloads` fan queries out to worker
         processes without changing what gets stored.
 
-        *strategy* overrides the engine's scheduling strategy for this run;
-        the output is byte-identical either way.  *checkpoint* persists the
-        kernel state between frontier generations, so a killed run can be
-        resumed from the last completed generation (the checkpoint file is
-        removed once the rewriting completes).
+        Each generation is expanded with ``map(engine.expand, batch)``
+        unless a *strategy* is given; the output is byte-identical either
+        way.  The caller owns the strategy and closes it.  *checkpoint*
+        saves the kernel state after every generation, so a killed run
+        can be resumed from the last completed generation (the checkpoint
+        file is removed once the rewriting completes).
 
         *on_generation*, if given, is called before each generation is
         drained, with the number of generations drained so far: ``0``
@@ -455,7 +443,6 @@ class TGDRewriter:
         generation it stopped.
         """
         start = time.perf_counter()
-        scheduling = strategy if strategy is not None else self._strategy
         memo_snapshot = self._memo_counters()
 
         state: KernelState | None = None
@@ -479,18 +466,23 @@ class TGDRewriter:
             state = KernelState.initial(initial, statistics)
         statistics = state.statistics
 
-        # The kernel loop: drain a generation, expand it through the
-        # strategy, merge in frontier order — the single point where
-        # candidates are interned, labelled and scheduled.
+        # The kernel loop: drain a generation, expand it, merge in
+        # frontier order — the single point where candidates are
+        # interned, labelled and scheduled.
         engine = self.for_run()
-        scheduling.begin_run(engine, query, state.frontier.generation)
+        if strategy is not None:
+            strategy.begin_run(engine, query, state.frontier.generation)
         while state.frontier:
             if on_generation is not None:
                 on_generation(state.frontier.generation)
             batch = state.frontier.take_generation()
-            for expansion in scheduling.expand_generation(engine, batch):
+            if strategy is None:
+                expansions = map(engine.expand, batch)
+            else:
+                expansions = strategy.expand_generation(engine, batch)
+            for expansion in expansions:
                 merge_expansion(state, expansion, self._max_queries)
-            if checkpoint is not None and checkpoint.due(state.frontier.generation):
+            if checkpoint is not None:
                 checkpoint.save(self, query, state)
 
         store, labels = state.store, state.labels

@@ -9,9 +9,8 @@ oracles per generated ``(theory, query, instance)`` triple:
    certain answers the (depth-bounded) chase computes;
 2. **backend agreement** — every :class:`~repro.backends.base.
    ExecutionBackend` must return the same answer set;
-3. **determinism** — every :class:`~repro.scheduling.SchedulingStrategy`
-   and a persistent-store round-trip must produce byte-identical
-   rewritings.
+3. **determinism** — sequential, threaded and ``auto`` scheduling and a
+   persistent-store round-trip must produce byte-identical rewritings.
 
 Entry points: :class:`~repro.fuzzing.generator.WorkloadGenerator` (seeded
 triples), :class:`~repro.fuzzing.oracle.DifferentialOracle` (the three

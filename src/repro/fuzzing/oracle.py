@@ -14,9 +14,9 @@ asserts:
    the check weaken to ``chase ⊆ rewrite``.
 2. **backend agreement** — every :class:`~repro.backends.base.
    ExecutionBackend` returns the same answer set for the rewriting.
-3. **determinism** — every :class:`~repro.scheduling.SchedulingStrategy`,
-   plus a persistent-store round-trip, produces a byte-identical
-   rewriting (canonical JSON of the serialised result).
+3. **determinism** — each of :data:`STRATEGIES`, plus a persistent-store
+   round-trip, produces a byte-identical rewriting (canonical JSON of the
+   serialised result).
 4. **elimination** — on linear theories, ``TGD-rewrite*`` (query
    elimination, §6) returns the answers of ``TGD-rewrite`` and of the
    chase, and its rewriting is byte-identical with the engine's
@@ -55,15 +55,15 @@ from ..logic.homomorphism import homomorphisms
 from ..logic.terms import Constant, is_constant
 from ..queries.conjunctive_query import ConjunctiveQuery
 from ..queries.ucq import UnionOfConjunctiveQueries
-from ..scheduling import create_strategy
+from ..scheduling import AutoStrategy, SequentialStrategy, ThreadedStrategy
 from .generator import GeneratedCase
 
-#: Strategies the determinism oracle compares by default.  ``chunked`` is
-#: correct too but spawns a process pool per case; opt in via the
-#: constructor (or ``repro fuzz --strategies``) when the cost is wanted.
-#: ``auto`` rides along so the tuner's per-generation choices are fuzzed
-#: against the sequential baseline on every case.
-DEFAULT_STRATEGIES = ("sequential", "threaded", "auto")
+#: The scheduling strategies the determinism and elimination oracles
+#: compare, the first giving the reference; each case builds and closes
+#: its own.  ``auto`` rides along so the tuner's per-generation choices
+#: are fuzzed against the sequential baseline on every case.  ``chunked``
+#: is correct too but would start a process pool per case.
+STRATEGIES = (SequentialStrategy, ThreadedStrategy, AutoStrategy)
 
 #: Backends the agreement oracle compares by default.
 DEFAULT_BACKENDS = ("memory", "sqlite")
@@ -166,9 +166,6 @@ class DifferentialOracle:
 
     Parameters
     ----------
-    strategies:
-        Scheduling strategies the determinism oracle compares (the first
-        one's output is the reference).
     backends:
         Execution backends the agreement oracle compares (the first one's
         answers are the "rewrite answers" the chase oracle checks).
@@ -197,7 +194,6 @@ class DifferentialOracle:
 
     def __init__(
         self,
-        strategies: Sequence[str] = DEFAULT_STRATEGIES,
         backends: Sequence[str] = DEFAULT_BACKENDS,
         max_queries: int = 50_000,
         max_chase_atoms: int = 20_000,
@@ -207,21 +203,13 @@ class DifferentialOracle:
         | None = None,
         mutation_steps: int = 0,
     ) -> None:
-        if not strategies:
-            raise ValueError("the determinism oracle needs at least one strategy")
         if not backends:
             raise ValueError("the agreement oracle needs at least one backend")
-        self._strategies = tuple(strategies)
         self._backends = tuple(backends)
         self._max_queries = max_queries
         self._max_chase_atoms = max_chase_atoms
         self._mutator = rewriting_mutator
         self._mutation_steps = mutation_steps
-
-    @property
-    def strategies(self) -> tuple[str, ...]:
-        """Strategy names the determinism oracle compares."""
-        return self._strategies
 
     @property
     def backends(self) -> tuple[str, ...]:
@@ -371,18 +359,15 @@ class DifferentialOracle:
                 )
             )
             return
-        for name in self._strategies:
-            strategy = create_strategy(name)
-            try:
+        for factory in STRATEGIES:
+            with factory() as strategy:
                 result = self._rewrite(rules, case.query, strategy)
-            finally:
-                strategy.close()
             produced = _canonical_bytes(result)
             if produced != expected:
                 verdict.failures.append(
                     OracleFailure(
                         "determinism",
-                        f"strategy {name!r} produced a different rewriting "
+                        f"strategy {factory.name!r} produced a different rewriting "
                         f"({len(result.ucq)} CQs vs {len(reference.ucq)})",
                     )
                 )
@@ -397,12 +382,13 @@ class DifferentialOracle:
     ) -> None:
         """TGD-rewrite* answers like TGD-rewrite and the chase, memo-independently.
 
-        *answers* are the ``TGD-rewrite`` answers.  The first strategy
-        with memoisation on gives the reference rewriting; every compared
-        strategy, with memoisation on and off, must reproduce its bytes.
+        *answers* are the ``TGD-rewrite`` answers.  The first of
+        :data:`STRATEGIES` with memoisation on gives the reference
+        rewriting; each of them, with memoisation on and off, must
+        reproduce its bytes.
         """
         results = {}
-        for name in self._strategies:
+        for factory in STRATEGIES:
             for memoised in (True, False):
                 engine = TGDRewriter(
                     rules,
@@ -410,30 +396,29 @@ class DifferentialOracle:
                     max_queries=self._max_queries,
                     use_memoisation=memoised,
                 )
-                strategy = create_strategy(name)
                 try:
-                    results[name, memoised] = engine.rewrite(
-                        case.query, strategy=strategy
-                    )
+                    with factory() as strategy:
+                        results[factory.name, memoised] = engine.rewrite(
+                            case.query, strategy=strategy
+                        )
                 except RewritingBudgetExceeded:
                     verdict.failures.append(
                         OracleFailure(
                             "elimination",
-                            f"TGD-rewrite* under {name!r} exceeded the budget "
-                            "TGD-rewrite kept",
+                            f"TGD-rewrite* under {factory.name!r} exceeded the "
+                            "budget TGD-rewrite kept",
                         )
                     )
                     return
-                finally:
-                    strategy.close()
-        reference = results[self._strategies[0], True]
+        reference_key = (STRATEGIES[0].name, True)
+        reference = results[reference_key]
         try:
             produced = {
                 key: _canonical_bytes(result) for key, result in results.items()
             }
         except UnserializableQueryError:
             produced = {}  # the determinism oracle reports unserialisable rewritings
-        expected = produced.get((self._strategies[0], True))
+        expected = produced.get(reference_key)
         for (name, memoised), result in results.items():
             if produced and produced[name, memoised] != expected:
                 verdict.failures.append(

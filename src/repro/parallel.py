@@ -32,25 +32,42 @@ comes from (a single skewed query otherwise bounds its workload's
 makespan).  With one pending query, or ``workers=1``, nothing is fanned
 out: the pending queries are compiled in the parent, without a pool.
 
-Intra-query parallelism — one query's frontier generations split across
-processes by a :mod:`repro.scheduling` strategy — is not chosen here: it
-is requested explicitly through ``OBDASystem.compile_many(strategy=...)``,
-which compiles member by member in the calling process.
+This per-query pool and sequential expansion in one process are the two
+ways a compile runs; one query's frontier generations are never split
+across processes (the strategies of :mod:`repro.scheduling` that can do
+so are test instruments).  :func:`resolve_workers` sizes the pool.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core.rewriter import RewritingResult, TGDRewriter
 from .queries.conjunctive_query import ConjunctiveQuery
-from .scheduling import resolve_workers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .api import OBDASystem
 
 __all__ = ["compile_workloads", "resolve_workers"]
+
+
+def resolve_workers(workers: int | None) -> int:
+    """Normalise a ``workers`` argument: ``None`` means one per usable CPU.
+
+    "Usable" respects the process's CPU affinity mask where the platform
+    exposes it (cgroup-limited containers often report the host's core
+    count through ``os.cpu_count()`` while only a subset is schedulable).
+    """
+    if workers is None:
+        try:
+            workers = len(os.sched_getaffinity(0))
+        except AttributeError:  # pragma: no cover - non-Linux platforms
+            workers = os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
 # -- worker side -----------------------------------------------------------

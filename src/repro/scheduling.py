@@ -1,29 +1,27 @@
-"""Pluggable scheduling strategies for the frontier rewriting kernel.
+"""Scheduling strategies for the frontier rewriting kernel: test instruments.
 
 The kernel of :class:`repro.core.rewriter.TGDRewriter` drains the
 :class:`~repro.core.frontier.RewriteFrontier` one *generation* at a time
 and merges the expansions in frontier order (see
 :mod:`repro.core.frontier`).  Because expansion is a pure function of the
-query and the rule set, *how* a generation's expansions are computed is a
-free choice — that choice is a :class:`SchedulingStrategy`:
+query and the rule set, *how* a generation's expansions are computed
+cannot change a byte of the rewriting.  Every compile path expands
+sequentially (``map(engine.expand, batch)``); the strategies here exist
+to hold the kernel to that order-independence.  A caller passes one to
+:meth:`TGDRewriter.rewrite(query, strategy=...)
+<repro.core.rewriter.TGDRewriter.rewrite>` and owns it: it closes the
+strategy (``with strategy:``) when done.
 
 * :class:`SequentialStrategy` — expand one query at a time in the calling
-  thread; the default, and the reference the others are held to.
+  thread; what the kernel does without a strategy.
 * :class:`ThreadedStrategy` — expand a whole generation across a thread
-  pool.  Under CPython's GIL this buys little wall-clock (expansion is
-  pure Python CPU work), but it exercises the kernel's order-independence
-  and is the cheap gate (``make strategy-smoke``) that the merge point
-  really is the only synchronisation the algorithm needs; on GIL-free
-  builds it parallelises for real.
+  pool that shares the engine, so any hidden order-dependence in the
+  kernel would surface as a byte difference (``make strategy-smoke``).
 * :class:`ChunkedProcessStrategy` — expand a generation in chunks across
   worker processes, each holding a deterministic replica of the engine
-  built from the rewriter's pickled specification.  Requested with
-  ``OBDASystem.compile_many(strategy="chunked")``, it splits one slow
-  query's frontier across workers instead of idling behind it.
+  built from the rewriter's pickled specification.
 * :class:`AutoStrategy` — pick one of the above per generation from
-  observable telemetry (worker count, frontier width, rule fan-out,
-  generation depth), holding the invariant that it never loses to
-  sequential by more than a fixed epsilon while producing the same bytes.
+  observable telemetry (worker count, frontier width, rule fan-out).
 
 Every strategy must yield expansions **in batch order** — the merge point
 replays them in that order, which (together with the determinism of the
@@ -35,13 +33,13 @@ strategy and worker/thread count.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .core.frontier import Expansion
+from .parallel import resolve_workers
 from .queries.conjunctive_query import ConjunctiveQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,27 +51,7 @@ __all__ = [
     "SchedulingStrategy",
     "SequentialStrategy",
     "ThreadedStrategy",
-    "create_strategy",
-    "resolve_workers",
-    "strategy_names",
 ]
-
-
-def resolve_workers(workers: int | None) -> int:
-    """Normalise a ``workers`` argument: ``None`` means one per usable CPU.
-
-    "Usable" respects the process's CPU affinity mask where the platform
-    exposes it (cgroup-limited containers often report the host's core
-    count through ``os.cpu_count()`` while only a subset is schedulable).
-    """
-    if workers is None:
-        try:
-            workers = len(os.sched_getaffinity(0))
-        except AttributeError:  # pragma: no cover - non-Linux platforms
-            workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
 
 
 class SchedulingStrategy(ABC):
@@ -85,8 +63,8 @@ class SchedulingStrategy(ABC):
     merge point stays single-threaded in the caller.
     """
 
-    #: Registry name (``"sequential"``, ``"threaded"``, ``"chunked"``,
-    #: ``"auto"``).
+    #: Short name (``"sequential"``, ``"threaded"``, ``"chunked"``,
+    #: ``"auto"``) for test and gate messages.
     name: str = "?"
 
     @abstractmethod
@@ -117,13 +95,13 @@ class SchedulingStrategy(ABC):
 
 
 class SequentialStrategy(SchedulingStrategy):
-    """Expand one query at a time in the calling thread (the default).
+    """Expand one query at a time in the calling thread.
 
     Yields lazily, so the kernel merges each expansion before the next one
-    is computed — the exact cadence of the pre-kernel closed loop, at zero
-    overhead.  Every other strategy is pinned (``tests/integration/
-    test_strategy_determinism.py``) to reproduce this strategy's output
-    byte for byte.
+    is computed — exactly what the kernel does when no strategy is
+    passed.  Every other strategy is pinned (``tests/integration/
+    test_strategy_determinism.py``) to reproduce this output byte for
+    byte.
     """
 
     name = "sequential"
@@ -329,9 +307,6 @@ class AutoStrategy(SchedulingStrategy):
     generation carries enough work to cover the pool.  ``make perf-smoke``
     and ``benchmarks/bench_hotpaths.py`` measure the invariant rather than
     trusting it.
-
-    :attr:`decisions` counts how many generations each inner strategy
-    served, for telemetry and tests.
     """
 
     name = "auto"
@@ -350,7 +325,6 @@ class AutoStrategy(SchedulingStrategy):
         self._chunked: ChunkedProcessStrategy | None = None
         self._fan_out = 0
         self._generation = 0
-        self.decisions: dict[str, int] = {"sequential": 0, "threaded": 0, "chunked": 0}
 
     @property
     def workers(self) -> int:
@@ -383,7 +357,6 @@ class AutoStrategy(SchedulingStrategy):
         self, engine: "TGDRewriter", batch: Sequence[ConjunctiveQuery]
     ) -> Iterable[Expansion]:
         inner = self._choose(len(batch))
-        self.decisions[inner.name] += 1
         self._generation += 1
         return inner.expand_generation(engine, batch)
 
@@ -403,43 +376,3 @@ def _gil_enabled() -> bool:
         return sys._is_gil_enabled()
     except AttributeError:  # pragma: no cover - pre-3.13 interpreters
         return True
-
-
-_STRATEGIES: dict[str, type[SchedulingStrategy]] = {
-    SequentialStrategy.name: SequentialStrategy,
-    ThreadedStrategy.name: ThreadedStrategy,
-    ChunkedProcessStrategy.name: ChunkedProcessStrategy,
-    AutoStrategy.name: AutoStrategy,
-}
-
-
-def strategy_names() -> tuple[str, ...]:
-    """The registered strategy names, for CLI choices and error messages."""
-    return tuple(_STRATEGIES)
-
-
-def create_strategy(
-    strategy: str | SchedulingStrategy | None,
-    workers: int | None = None,
-) -> SchedulingStrategy:
-    """Resolve a strategy request to an instance.
-
-    ``None`` and ``"sequential"`` build the default sequential strategy;
-    other names build their registered class with *workers* (threads for
-    ``"threaded"``, processes for ``"chunked"``, the planning budget for
-    ``"auto"``).  Instances pass through unchanged (and *workers* is
-    ignored — the instance was already configured).
-    """
-    if isinstance(strategy, SchedulingStrategy):
-        return strategy
-    if strategy is None:
-        strategy = SequentialStrategy.name
-    cls = _STRATEGIES.get(strategy)
-    if cls is None:
-        raise ValueError(
-            f"unknown scheduling strategy {strategy!r} "
-            f"(available: {', '.join(strategy_names())})"
-        )
-    if cls is SequentialStrategy:
-        return SequentialStrategy()
-    return cls(workers)

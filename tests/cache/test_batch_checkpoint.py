@@ -1,15 +1,16 @@
 """Checkpointed batches: kill a multi-query compile, resume the interrupted member."""
 
+from unittest import mock
+
 import pytest
 
 from repro.api import OBDASystem
 from repro.cache.checkpoint import FrontierCheckpoint
-from repro.scheduling import SequentialStrategy
 from repro.serving.tenants import SharedArtifacts
 from repro.workloads import get_workload
 
 from ..serving.conftest import OnGeneration
-from .test_checkpoint import KillingStrategy, SimulatedKill
+from .test_checkpoint import SimulatedKill
 
 
 @pytest.fixture()
@@ -22,25 +23,50 @@ def queries(workload):
     return [workload.query("q1"), workload.query("q5")]
 
 
-class CountingStrategy(SequentialStrategy):
-    """Records where each engine run started and counts its generations."""
+class CountingSaves:
+    """Watches every :meth:`FrontierCheckpoint.save` while installed.
 
-    def __init__(self) -> None:
+    A checkpointed run saves once after each generation it drains, so
+    the saves count generations: :attr:`starts` records where each run
+    (one checkpoint object per compile) started, the checkpointed
+    generation on a resume, and :attr:`generations` the saves of all
+    runs.  With *kill_after* = N the N-th save raises
+    :class:`SimulatedKill` once written, so the run dies with the state
+    a kill before its next generation would leave.
+    """
+
+    def __init__(self, kill_after: int | None = None) -> None:
         self.starts: list[int] = []
         self.generations = 0
+        self._kill_after = kill_after
+        self._runs: list[FrontierCheckpoint] = []
 
-    def begin_run(self, engine, query, generation=0):
-        self.starts.append(generation)
+    def __enter__(self) -> "CountingSaves":
+        save = FrontierCheckpoint.save
+        watcher = self
 
-    def expand_generation(self, engine, batch):
-        self.generations += 1
-        return super().expand_generation(engine, batch)
+        def counted(checkpoint, rewriter, query, state):
+            if not any(run is checkpoint for run in watcher._runs):
+                watcher._runs.append(checkpoint)
+                watcher.starts.append(checkpoint.resumed_generation or 0)
+            saved = save(checkpoint, rewriter, query, state)
+            watcher.generations += 1
+            if watcher.generations == watcher._kill_after:
+                raise SimulatedKill()
+            return saved
+
+        self._patch = mock.patch.object(FrontierCheckpoint, "save", counted)
+        self._patch.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._patch.stop()
 
 
 def _generations_for(workload, query) -> int:
-    strategy = CountingStrategy()
-    OBDASystem(workload.theory).compile_many([query], strategy=strategy)
-    return strategy.generations
+    generations = []
+    OBDASystem(workload.theory).compile_traced(query, on_generation=generations.append)
+    return len(generations)
 
 
 def _checkpoints(directory) -> list:
@@ -55,12 +81,10 @@ class TestKilledBatchResume:
     def _kill_inside_the_second_member(self, system, workload, queries, directory):
         # Let the first member (q1) complete, then die inside q5.
         generations_for_q1 = _generations_for(workload, queries[0])
-        with pytest.raises(SimulatedKill):
-            system.compile_many(
-                queries,
-                strategy=KillingStrategy(generations_for_q1 + 1),
-                checkpoint_dir=directory,
-            )
+        with pytest.raises(SimulatedKill), CountingSaves(
+            kill_after=generations_for_q1 + 1
+        ):
+            system.compile_many(queries, checkpoint_dir=directory)
         # The in-flight member left its frontier checkpoint behind, named
         # as every other compile of that query names it.
         assert _checkpoints(directory) == [
@@ -79,10 +103,8 @@ class TestKilledBatchResume:
             killed_system, workload, queries, directory
         )
 
-        counter = CountingStrategy()
-        resumed = killed_system.compile_many(
-            queries, strategy=counter, checkpoint_dir=directory
-        )
+        with CountingSaves() as counter:
+            resumed = killed_system.compile_many(queries, checkpoint_dir=directory)
         assert [list(result.ucq) for result in resumed] == [
             list(result.ucq) for result in reference
         ]
@@ -104,11 +126,9 @@ class TestKilledBatchResume:
         # A brand-new system (same theory, same store) — the completed
         # member is served from the persistent store, the interrupted one
         # resumes from its frontier checkpoint.
-        counter = CountingStrategy()
         fresh = OBDASystem(workload.theory, cache=store)
-        resumed = fresh.compile_many(
-            queries, strategy=counter, checkpoint_dir=directory
-        )
+        with CountingSaves() as counter:
+            resumed = fresh.compile_many(queries, checkpoint_dir=directory)
         assert [list(result.ucq) for result in resumed] == [
             list(result.ucq) for result in reference
         ]
@@ -127,10 +147,10 @@ class TestKilledBatchResume:
         generations_for_q1 = _generations_for(workload, queries[0])
         generations_for_q5 = _generations_for(workload, queries[1])
 
-        counter = CountingStrategy()
-        resumed = OBDASystem(workload.theory).compile_many(
-            queries, strategy=counter, checkpoint_dir=directory
-        )
+        with CountingSaves() as counter:
+            resumed = OBDASystem(workload.theory).compile_many(
+                queries, checkpoint_dir=directory
+            )
         assert [list(result.ucq) for result in resumed] == [
             list(result.ucq) for result in reference
         ]
@@ -150,63 +170,29 @@ class TestKilledBatchResume:
         ]
         assert _checkpoints(directory) == []
 
-    def test_checkpoint_every_is_checked_before_any_member(
-        self, tmp_path, workload, queries
-    ):
-        # Even a batch the caches serve whole rejects a bad cadence.
+    def test_each_member_saves_once_per_generation(self, tmp_path, workload, queries):
         system = OBDASystem(workload.theory)
-        system.compile_many(queries, workers=1)
-        with pytest.raises(ValueError):
-            system.compile_many(
-                queries, checkpoint_dir=tmp_path / "batch", checkpoint_every=0
-            )
+        with CountingSaves() as counter:
+            system.compile_many(queries, checkpoint_dir=tmp_path / "batch")
+        assert counter.starts == [0, 0]
+        assert counter.generations == sum(
+            _generations_for(workload, query) for query in queries
+        )
 
     def test_duplicates_and_variants_run_the_engine_once(self, tmp_path, workload):
         query = workload.query("q5")
         variant = query.rename_variables(prefix="VV")
         directory = tmp_path / "batch"
-        counter = CountingStrategy()
         system = OBDASystem(workload.theory, cache=tmp_path / "store")
-        first, duplicate, renamed = system.compile_many(
-            [query, query, variant], strategy=counter, checkpoint_dir=directory
-        )
+        with CountingSaves() as counter:
+            first, duplicate, renamed = system.compile_many(
+                [query, query, variant], checkpoint_dir=directory
+            )
         assert counter.starts == [0]
         assert duplicate is first
         assert renamed.statistics.persistent_cache_hits == 1
         assert len(renamed.ucq) == len(first.ucq)
         assert _checkpoints(directory) == []
-
-
-class TestNamedStrategyWorkers:
-    def test_checkpointed_batch_sizes_the_strategy_by_workers(
-        self, tmp_path, monkeypatch, workload
-    ):
-        # Pretend the host has four CPUs: a chunked strategy built without
-        # the batch's worker count would start a four-process pool on
-        # q5's wide generations.  With workers=1 it expands in-process.
-        import repro.scheduling as scheduling
-
-        real_resolve_workers = scheduling.resolve_workers
-        monkeypatch.setattr(
-            scheduling,
-            "resolve_workers",
-            lambda workers: 4 if workers is None else real_resolve_workers(workers),
-        )
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-        monkeypatch.setattr(scheduling, "ProcessPoolExecutor", no_pool)
-        query = workload.query("q5")
-        (result,) = OBDASystem(workload.theory).compile_many(
-            [query],
-            workers=1,
-            strategy="chunked",
-            checkpoint_dir=tmp_path / "batch",
-        )
-        assert list(result.ucq) == list(
-            OBDASystem(workload.theory).compile(query).ucq
-        )
 
 
 class TestServingResumesABatchCheckpoint:
@@ -226,9 +212,9 @@ class TestServingResumesABatchCheckpoint:
             query, on_generation=clean.append
         )
 
-        with pytest.raises(SimulatedKill):
+        with pytest.raises(SimulatedKill), CountingSaves(kill_after=2):
             OBDASystem(workload.theory, use_nc_pruning=True).compile_many(
-                [query], checkpoint_dir=directory, strategy=KillingStrategy(2)
+                [query], checkpoint_dir=directory
             )
         assert len(_checkpoints(directory)) == 1
 

@@ -16,18 +16,20 @@ class SimulatedKill(Exception):
     """Stands in for SIGKILL: aborts the run between expansions."""
 
 
-class KillingStrategy(SequentialStrategy):
-    """A sequential strategy that dies after N completed generations."""
+class KillAfter:
+    """An ``on_generation`` callback that dies after N completed generations.
 
-    def __init__(self, after_generations: int) -> None:
-        self._after = after_generations
-        self._count = 0
+    It raises before the run drains generation N + 1 (counted from where
+    the run started), so a checkpointed run dies with N generations saved.
+    """
 
-    def expand_generation(self, engine, batch):
-        self._count += 1
-        if self._count > self._after:
+    def __init__(self, generations: int) -> None:
+        self._left = generations
+
+    def __call__(self, generation: int) -> None:
+        if self._left == 0:
             raise SimulatedKill()
-        return super().expand_generation(engine, batch)
+        self._left -= 1
 
 
 def _non_volatile(statistics: RewritingStatistics) -> dict:
@@ -66,8 +68,8 @@ class TestKillAndResume:
         with pytest.raises(SimulatedKill):
             engine.rewrite(
                 workload.query("q5"),
-                strategy=KillingStrategy(killed_after),
                 checkpoint=checkpoint,
+                on_generation=KillAfter(killed_after),
             )
         assert path.exists() and checkpoint.saves == killed_after
 
@@ -95,17 +97,58 @@ class TestKillAndResume:
         assert checkpoint.saves >= 1
         assert not checkpoint.path.exists()
 
-    def test_checkpoint_every_reduces_saves(self, tmp_path, workload):
-        every = FrontierCheckpoint(tmp_path / "every.json", every=3)
+    def _kill_after_three(self, path, workload):
         engine = TGDRewriter(workload.theory.tgds, use_elimination=True)
-        engine.rewrite(workload.query("q5"), checkpoint=every)
-        dense = FrontierCheckpoint(tmp_path / "dense.json")
-        engine.rewrite(workload.query("q1"), checkpoint=dense)
-        assert every.saves <= dense.saves or every.saves < 5
+        with pytest.raises(SimulatedKill):
+            engine.rewrite(
+                workload.query("q5"),
+                checkpoint=FrontierCheckpoint(path),
+                on_generation=KillAfter(3),
+            )
 
-    def test_every_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError):
-            FrontierCheckpoint(tmp_path / "x.json", every=0)
+    def test_a_resumed_run_saves_once_per_remaining_generation(
+        self, tmp_path, workload, clean_result
+    ):
+        path = tmp_path / "frontier.json"
+        self._kill_after_three(path, workload)
+        resumed_checkpoint = FrontierCheckpoint(path)
+        seen = []
+        resumed = TGDRewriter(workload.theory.tgds, use_elimination=True).rewrite(
+            workload.query("q5"),
+            checkpoint=resumed_checkpoint,
+            on_generation=seen.append,
+        )
+        assert seen == [3, 4, 5, 6, 7]
+        assert resumed_checkpoint.saves == len(seen)
+        assert resumed.ucq.queries == clean_result.ucq.queries
+
+    def test_a_given_strategy_begins_at_the_resumed_generation(
+        self, tmp_path, workload, clean_result
+    ):
+        class RecordingStrategy(SequentialStrategy):
+            def __init__(self) -> None:
+                self.begun_at: list[int] = []
+                self.generations = 0
+
+            def begin_run(self, engine, query, generation=0):
+                self.begun_at.append(generation)
+
+            def expand_generation(self, engine, batch):
+                self.generations += 1
+                return super().expand_generation(engine, batch)
+
+        path = tmp_path / "frontier.json"
+        self._kill_after_three(path, workload)
+        with RecordingStrategy() as strategy:
+            resumed = TGDRewriter(workload.theory.tgds, use_elimination=True).rewrite(
+                workload.query("q5"),
+                strategy=strategy,
+                checkpoint=FrontierCheckpoint(path),
+            )
+        assert strategy.begun_at == [3]
+        assert strategy.generations == 5
+        assert resumed.ucq.queries == clean_result.ucq.queries
+        assert resumed.auxiliary_queries == clean_result.auxiliary_queries
 
 
 class TestGenerationCallback:
@@ -170,12 +213,6 @@ class TestForQuery:
         }
         assert len(paths) == 4
 
-    def test_every_is_passed_through(self, tmp_path, workload):
-        query = workload.query("q5")
-        assert FrontierCheckpoint.for_query(tmp_path, "fp", query, 3).every == 3
-        with pytest.raises(ValueError):
-            FrontierCheckpoint.for_query(tmp_path, "fp", query, 0)
-
 
 class TestCheckpointValidity:
     def _kill(self, tmp_path, workload, query_name="q5"):
@@ -184,8 +221,8 @@ class TestCheckpointValidity:
         with pytest.raises(SimulatedKill):
             engine.rewrite(
                 workload.query(query_name),
-                strategy=KillingStrategy(1),
                 checkpoint=FrontierCheckpoint(path),
+                on_generation=KillAfter(1),
             )
         return path
 

@@ -220,8 +220,9 @@ class TestQuerylessMerge:
                     rules = workload.theory.tgds
                     query = workload.query(name)
                     results = [
-                        TGDRewriter(rules, use_elimination=True, strategy=strategy)
-                        .rewrite(query)
+                        TGDRewriter(rules, use_elimination=True).rewrite(
+                            query, strategy=strategy
+                        )
                         for strategy in (SequentialStrategy(), threaded)
                     ]
                     assert repr(results[0].ucq) == repr(results[1].ucq)

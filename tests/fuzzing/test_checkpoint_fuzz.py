@@ -15,7 +15,7 @@ from repro.cache.checkpoint import FrontierCheckpoint
 from repro.cache.serialization import result_to_json
 from repro.core.rewriter import TGDRewriter
 from repro.fuzzing.generator import FRAGMENTS, GeneratorConfig, WorkloadGenerator
-from tests.cache.test_checkpoint import KillingStrategy, SimulatedKill
+from tests.cache.test_checkpoint import KillAfter, SimulatedKill
 
 #: How many generated theories the gate replays.
 _THEORIES = 20
@@ -63,8 +63,8 @@ def test_kill_and_resume_is_byte_identical(tmp_path, interruptible_cases):
         with pytest.raises(SimulatedKill):
             TGDRewriter(case.theory.tgds).rewrite(
                 case.query,
-                strategy=KillingStrategy(killed_after),
                 checkpoint=FrontierCheckpoint(path),
+                on_generation=KillAfter(killed_after),
             )
         assert path.exists(), case.describe()
 

@@ -12,6 +12,7 @@ from repro.fuzzing.oracle import (
 )
 from repro.queries.containment import is_contained_in
 from repro.queries.ucq import UnionOfConjunctiveQueries
+from repro.scheduling import SchedulingStrategy, ThreadedStrategy
 
 #: Seed-42 cases the planted-bug tests search for one to expose it on.
 PLANTED_BUG_CASES = 20
@@ -163,9 +164,7 @@ class TestPlantedDeadEndVerdict:
 
 
 class TestOracleConfig:
-    def test_needs_a_strategy_and_a_backend(self):
-        with pytest.raises(ValueError, match="strategy"):
-            DifferentialOracle(strategies=())
+    def test_needs_a_backend(self):
         with pytest.raises(ValueError, match="backend"):
             DifferentialOracle(backends=())
 
@@ -175,6 +174,54 @@ class TestOracleConfig:
         if verdict.skipped is not None:
             assert "budget" in verdict.skipped
             assert verdict.ok  # a skip is not a failure
+
+
+class TestDeterminismOracle:
+    """The oracle compares its fixed strategies, each built per case."""
+
+    def test_each_case_opens_and_closes_its_own_strategies(
+        self, oracle, monkeypatch
+    ):
+        entered, exited = [], []
+        enter, exit_ = SchedulingStrategy.__enter__, SchedulingStrategy.__exit__
+
+        def entering(strategy):
+            entered.append(strategy.name)
+            return enter(strategy)
+
+        def exiting(strategy, *exc_info):
+            exited.append(strategy.name)
+            return exit_(strategy, *exc_info)
+
+        monkeypatch.setattr(SchedulingStrategy, "__enter__", entering)
+        monkeypatch.setattr(SchedulingStrategy, "__exit__", exiting)
+        config = GeneratorConfig(fragment="linear")
+        verdict = oracle.check(WorkloadGenerator(seed=0, config=config).case(0))
+        assert verdict.ok, verdict.summary()
+        # Determinism runs each strategy once; on a linear theory the
+        # elimination oracle runs each again with memoisation on and off.
+        assert entered == ["sequential", "threaded", "auto"] + [
+            name for name in ("sequential", "threaded", "auto") for _ in range(2)
+        ]
+        assert exited == entered
+
+    def test_a_diverging_strategy_fails_the_determinism_oracle(
+        self, oracle, monkeypatch
+    ):
+        # A thread pool that merged out of batch order: every expansion
+        # is right, the rewriting's order and labels are not.
+        def out_of_order(strategy, engine, batch):
+            return list(map(engine.expand, batch))[::-1]
+
+        monkeypatch.setattr(ThreadedStrategy, "expand_generation", out_of_order)
+        failures = [
+            failure.detail
+            for case in WorkloadGenerator(seed=0).cases(3)
+            for failure in oracle.check(case).failures
+            if failure.oracle == "determinism"
+        ]
+        assert failures
+        assert all(detail.startswith("strategy 'threaded'") for detail in failures)
 
 
 class TestAnswerDiff:

@@ -10,9 +10,11 @@ per-run fresh variables — which the first test pins directly.
 
 import pytest
 
-from repro.api import OBDASystem
+from repro.api import OBDASystem, resolve_engine_options
+from repro.cache.store import RewritingStore
 from repro.core.rewriter import RewritingStatistics, TGDRewriter
 from repro.parallel import compile_workloads, resolve_workers
+from repro.scheduling import ChunkedProcessStrategy, ThreadedStrategy
 from repro.workloads import get_workload
 from tests.integration.test_regression_sizes import EXPECTED_SIZES
 
@@ -103,36 +105,24 @@ class TestParallelServingSemantics:
         assert len(system.rewriting_store) == 1
         assert len(second.ucq) == len(first.ucq)
 
-    @pytest.mark.parametrize("explicit_strategy", [False, True])
-    def test_in_batch_variant_runs_the_engine_once(
-        self, tmp_path, explicit_strategy
-    ):
+    def test_in_batch_variant_runs_the_engine_once(self, tmp_path, monkeypatch):
         # The in-process loop probes the caches before every compile, so
         # a variant of an earlier member is served from the record that
-        # member just stored, whether or not a strategy was requested.
-        from repro.scheduling import SequentialStrategy
+        # member just stored.
+        runs = []
+        rewrite = TGDRewriter.rewrite
 
-        class CountingStrategy(SequentialStrategy):
-            def __init__(self) -> None:
-                self.runs = 0
+        def counted(engine, query, *args, **kwargs):
+            runs.append(query)
+            return rewrite(engine, query, *args, **kwargs)
 
-            def begin_run(self, engine, query, generation=0):
-                self.runs += 1
-
+        monkeypatch.setattr(TGDRewriter, "rewrite", counted)
         workload = get_workload("A")
         query = workload.query("q5")
         variant = query.rename_variables(prefix="VV")
-        counter = CountingStrategy()
         system = OBDASystem(workload.theory, cache=tmp_path)
-        if explicit_strategy:
-            first, second = system.compile_many(
-                [query, variant], workers=1, strategy=counter
-            )
-        else:
-            # The engine's own strategy runs when the batch names none.
-            system._rewriter._strategy = counter
-            first, second = system.compile_many([query, variant], workers=1)
-        assert counter.runs == 1
+        first, second = system.compile_many([query, variant], workers=1)
+        assert runs == [query]
         assert second.statistics.persistent_cache_hits == 1
         assert len(system.rewriting_store) == 1
         assert len(second.ucq) == len(first.ucq)
@@ -195,10 +185,17 @@ class TestResolveWorkers:
             resolve_workers(0)
 
 
-class TestIntraQueryInvariance:
-    """Intra-query scheduling is a pure performance knob too."""
+#: The intra-query strategies, each sized for two workers.
+INTRA_QUERY_STRATEGIES = {
+    "chunked": lambda: ChunkedProcessStrategy(workers=2),
+    "threaded": lambda: ThreadedStrategy(threads=2),
+}
 
-    @pytest.mark.parametrize("strategy", ["chunked", "threaded"])
+
+class TestIntraQueryInvariance:
+    """Splitting one query's generations across workers changes no byte."""
+
+    @pytest.mark.parametrize("strategy", sorted(INTRA_QUERY_STRATEGIES))
     def test_strategy_mode_writes_the_same_store_bytes(self, strategy, tmp_path):
         workload = get_workload("S")
         queries = [workload.query(name) for name in workload.query_names]
@@ -209,9 +206,21 @@ class TestIntraQueryInvariance:
         )
         sequential_results = sequential.compile_many(queries, workers=1)
 
+        # The engine and fingerprint OBDASystem(use_nc_pruning=False)
+        # builds, each query rewritten through the strategy and stored in
+        # input order, as the batch stores them.
+        options = resolve_engine_options(workload.theory, use_nc_pruning=False)
+        engine = TGDRewriter(
+            workload.theory,
+            use_elimination=options.use_elimination,
+            use_nc_pruning=options.use_nc_pruning,
+        )
         strategy_dir = tmp_path / strategy
-        system = OBDASystem(workload.theory, use_nc_pruning=False, cache=strategy_dir)
-        results = system.compile_many(queries, workers=2, strategy=strategy)
+        store = RewritingStore(strategy_dir)
+        with INTRA_QUERY_STRATEGIES[strategy]() as scheduling:
+            results = [engine.rewrite(query, strategy=scheduling) for query in queries]
+        for query, result in zip(queries, results):
+            assert store.put(query, options.fingerprint, result)
 
         assert (strategy_dir / "rewritings.jsonl").read_bytes() == (
             sequential_dir / "rewritings.jsonl"
@@ -223,7 +232,7 @@ class TestIntraQueryInvariance:
     def test_single_pending_query_starts_no_pool(self, tmp_path, monkeypatch):
         # One cold query has nothing to fan out: compile_many(workers=2)
         # compiles it in this process, without a per-query pool and
-        # without switching to a process-chunked strategy on its own.
+        # without a process-chunked strategy.
         import repro.parallel as parallel_module
         import repro.scheduling as scheduling_module
 
@@ -249,43 +258,29 @@ class TestIntraQueryInvariance:
             sequential_dir / "rewritings.jsonl"
         ).read_bytes()
 
-    def test_explicit_strategy_is_honoured_for_a_single_query(self, tmp_path):
-        # A caller-provided strategy instance must be used even when only
-        # one query is pending (and must not be closed by the callee).
-        from repro.scheduling import ChunkedProcessStrategy
-
+    def test_explicit_strategy_is_honoured_for_a_single_query(self):
+        # A caller-provided strategy instance is used for the run and left
+        # open: the caller owns it and closes it.
         workload = get_workload("S")
         query = workload.query("q2")
 
         class CountingStrategy(ChunkedProcessStrategy):
             generations = 0
+            closes = 0
 
             def expand_generation(self, engine, batch):
                 CountingStrategy.generations += 1
                 return super().expand_generation(engine, batch)
 
+            def close(self):
+                CountingStrategy.closes += 1
+                super().close()
+
         strategy = CountingStrategy(workers=2, min_batch=2)
         try:
-            system = OBDASystem(workload.theory, use_nc_pruning=False)
-            system.compile_many([query], workers=2, strategy=strategy)
+            engine = TGDRewriter(workload.theory, use_elimination=True)
+            engine.rewrite(query, strategy=strategy)
             assert CountingStrategy.generations > 0
+            assert CountingStrategy.closes == 0
         finally:
             strategy.close()
-
-    def test_system_level_strategy_compiles_identically(self, tmp_path):
-        workload = get_workload("S")
-        queries = [workload.query(name) for name in workload.query_names]
-
-        sequential_dir = tmp_path / "sequential"
-        OBDASystem(
-            workload.theory, use_nc_pruning=False, cache=sequential_dir
-        ).compile_many(queries, workers=1)
-
-        threaded_dir = tmp_path / "threaded"
-        with OBDASystem(
-            workload.theory, use_nc_pruning=False, cache=threaded_dir
-        ) as system:
-            system.compile_many(queries, strategy="threaded")
-        assert (threaded_dir / "rewritings.jsonl").read_bytes() == (
-            sequential_dir / "rewritings.jsonl"
-        ).read_bytes()

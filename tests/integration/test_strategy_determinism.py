@@ -13,13 +13,7 @@ import dataclasses
 import pytest
 
 from repro.core.rewriter import RewritingStatistics, TGDRewriter
-from repro.scheduling import (
-    ChunkedProcessStrategy,
-    SequentialStrategy,
-    ThreadedStrategy,
-    create_strategy,
-    strategy_names,
-)
+from repro.scheduling import ChunkedProcessStrategy, ThreadedStrategy
 from repro.workloads import get_workload
 from repro.workloads import stock_exchange_example as running_example
 
@@ -64,7 +58,7 @@ def _fingerprint(result):
 
 @pytest.fixture(scope="module")
 def sequential_results():
-    """Reference rewritings of every workload query under the default strategy."""
+    """Reference rewritings of every workload query, expanded sequentially."""
     reference = {}
     for name in WORKLOADS:
         workload = _workload(name)
@@ -80,37 +74,31 @@ class TestStrategyEquivalence:
     def test_threaded_matches_sequential_everywhere(
         self, sequential_results, threads
     ):
-        strategy = ThreadedStrategy(threads=threads)
-        try:
+        with ThreadedStrategy(threads=threads) as strategy:
             for name in WORKLOADS:
                 workload = _workload(name)
-                engine = TGDRewriter(
-                    workload.theory.tgds, use_elimination=True, strategy=strategy
-                )
+                engine = TGDRewriter(workload.theory.tgds, use_elimination=True)
                 for query_name in workload.query_names:
-                    result = engine.rewrite(workload.query(query_name))
+                    result = engine.rewrite(
+                        workload.query(query_name), strategy=strategy
+                    )
                     assert _fingerprint(result) == _fingerprint(
                         sequential_results[(name, query_name)]
                     ), f"threaded({threads}) diverged on {name}/{query_name}"
-        finally:
-            strategy.close()
 
     def test_chunked_matches_sequential_everywhere(self, sequential_results):
         # A small min_batch forces real IPC even on modest generations.
-        strategy = ChunkedProcessStrategy(workers=2, min_batch=2)
-        try:
+        with ChunkedProcessStrategy(workers=2, min_batch=2) as strategy:
             for name in WORKLOADS:
                 workload = _workload(name)
-                engine = TGDRewriter(
-                    workload.theory.tgds, use_elimination=True, strategy=strategy
-                )
+                engine = TGDRewriter(workload.theory.tgds, use_elimination=True)
                 for query_name in workload.query_names:
-                    result = engine.rewrite(workload.query(query_name))
+                    result = engine.rewrite(
+                        workload.query(query_name), strategy=strategy
+                    )
                     assert _fingerprint(result) == _fingerprint(
                         sequential_results[(name, query_name)]
                     ), f"chunked diverged on {name}/{query_name}"
-        finally:
-            strategy.close()
 
     def test_plain_ny_engine_agrees_across_strategies(self):
         """The non-eliminating engine (NY column) is strategy-invariant too."""
@@ -123,36 +111,36 @@ class TestStrategyEquivalence:
         }
         for strategy in (ThreadedStrategy(threads=2), ChunkedProcessStrategy(workers=2, min_batch=2)):
             with strategy:
-                engine = TGDRewriter(workload.theory.tgds, strategy=strategy)
+                engine = TGDRewriter(workload.theory.tgds)
                 for name in workload.query_names:
-                    assert (
-                        _fingerprint(engine.rewrite(workload.query(name)))
-                        == reference[name]
-                    )
+                    result = engine.rewrite(workload.query(name), strategy=strategy)
+                    assert _fingerprint(result) == reference[name]
 
     def test_strategy_override_per_run(self, sequential_results):
-        """`rewrite(strategy=...)` overrides the engine default for one run."""
+        """`rewrite(strategy=...)` expands one run through the given strategy."""
         workload = _workload("S")
         engine = TGDRewriter(workload.theory.tgds, use_elimination=True)
         with ThreadedStrategy(threads=2) as strategy:
             result = engine.rewrite(workload.query("q1"), strategy=strategy)
         assert _fingerprint(result) == _fingerprint(sequential_results[("S", "q1")])
 
+    def test_the_caller_closes_the_strategy(self, sequential_results, monkeypatch):
+        """No run closes the strategy it was given; one serves many runs."""
+        closed = []
+        close = ThreadedStrategy.close
 
-class TestStrategyRegistry:
-    def test_registered_names(self):
-        assert set(strategy_names()) == {"sequential", "threaded", "chunked", "auto"}
+        def recording_close(strategy):
+            closed.append(strategy)
+            close(strategy)
 
-    def test_create_strategy_resolves_names(self):
-        assert isinstance(create_strategy(None), SequentialStrategy)
-        assert isinstance(create_strategy("sequential"), SequentialStrategy)
-        assert isinstance(create_strategy("threaded", workers=3), ThreadedStrategy)
-        assert isinstance(create_strategy("chunked", workers=2), ChunkedProcessStrategy)
-
-    def test_create_strategy_passes_instances_through(self):
-        strategy = ThreadedStrategy(threads=2)
-        assert create_strategy(strategy) is strategy
-
-    def test_unknown_name_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduling strategy"):
-            create_strategy("voodoo")
+        monkeypatch.setattr(ThreadedStrategy, "close", recording_close)
+        workload = _workload("S")
+        engine = TGDRewriter(workload.theory.tgds, use_elimination=True)
+        with ThreadedStrategy(threads=2) as strategy:
+            for name in workload.query_names:
+                result = engine.rewrite(workload.query(name), strategy=strategy)
+                assert _fingerprint(result) == _fingerprint(
+                    sequential_results[("S", name)]
+                ), f"threaded diverged on S/{name}"
+            assert closed == []
+        assert closed == [strategy]

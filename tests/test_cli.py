@@ -371,36 +371,31 @@ class TestParser:
             build_parser().parse_args([])
 
 
-class TestStrategyFlags:
-    TBOX = TestRewriteCommand.TBOX
+class TestNoSchedulingFlags:
+    """Compiles expand sequentially and checkpoint after every generation:
+    no flag picks a scheduling strategy or a save cadence, and the fuzz
+    determinism oracle compares a fixed set of strategies."""
 
-    @pytest.fixture()
-    def tbox_file(self, tmp_path):
-        path = tmp_path / "university.dllite"
-        path.write_text(self.TBOX, encoding="utf-8")
-        return str(path)
-
-    def test_rewrite_strategies_print_identical_ucqs(self, tbox_file, capsys):
-        outputs = {}
-        for strategy in ("sequential", "threaded", "chunked"):
-            assert main([
-                "rewrite", "--tbox", tbox_file,
-                "--query", "q(A) :- Person(A)",
-                "--strategy", strategy, "--workers", "2",
-            ]) == 0
-            lines = capsys.readouterr().out.splitlines()
-            outputs[strategy] = [line for line in lines if not line.startswith("#")]
-        assert outputs["sequential"] == outputs["threaded"] == outputs["chunked"]
-
-    def test_compile_accepts_a_strategy(self, capsys):
-        assert main(["compile", "--workload", "S", "--strategy", "chunked",
-                     "--workers", "2"]) == 0
-        assert "compiled 5 queries" in capsys.readouterr().out
-
-    def test_unknown_strategy_is_rejected(self, tbox_file):
-        with pytest.raises(SystemExit):
-            main(["rewrite", "--tbox", tbox_file, "--query", "q(A) :- Person(A)",
-                  "--strategy", "bogus"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rewrite", "--tbox", "t.dllite", "--query", "q(A) :- Person(A)",
+             "--strategy", "threaded"],
+            ["rewrite", "--tbox", "t.dllite", "--query", "q(A) :- Person(A)",
+             "--workers", "2"],
+            ["compile", "--workload", "S", "--strategy", "chunked"],
+            ["rewrite", "--tbox", "t.dllite", "--query", "q(A) :- Person(A)",
+             "--checkpoint", "f.json", "--checkpoint-every", "2"],
+            ["compile", "--workload", "S", "--checkpoint-dir", "d",
+             "--checkpoint-every", "2"],
+            ["fuzz", "--cases", "1", "--strategies", "sequential", "chunked"],
+        ],
+    )
+    def test_scheduling_flags_are_unknown_arguments(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestRewriteCheckpointFlags:
@@ -449,7 +444,7 @@ class TestRewriteCheckpointFlags:
         from repro.ontology.parser import parse_ontology
         from repro.ontology.translation import to_theory
         from repro.queries.parser import parse_query
-        from tests.cache.test_checkpoint import KillingStrategy, SimulatedKill
+        from tests.cache.test_checkpoint import KillAfter, SimulatedKill
 
         query = "q(A) :- Person(A)"
         assert main(["rewrite", "--tbox", tbox_file, "--query", query]) == 0
@@ -466,8 +461,8 @@ class TestRewriteCheckpointFlags:
         with pytest.raises(SimulatedKill):
             engine.rewrite(
                 parse_query(query),
-                strategy=KillingStrategy(1),
                 checkpoint=FrontierCheckpoint(checkpoint),
+                on_generation=KillAfter(1),
             )
         assert checkpoint.exists()
 
@@ -682,8 +677,6 @@ class TestCompileCheckpointFlags:
                 "S",
                 "--checkpoint-dir",
                 str(directory),
-                "--checkpoint-every",
-                "2",
             ]
         ) == 0
         output = capsys.readouterr().out
@@ -695,4 +688,3 @@ class TestCompileCheckpointFlags:
     def test_checkpoint_parser_defaults(self):
         arguments = build_parser().parse_args(["compile", "--workload", "S"])
         assert arguments.checkpoint_dir is None
-        assert arguments.checkpoint_every == 1
