@@ -9,14 +9,15 @@
 # warm-path and recovery invariants).  `make strategy-smoke`,
 # `serve-smoke`, `subscribe-smoke` and `perf-smoke` each run one gate of
 # benchmarks/smoke.py, which prints one line per check and exits 1 if
-# any failed (its docstring lists every check).
+# any failed (its docstring lists every check).  `make perfbench-smoke`
+# runs each perfbench workload briefly, for its answer checks.
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest
 REPRO   = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro
 CACHE_DIR ?= .cache-smoke
 
-.PHONY: test smoke cache-smoke answer-smoke strategy-smoke fuzz-smoke serve-smoke subscribe-smoke chaos-smoke perf-smoke bench bench-json table1
+.PHONY: test smoke cache-smoke answer-smoke strategy-smoke fuzz-smoke serve-smoke subscribe-smoke chaos-smoke perf-smoke perfbench-smoke bench bench-json table1
 
 test:
 	$(PYTEST) -x -q
@@ -81,7 +82,7 @@ subscribe-smoke:
 chaos-smoke:
 	$(REPRO) chaos --seed 0 --cases 6 --quiet
 
-# Perf gate (seconds, not minutes), five checks: (1) the running example
+# Perf gate (seconds, not minutes), six checks: (1) the running example
 # rewritten through an auto strategy passed to each run
 # (rewrite(query, strategy=auto)) gives the sequential bytes; (2) the
 # tuple-encoded canonical-key kernel gives the reference's keys and
@@ -92,12 +93,26 @@ chaos-smoke:
 # give exactly 1 full + 20 incremental snapshot loads and maintainer
 # refreshes, poll() agreeing with execute(); (5) 20 seeded churn rounds
 # on the Vicodi ABox, polled on q1-q4, join-order exactly the pinned
-# number of delta rules, with maintained answers equal to re-evaluation.
-# Every check runs even after one fails.  The exhaustive hot-path
-# benchmark is benchmarks/bench_hotpaths.py under `make bench-json`.
+# number of delta rules, with maintained answers equal to re-evaluation;
+# (6) the 25 Table 1 rewritings factor into exactly the pinned number of
+# joins over predicate unions, and on a seeded ABox execute() and each
+# join answer as their disjuncts do one at a time.  Every check runs
+# even after one fails.  The exhaustive hot-path benchmark is
+# benchmarks/bench_hotpaths.py under `make bench-json`.
 perf-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) \
 	    benchmarks/smoke.py perf
+
+# Benchmark correctness gate: two seconds of each perfbench workload
+# (cold, warm, churn) at seed 1.  perfbench/run.py exits non-zero unless
+# every served answer equals its oracle's (the resolution baseline's
+# rewriting executed on SQLite); the timings of so short a run are not
+# read.
+perfbench-smoke:
+	for workload in cold warm churn; do \
+	    $(PYTHON) perfbench/run.py --workload $$workload --seed 1 \
+	        --seconds 2 || exit 1; \
+	done
 
 bench:
 	$(PYTEST) -q benchmarks

@@ -46,10 +46,16 @@ serve-smoke subscribe-smoke perf-smoke`` gate every CI run.
        each polling q1-q4, plan exactly :data:`DELTA_RULES_PLANS` delta
        rules, at most one per rule, and the maintained answers equal
        re-evaluation at the end.
+    6. The 25 Table 1 rewritings factor into exactly
+       :data:`FACTORED_JOINS` joins over predicate unions, and on a seeded
+       ABox per ontology each rewriting's ``execute()``, and each of its
+       joins alone, equals the union of ``execute_disjunct()`` (one
+       disjunct at a time) over the disjuncts it stands for.
 
-    Checks 2-5 count work, so they are exact on any host; no check times
-    anything.  ``benchmarks/bench_hotpaths.py`` (``make bench-json``) is
-    the exhaustive form of checks 1 and 2, with timings.
+    Checks 2-6 count work or compare answers, so they are exact on any
+    host; no check times anything.  ``benchmarks/bench_hotpaths.py``
+    (``make bench-json``) is the exhaustive form of checks 1 and 2, with
+    timings.
 
 The script is import-safe for test collectors.
 """
@@ -71,7 +77,12 @@ if _SRC not in sys.path:
 
 from repro.api import OBDASystem  # noqa: E402
 from repro.core.rewriter import TGDRewriter  # noqa: E402
-from repro.database.evaluator import evaluate_ucq  # noqa: E402
+from repro.database.evaluator import (  # noqa: E402
+    QueryEvaluator,
+    compile_join,
+    evaluate_ucq,
+)
+from repro.database.generator import DatabaseGenerator  # noqa: E402
 from repro.database.instance import database_from_tuples  # noqa: E402
 from repro.logic.atoms import Atom  # noqa: E402
 from repro.logic.canonical import (  # noqa: E402
@@ -139,6 +150,13 @@ DELTA_RULES_QUERIES = ("q1", "q2", "q3", "q4")
 DELTA_RULES_ROUNDS = 20
 DELTA_RULES_SEED = 15
 DELTA_RULES_PLANS = 774
+#: Joins the 766 CQs of the 25 Table 1 rewritings factor into, and check
+#: 6's ABox: the ``DatabaseGenerator`` shape of ``perfbench``, 25 facts
+#: per relation.
+TABLE1 = ("V", "S", "U", "A", "P5")
+FACTORED_JOINS = 96
+FACTORING_SEED = 6
+FACTORING_FACTS = 25
 
 
 # -- the shared pieces ---------------------------------------------------
@@ -571,6 +589,49 @@ def delta_rule_plans(check) -> None:
     )
 
 
+def factored_execution(check) -> None:
+    """Perf check 6: Table 1 factors into the pinned joins, answering alike."""
+    cqs = joins = answered = 0
+    differ = []
+    for name in TABLE1:
+        workload = get_workload(name)
+        database = DatabaseGenerator(FACTORING_SEED).populate_for_rules(
+            workload.theory.tgds, facts_per_relation=FACTORING_FACTS
+        )
+        evaluator = QueryEvaluator(database)
+        with OBDASystem(workload.theory, database=database) as system:
+            for query_name, query in named(workload):
+                prepared = system.prepare(query)
+                ucq, plan = prepared.rewriting.ucq, prepared.plan
+                executed = plan.execute(database)
+                disjuncts = [
+                    plan.execute_disjunct(database, i) for i in range(len(ucq))
+                ]
+                agree = executed == frozenset().union(*disjuncts)
+                # Each join on its own, so a wrong join shows even where
+                # other joins happen to cover its answers.
+                for join in ucq.factored():
+                    program = compile_join(join.body, join.answer_terms)
+                    found = evaluator.answers(program)
+                    members = frozenset().union(*(disjuncts[i] for i in join.members))
+                    agree = agree and found == members
+                cqs += len(ucq)
+                joins += len(ucq.factored())
+                answered += bool(executed)
+                if not agree:
+                    differ.append(f"{name} {query_name}")
+    check(
+        joins == FACTORED_JOINS and not differ,
+        f"factored execution of Table 1: {cqs} CQs in {joins} joins (pinned "
+        f"{FACTORED_JOINS}); execute() and each join "
+        f"{'equal' if not differ else 'DIFFER FROM'} the union of their "
+        f"disjuncts' execute_disjunct() on "
+        f"{f'{len(differ)} queries' if differ else 'every query'} "
+        f"({answered} with answers)",
+        f"differing: {', '.join(differ)}",
+    )
+
+
 GATES = {
     "strategy": (strategy_identity,),
     "serve": (on_tenant(serve_checks),),
@@ -581,6 +642,7 @@ GATES = {
         coverage_memo_ceiling,
         change_log_counts,
         delta_rule_plans,
+        factored_execution,
     ),
 }
 

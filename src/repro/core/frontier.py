@@ -121,13 +121,14 @@ class CandidateQuery:
         The canonical fingerprint of the raw candidate (before
         elimination) and how it derives from the expanded query; the
         engine sets both, and the merge needs them when ``query`` is
-        ``None``.
+        ``None``.  A dead end has no fingerprint: the merge only counts
+        it, so the engine never keys it.
     ``dead_end``
         ``True`` when the candidate has an atom over an internal
         predicate that no database can ever satisfy
         (:mod:`repro.core.dead_ends`): nothing derived from it reaches
         the final rewriting, so the merge counts it and drops it, and
-        ``query`` is ``None``.
+        ``query`` and ``fingerprint`` are ``None``.
     """
 
     query: ConjunctiveQuery | None

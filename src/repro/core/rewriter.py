@@ -582,11 +582,12 @@ class TGDRewriter:
         merged result.
 
         Each candidate is encoded straight from the step's unifier
-        (:func:`repro.logic.flat.encode_query`) and keyed once from that
-        encoding.  The same encoding then decides whether it is a dead
-        end (:mod:`repro.core.dead_ends`); a dead end reaches the merge
-        as a key and a :class:`Derivation` without a query object,
-        flagged to be dropped.  On an engine from :meth:`for_run`, an
+        (:func:`repro.logic.flat.encode_query`).  The encoding first
+        decides whether it is a dead end (:mod:`repro.core.dead_ends`); a
+        dead end is never keyed, and reaches the merge as a
+        :class:`Derivation` without a query object or a key, flagged to
+        be dropped.  Every other candidate is keyed once from the same
+        encoding.  On an engine from :meth:`for_run`, an
         exact key already in the run's table settles any other candidate
         from the table: it eliminates nothing, its pruning verdict is the
         table's, and it reaches the merge the same way — cover sets and
@@ -636,11 +637,11 @@ class TGDRewriter:
         )
 
     def _candidate(self, derivation: Derivation, label: int) -> CandidateQuery:
-        """Key one raw candidate, then drop it, settle it from the table or reduce it."""
+        """Drop one raw candidate as a dead end, or key it, then settle or reduce it."""
         flat = encode_query(*derivation)
-        fingerprint = encoded_fingerprint(flat)
         if self._dead_ends is not None and self._dead_ends.is_dead_end(flat):
-            return CandidateQuery(None, label, False, 0, fingerprint, derivation, True)
+            return CandidateQuery(None, label, False, 0, None, derivation, True)
+        fingerprint = encoded_fingerprint(flat)
         key, exact = fingerprint
         keys = self._run_keys
         if exact and keys is not None:

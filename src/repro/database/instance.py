@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from enum import Enum
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from ..logic.atoms import Atom, Predicate
 from ..logic.terms import Constant, Term, is_constant
@@ -260,6 +260,32 @@ class RelationalInstance:
         )
         self._cardinality_cache[predicate] = (self._epoch, counts)
         return counts
+
+    def probe(
+        self, predicate: Predicate, bound: Sequence[tuple[int, Term]]
+    ) -> Collection[Atom]:
+        """The smallest index bucket of *predicate* over the bound positions.
+
+        *bound* holds ``(position, value)`` pairs, positions 0-based.  The
+        result holds every atom of *predicate* agreeing with all of them,
+        and exactly those when at most one position is bound; with more,
+        the caller checks the others.  It is the index's own set, not a
+        copy (the whole relation when nothing is bound): the caller must
+        be done with it before the instance next changes.  The
+        evaluator's search (:mod:`repro.database.evaluator`) probes
+        through here.
+        """
+        if not bound:
+            return self._by_predicate.get(predicate, ())
+        index = self._by_position_value
+        smallest: Collection[Atom] | None = None
+        for position, value in bound:
+            bucket = index.get((predicate, position + 1, value))
+            if not bucket:
+                return ()
+            if smallest is None or len(bucket) < len(smallest):
+                smallest = bucket
+        return smallest
 
     def matching(self, predicate: Predicate, bound: dict[int, Term]) -> frozenset[Atom]:
         """Atoms of *predicate* agreeing with the bound (1-based) positions.

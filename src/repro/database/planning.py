@@ -17,9 +17,10 @@ then original position, so planning is deterministic) and reports the
 plan's total estimated work: the sum of the cumulative
 intermediate-result sizes along the join.  The evaluator and the
 in-memory backend join in that order; both backends' ``explain`` print
-it per disjunct.  Disjuncts themselves run in rewriting order: every
-disjunct of a UCQ is evaluated in full, so no order over them changes
-the work done.  The incremental maintainer plans its delta rules here
+it.  A body may mix plain atoms with the union atoms of a factored join
+(:class:`repro.queries.ucq.UnionAtom`): a union atom matches the rows
+of all its predicates, so its estimate and its relation size are the
+sums of theirs.  The incremental maintainer plans its delta rules here
 too, passing the variables a changed fact will bind as ``bound``.
 
 Ordering never changes *what* is answered — CQ answers are
@@ -32,7 +33,8 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from ..logic.atoms import Atom
-from ..logic.terms import Term, is_constant, is_variable
+from ..logic.terms import Constant, Term, Variable
+from ..queries.ucq import UnionAtom
 from .instance import RelationalInstance
 
 __all__ = ["CardinalityEstimator", "JoinPlan"]
@@ -42,7 +44,7 @@ class JoinPlan(NamedTuple):
     """A planned join order for one CQ body, with its cost estimates."""
 
     #: The body atoms in execution order.
-    order: tuple[Atom, ...]
+    order: tuple[Atom | UnionAtom, ...]
     #: Estimated rows produced by each join step, in execution order.
     step_rows: tuple[float, ...]
     #: Estimated size of the intermediate result after each step.
@@ -62,31 +64,54 @@ class CardinalityEstimator:
     def __init__(self, instance: RelationalInstance) -> None:
         self._instance = instance
 
-    def relation_size(self, atom: Atom) -> int:
-        """Stored tuples of the atom's relation."""
-        return self._instance.relation_size(atom.predicate)
+    def _statistics(
+        self, atom: Atom | UnionAtom
+    ) -> list[tuple[int, tuple[int, ...]]]:
+        """``(size, distinct counts per position)`` of *atom*'s non-empty relations."""
+        instance = self._instance
+        statistics = []
+        for predicate in atom.predicates:
+            size = instance.relation_size(predicate)
+            if size:
+                statistics.append((size, instance.position_cardinalities(predicate)))
+        return statistics
 
-    def estimate_rows(self, atom: Atom, bound_variables: set[Term]) -> float:
-        """Expected matches of *atom* given the already-bound variables.
-
-        ``size / ∏ distinct(position)`` over the positions carrying a
-        constant or a bound variable; a position whose distinct count is
-        zero or one filters nothing and contributes no factor.
-        """
-        size = self._instance.relation_size(atom.predicate)
-        if size == 0:
-            return 0.0
-        cardinalities = self._instance.position_cardinalities(atom.predicate)
-        estimate = float(size)
-        for position, term in enumerate(atom.terms):
-            if is_constant(term) or term in bound_variables:
+    @staticmethod
+    def _estimate(
+        statistics: Sequence[tuple[int, tuple[int, ...]]],
+        terms: Sequence[Term],
+        bound_variables: set[Term],
+    ) -> tuple[float, int]:
+        """Expected matches of an atom, and how many of its positions are bound."""
+        filtered = [
+            position
+            for position, term in enumerate(terms)
+            if isinstance(term, Constant) or term in bound_variables
+        ]
+        rows = 0.0
+        for size, cardinalities in statistics:
+            estimate = float(size)
+            for position in filtered:
                 distinct = cardinalities[position]
                 if distinct > 1:
                     estimate /= distinct
-        return estimate
+            rows += estimate
+        return rows, len(filtered)
+
+    def estimate_rows(
+        self, atom: Atom | UnionAtom, bound_variables: set[Term]
+    ) -> float:
+        """Expected matches of *atom* given the already-bound variables.
+
+        Per predicate, ``size / ∏ distinct(position)`` over the positions
+        carrying a constant or a bound variable; a position whose distinct
+        count is zero or one filters nothing and contributes no factor.
+        A union atom sums the estimates of its predicates.
+        """
+        return self._estimate(self._statistics(atom), atom.terms, bound_variables)[0]
 
     def plan_body(
-        self, body: Sequence[Atom], bound: Iterable[Term] = ()
+        self, body: Sequence[Atom | UnionAtom], bound: Iterable[Term] = ()
     ) -> JoinPlan:
         """Greedy cost-ordered join plan for one CQ body.
 
@@ -106,8 +131,11 @@ class CardinalityEstimator:
         if not atoms:
             return JoinPlan((), (), (), 0.0)
         remaining = list(range(len(atoms)))
+        # Relation statistics are read once per atom, not once per step.
+        statistics = [self._statistics(atom) for atom in atoms]
+        sizes = [sum([size for size, _ in stats]) for stats in statistics]
         bound_variables: set[Term] = set(bound)
-        order: list[Atom] = []
+        order: list[Atom | UnionAtom] = []
         step_rows: list[float] = []
         cumulative: list[float] = []
         frontier = 1.0
@@ -116,14 +144,10 @@ class CardinalityEstimator:
             best_index = None
             best_key: tuple | None = None
             for index in remaining:
-                atom = atoms[index]
-                rows = self.estimate_rows(atom, bound_variables)
-                bound_count = sum(
-                    1
-                    for term in atom.terms
-                    if is_constant(term) or term in bound_variables
+                rows, bound_count = self._estimate(
+                    statistics[index], atoms[index].terms, bound_variables
                 )
-                key = (rows, -bound_count, self.relation_size(atom), index)
+                key = (rows, -bound_count, sizes[index], index)
                 if best_key is None or key < best_key:
                     best_key, best_index = key, index
             assert best_index is not None and best_key is not None
@@ -135,5 +159,5 @@ class CardinalityEstimator:
             order.append(atom)
             step_rows.append(rows)
             cumulative.append(frontier)
-            bound_variables.update(t for t in atom.terms if is_variable(t))
+            bound_variables.update([t for t in atom.terms if isinstance(t, Variable)])
         return JoinPlan(tuple(order), tuple(step_rows), tuple(cumulative), cost)

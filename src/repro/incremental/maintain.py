@@ -28,10 +28,12 @@ passes per changed fact, each running a fixed set of *delta rules*.
   the rederive rule (:func:`derives`) and kept if a derivation survives.
 
 * **Plan lifetime.**  A rule is join-ordered
-  (:meth:`~repro.database.planning.CardinalityEstimator.plan_body`) the
-  first time a poll needs it — never eagerly — always against the
+  (:meth:`~repro.database.planning.CardinalityEstimator.plan_body`) and
+  compiled (:func:`~repro.database.evaluator.compile_join`) the first
+  time a poll needs it — never eagerly — always against the
   :class:`~repro.database.instance.RelationalInstance`, never the
-  overlay, and reused by later polls.  Every full refresh empties the
+  overlay, and reused by later polls, which compile nothing.  Every full
+  refresh empties the
   cache.  So does drift: once the incremental refreshes since the cache
   was emptied have applied more facts than the instance held then (the
   threshold at which the change log reports ``OVERSIZE``), the plans were
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Hashable, Iterable, Sequence
 
-from ..database.evaluator import QueryEvaluator
+from ..database.evaluator import JoinProgram, QueryEvaluator, compile_join
 from ..database.instance import LogGap, RelationalInstance
 from ..database.planning import CardinalityEstimator
 from ..logic.atoms import Atom
@@ -101,26 +103,31 @@ def unify_fact(atom: Atom, fact: Atom) -> dict[Term, Term] | None:
     return _unify(atom.terms, fact.terms)
 
 
+def _variables(terms: Sequence[Term]) -> tuple[Term, ...]:
+    """The distinct variables of *terms*, in order."""
+    return tuple(dict.fromkeys(term for term in terms if is_variable(term)))
+
+
 def pinned_answers(
     body: Sequence[Atom],
     answer_terms: Sequence[Term],
     fact: Atom,
     view,
-    rule_order: Callable[[int], Sequence[Atom]] | None = None,
+    rule: Callable[[int], JoinProgram] | None = None,
 ) -> frozenset[tuple]:
     """Answers of one disjunct that have a derivation mapping a body atom to *fact*.
 
     Runs the disjunct's pinning rules for *fact* over *view* (any object
-    with ``relation``/``matching`` and ``in``): for every body atom
-    unifiable with the fact, the rest of the body, searched from the
-    unifier as seed.  The union over the pinning choices is the complete
-    set of answers with at least one derivation through the fact — the
-    delta rule of semi-naive evaluation, specialised to a single changed
-    tuple.  A fact absent from *view* pins nothing.
+    with ``probe`` and ``in``): for every body atom unifiable with the
+    fact, the rest of the body, searched from the unifier as seed.  The
+    union over the pinning choices is the complete set of answers with
+    at least one derivation through the fact — the delta rule of
+    semi-naive evaluation, specialised to a single changed tuple.  A
+    fact absent from *view* pins nothing.
 
-    ``rule_order(position)`` is the join order of the rule pinning the
-    atom at *position*; the maintainer passes its cached plans.  Without
-    it the rest of the body is joined in body order.
+    ``rule(position)`` is the compiled rule pinning the atom at
+    *position*; the maintainer passes its cached rules.  Without it the
+    rest of the body is joined in body order.
     """
     if fact not in view:
         return frozenset()
@@ -130,8 +137,13 @@ def pinned_answers(
         seed = unify_fact(atom, fact)
         if seed is None:
             continue
-        order = _rest(body, position) if rule_order is None else rule_order(position)
-        answers |= evaluator.answers_for_order(order, answer_terms, seed)
+        if rule is None:
+            program = compile_join(
+                _rest(body, position), answer_terms, _variables(atom.terms)
+            )
+        else:
+            program = rule(position)
+        evaluator.answers(program, seed, answers)
     return frozenset(answers)
 
 
@@ -140,20 +152,22 @@ def derives(
     answer_terms: Sequence[Term],
     answer: tuple,
     view,
-    order: Sequence[Atom] | None = None,
+    rule: JoinProgram | None = None,
 ) -> bool:
     """``True`` iff the disjunct still derives *answer* over *view*.
 
     Runs the rederive rule: a search over the body seeded with the answer
     terms bound to the tuple's values, stopping at the first derivation.
     This is the rederive step of DRed, trivial here because UCQs are
-    non-recursive.  *order* is the rule's join order (the maintainer's
-    cached plan); by default the body order.
+    non-recursive.  *rule* is the compiled rule (the maintainer's cached
+    one); by default the body is joined in body order.
     """
     seed = _unify(answer_terms, answer)
     if seed is None:
         return False
-    return QueryEvaluator(view).satisfiable(body if order is None else order, seed)
+    if rule is None:
+        rule = compile_join(body, (), _variables(answer_terms))
+    return QueryEvaluator(view).exists(rule, seed)
 
 
 @dataclass(frozen=True)
@@ -232,10 +246,10 @@ class MaintainedAnswerSet:
         # system keeps the database alive anyway, and an `is` check can
         # never confuse two instances the way a recycled id() could.
         self._instance: RelationalInstance | None = None
-        # Join orders of the delta rules planned so far, keyed by
-        # (disjunct, pinned position), position None for the rederive
-        # rule; see the module docstring for their lifetime.
-        self._rules: dict[tuple[int, int | None], tuple[Atom, ...]] = {}
+        # The delta rules planned and compiled so far, keyed by (disjunct,
+        # pinned position), position None for the rederive rule; see the
+        # module docstring for their lifetime.
+        self._rules: dict[tuple[int, int | None], JoinProgram] = {}
         self._planned_size = 0
         self._applied_since_planning = 0
         self.counters = MaintenanceCounters()
@@ -314,35 +328,32 @@ class MaintainedAnswerSet:
     ) -> frozenset[tuple]:
         if self._plan is not None:
             return self._plan.execute_disjunct(database, index)
-        body, answer_terms = self._disjuncts[index]
-        evaluator = QueryEvaluator(database)
-        return evaluator.answers_for_order(evaluator.join_order(body), answer_terms)
+        return QueryEvaluator(database).evaluate(self._queries[index])
 
     def _rule(
         self, database: RelationalInstance, index: int, position: int | None = None
-    ) -> tuple[Atom, ...]:
-        """The join order of one delta rule of disjunct *index*, planned on first use.
+    ) -> JoinProgram:
+        """One delta rule of disjunct *index*, planned and compiled on first use.
 
         Pinning rule *position*: the body without that atom, with its
         variables bound.  ``position=None``: the rederive rule, the whole
-        body with the answer variables bound.
+        body with the answer variables bound, looking for one witness.  A
+        rule of at most one atom has one join order and is not planned.
         """
         key = (index, position)
-        order = self._rules.get(key)
-        if order is None:
+        rule = self._rules.get(key)
+        if rule is None:
             body, answer_terms = self._disjuncts[index]
             if position is None:
-                rest, seeded = body, answer_terms
+                rest, seeded, answer = body, _variables(answer_terms), ()
             else:
-                rest, seeded = _rest(body, position), body[position].terms
-            order = (
-                CardinalityEstimator(database)
-                .plan_body(rest, (term for term in seeded if is_variable(term)))
-                .order
-            )
-            self._rules[key] = order
+                rest = _rest(body, position)
+                seeded, answer = _variables(body[position].terms), answer_terms
+            if len(rest) > 1:
+                rest = CardinalityEstimator(database).plan_body(rest, seeded).order
+            rule = self._rules[key] = compile_join(rest, answer, seeded)
             self.counters.delta_plans += 1
-        return order
+        return rule
 
     def _drop_rules(self, database: RelationalInstance) -> None:
         self._rules.clear()
@@ -405,7 +416,7 @@ class MaintainedAnswerSet:
         base_view = OverlayInstance(database, removed) if removed else None
         for index in affected:
             body, answer_terms = self._disjuncts[index]
-            rule_order = partial(self._rule, database, index)
+            rule = partial(self._rule, database, index)
             body_predicates = {atom.predicate for atom in body}
             relevant_removed = [f for f in removed if f.predicate in body_predicates]
             if relevant_removed:
@@ -415,18 +426,18 @@ class MaintainedAnswerSet:
                 overdeleted: set[tuple] = set()
                 for fact in relevant_removed:
                     overdeleted |= pinned_answers(
-                        body, answer_terms, fact, base_view, rule_order
+                        body, answer_terms, fact, base_view, rule
                     )
                 lost = overdeleted & self._per_disjunct[index]
                 for answer in lost:
                     self._discard(index, answer)
-                    if derives(body, answer_terms, answer, database, rule_order(None)):
+                    if derives(body, answer_terms, answer, database, rule(None)):
                         self._add(index, answer)
             for fact in added:
                 if fact.predicate not in body_predicates:
                     continue
                 for answer in pinned_answers(
-                    body, answer_terms, fact, database, rule_order
+                    body, answer_terms, fact, database, rule
                 ):
                     self._add(index, answer)
         self._epoch = database.epoch

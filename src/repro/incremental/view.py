@@ -5,15 +5,15 @@ removed facts by evaluating pinned disjuncts over the *pre-deletion* state
 — the current database plus the facts that just disappeared.  Materialising
 that state would copy the instance; instead :class:`OverlayInstance`
 presents ``base ∪ extra`` through exactly what the maintainer's seeded
-search consumes (:meth:`relation`, :meth:`matching` and a membership
-test), delegating to the live instance's indexes and scanning the (small)
-overlay linearly.
+search consumes (:meth:`probe` and a membership test), delegating to the
+live instance's indexes and scanning the (small) overlay linearly.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable
+from itertools import chain
+from typing import Collection, Iterable, Sequence
 
 from ..logic.atoms import Atom, Predicate
 from ..logic.terms import Term
@@ -22,8 +22,8 @@ from ..logic.terms import Term
 class OverlayInstance:
     """``base ∪ extra`` exposed through the :class:`QueryEvaluator` protocol.
 
-    Only :meth:`relation`, :meth:`matching` and ``in`` are provided: the
-    evaluator's search probes indexes, and
+    :meth:`probe` and ``in`` are what the maintainer uses: the evaluator's
+    search probes indexes, and
     :func:`repro.incremental.maintain.pinned_answers` checks that the
     pinned fact is in the view.  There are no planner statistics: delta
     rules are planned against the base instance, which differs from the
@@ -42,6 +42,25 @@ class OverlayInstance:
 
     def __contains__(self, fact: Atom) -> bool:
         return fact in self._base or fact in self._extra.get(fact.predicate, ())
+
+    def probe(
+        self, predicate: Predicate, bound: Sequence[tuple[int, Term]]
+    ) -> Iterable[Atom]:
+        """:meth:`RelationalInstance.probe` over the overlaid view.
+
+        The base's bucket, then the extra facts agreeing with every bound
+        (0-based) position, so a single bound position is exact here too.
+        """
+        result: Collection[Atom] = self._base.probe(predicate, bound)
+        extra = self._extra.get(predicate)
+        if not extra:
+            return result
+        matched = [
+            fact
+            for fact in extra
+            if all(fact.terms[position] == value for position, value in bound)
+        ]
+        return chain(result, matched) if matched else result
 
     def relation(self, predicate: Predicate) -> frozenset[Atom]:
         """All atoms of *predicate* in the overlaid view."""

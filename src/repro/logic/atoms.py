@@ -118,6 +118,17 @@ class Atom:
         """The predicate arity."""
         return self.predicate.arity
 
+    @property
+    def predicates(self) -> tuple[Predicate]:
+        """The predicate as a one-element union.
+
+        A factored join's atom ranges over several predicates
+        (:class:`repro.queries.ucq.UnionAtom`); planning and evaluation
+        read ``predicates`` and ``terms``, so a plain atom is the
+        one-predicate case.
+        """
+        return (self.predicate,)
+
     def __iter__(self) -> Iterator[Term]:
         return iter(self.terms)
 

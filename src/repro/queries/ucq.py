@@ -3,17 +3,21 @@
 A UCQ of arity ``n`` is a set of CQs of the same arity sharing the same head
 predicate (Section 3.1).  The perfect rewriting produced by ``TGD-rewrite``
 is a UCQ; this module also provides the canonical-key interning store (the
-"no variant twice" container used by the rewriting algorithms) and
-subsumption-based redundancy removal used to compare rewritings.
+"no variant twice" container used by the rewriting algorithms),
+subsumption-based redundancy removal used to compare rewritings, and the
+factoring of a UCQ into joins over predicate unions (:func:`factor`) that
+the in-memory backend executes.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from ..logic.atoms import atoms_predicates
+from ..logic.atoms import Predicate, atoms_predicates
 from ..logic.canonical import CanonicalKey
+from ..logic.terms import Term, Variable
 from .conjunctive_query import ConjunctiveQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -23,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class UnionOfConjunctiveQueries:
     """An immutable union of CQs of equal arity."""
 
-    __slots__ = ("_queries", "_arity")
+    __slots__ = ("_queries", "_arity", "_factored")
 
     def __init__(self, queries: Iterable[ConjunctiveQuery]) -> None:
         queries = list(queries)
@@ -32,6 +36,7 @@ class UnionOfConjunctiveQueries:
             raise ValueError(f"queries in a UCQ must share the same arity, got {arities}")
         self._queries: tuple[ConjunctiveQuery, ...] = tuple(queries)
         self._arity = arities.pop() if arities else 0
+        self._factored: tuple[FactoredJoin, ...] | None = None
 
     @property
     def arity(self) -> int:
@@ -54,6 +59,16 @@ class UnionOfConjunctiveQueries:
 
     def __repr__(self) -> str:
         return "\n".join(repr(q) for q in self._queries) or "<empty UCQ>"
+
+    def factored(self) -> tuple["FactoredJoin", ...]:
+        """The members as joins over predicate unions (:func:`factor`).
+
+        Factored on the first call and cached, so every holder of this
+        UCQ (each tenant sharing a compiled rewriting) shares one result.
+        """
+        if self._factored is None:
+            self._factored = factor(self._queries)
+        return self._factored
 
     # -- set-like helpers ----------------------------------------------------
 
@@ -180,6 +195,184 @@ class UnionOfConjunctiveQueries:
             if not subsumed:
                 survivors.append(query)
         return UnionOfConjunctiveQueries(survivors)
+
+
+class UnionAtom(NamedTuple):
+    """An atom whose predicate ranges over a union of predicates.
+
+    It holds of ``terms`` wherever one of ``predicates`` does.  The
+    predicates share the arity ``len(terms)`` and are listed in the order
+    they joined the union.
+    """
+
+    predicates: tuple[Predicate, ...]
+    terms: tuple[Term, ...]
+
+    @property
+    def name(self) -> str:
+        """``p`` for a single predicate, ``{p|r}`` for a union."""
+        names = "|".join(predicate.name for predicate in self.predicates)
+        return names if len(self.predicates) == 1 else "{" + names + "}"
+
+    def __repr__(self) -> str:
+        return f"{self.name}({', '.join(str(term) for term in self.terms)})"
+
+
+class FactoredJoin(NamedTuple):
+    """One join of a factored UCQ: a body of union atoms and its members.
+
+    Its answers are the union of the answers of the member disjuncts:
+    expanding every union atom into each of its predicates gives back
+    exactly the members, up to variable renaming.
+    """
+
+    body: tuple[UnionAtom, ...]
+    answer_terms: tuple[Term, ...]
+    #: Indexes of the UCQ members this join evaluates, ascending.
+    members: tuple[int, ...]
+
+
+def _term_key(term: Term) -> tuple:
+    """A non-variable term compared by type and value.
+
+    ``Constant(1)``, ``Constant(True)`` and ``Constant(1.0)`` are equal
+    as values but get three keys, so they never merge.
+    """
+    value = getattr(term, "value", term)
+    return (type(term), type(value), value)
+
+
+def _masked_keys(
+    body: Sequence[tuple[tuple[Predicate, ...], tuple[Term, ...]]],
+    answer_terms: Sequence[Term],
+) -> list[tuple]:
+    """One key per body atom: the disjunct with that atom's predicates masked.
+
+    A key holds the whole structure with the variables renamed to
+    numbers: the masked atom's terms, every other atom's predicate set
+    and terms, and the answer terms.  Two disjuncts with equal keys are
+    therefore equal up to variable renaming except for the masked atom's
+    predicates, whatever the numbering.  The numbering only decides how
+    much is found equal: answer variables first, then the masked atom,
+    then the other atoms sorted by predicate set and by where the answer
+    variables occur, so that the body order of the disjunct rarely
+    matters.
+    """
+    anchor: dict[Term, int] = {}
+    head = tuple(
+        [
+            anchor.setdefault(term, len(anchor))
+            if isinstance(term, Variable)
+            else _term_key(term)
+            for term in answer_terms
+        ]
+    )
+    names = [
+        tuple(sorted([(predicate.name, predicate.arity) for predicate in predicates]))
+        for predicates, _ in body
+    ]
+
+    def sort_key(j: int) -> tuple:
+        pattern = tuple(
+            [
+                (anchor.get(term, -1),)
+                if isinstance(term, Variable)
+                else (-2, type(term).__qualname__, repr(term))
+                for term in body[j][1]
+            ]
+        )
+        return (names[j], pattern, j)
+
+    order = sorted(range(len(body)), key=sort_key)
+    keys = []
+    for masked in range(len(body)):
+        numbering = dict(anchor)
+        parts = []
+        for j in (masked, *order):
+            if j == masked and parts:
+                continue
+            # The masked atom is its terms alone, every other atom is its
+            # predicate set and its terms.
+            atom_key = [] if j == masked else [names[j]]
+            for term in body[j][1]:
+                if isinstance(term, Variable):
+                    atom_key.append(numbering.setdefault(term, len(numbering)))
+                else:
+                    atom_key.append(_term_key(term))
+            parts.append(tuple(atom_key))
+        parts.append(head)
+        keys.append(tuple(parts))
+    return keys
+
+
+def factor(queries: Sequence[ConjunctiveQuery]) -> tuple[FactoredJoin, ...]:
+    """Factor a union of CQs into joins over predicate unions.
+
+    Join distributes over union, so two disjuncts that are equal up to
+    variable renaming except for the predicate of one atom are one join
+    whose atom ranges over both predicates.  Merging repeats until no
+    two joins merge: a join differing from another only in one atom's
+    predicate set merges too, which turns a cross product of hierarchies
+    (``X(A), r(A, B), Y(B)`` for every ``X`` and ``Y``) into one join.
+
+    Merges are exact (see :func:`_masked_keys`).  Disjuncts are taken in
+    order and each absorbs into the first join it matches, predicates
+    are kept in first-appearance order, and the joins come out in the
+    order of their first member, so the result never depends on hashing.
+    """
+    bodies = [
+        [(atom.predicates, atom.terms) for atom in query.body] for query in queries
+    ]
+    members = [[index] for index in range(len(queries))]
+    alive = [True] * len(queries)
+    registered: list[list[tuple]] = [[] for _ in queries]
+    table: dict[tuple, tuple[int, int]] = {}
+    queue = deque(range(len(queries)))
+    queued = [True] * len(queries)
+
+    def unregister(item: int, keep: int | None = None) -> None:
+        for position, key in enumerate(registered[item]):
+            if position != keep and table.get(key) == (item, position):
+                del table[key]
+
+    while queue:
+        item = queue.popleft()
+        queued[item] = False
+        keys = _masked_keys(bodies[item], queries[item].answer_terms)
+        hit = None
+        for position, key in enumerate(keys):
+            found = table.get(key)
+            if found is not None and found[0] != item:
+                hit = found
+                break
+        if hit is None:
+            registered[item] = keys
+            for position, key in enumerate(keys):
+                table.setdefault(key, (item, position))
+            continue
+        host, at = hit
+        predicates, terms = bodies[host][at]
+        union = tuple(dict.fromkeys(predicates + bodies[item][position][0]))
+        bodies[host][at] = (union, terms)
+        members[host] += members[item]
+        alive[item] = False
+        unregister(item)
+        # Every key of the host but the masked one names its old union.
+        unregister(host, keep=at)
+        if not queued[host]:
+            queued[host] = True
+            queue.append(host)
+    joins = [
+        FactoredJoin(
+            tuple(UnionAtom(predicates, terms) for predicates, terms in bodies[item]),
+            queries[item].answer_terms,
+            tuple(sorted(members[item])),
+        )
+        for item in range(len(queries))
+        if alive[item]
+    ]
+    joins.sort(key=lambda join: join.members[0])
+    return tuple(joins)
 
 
 @dataclass

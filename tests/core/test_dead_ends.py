@@ -396,7 +396,7 @@ class TestEngine:
         query = parse_query("q(A) :- edge(A, B), edge(B, C)")
         first = run.expand(query)
         dead = [c for c in first.candidates if c.dead_end]
-        assert dead and all(c.query is None and c.fingerprint[1] for c in dead)
+        assert dead and all(c.query is None and c.fingerprint is None for c in dead)
         assert all(
             any(atom.predicate == predicate for atom in c.build().body)
             for c in dead

@@ -146,7 +146,8 @@ def assert_derived_encoding_agrees(candidate) -> None:
     built = derivation.build()
     assert encoding(flat) == encoding(encode_query(built)), built
     key = canonical_fingerprint(flat)
-    assert key == candidate.fingerprint
+    # A dead end is dropped unkeyed; every other candidate carries its key.
+    assert candidate.fingerprint == (None if candidate.dead_end else key)
     assert key == canonical_fingerprint(built)
     assert key == canonical_fingerprint_reference(built)
 
