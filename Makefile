@@ -46,12 +46,14 @@ strategy-smoke:
 
 # Bounded differential-fuzzing gate (seconds, not minutes): a fixed-seed
 # window of generated linear/sticky/sticky-join triples must satisfy all
-# three oracles — rewrite-vs-chase, backend agreement, and byte-identical
-# rewritings across scheduling strategies + a store round-trip.  The
-# nightly CI job runs the same command with a date-derived seed and a
-# much larger case count.
+# the oracles — rewrite-vs-chase, backend agreement, byte-identical
+# rewritings across scheduling strategies + a store round-trip, and the
+# maintenance oracle, which drives each case through 30 seeded
+# insert/delete steps and requires the maintained answer set to equal
+# full re-evaluation after every one.  The nightly CI job runs the same
+# command with a date-derived seed and a much larger case count.
 fuzz-smoke:
-	$(REPRO) fuzz --seed 0 --cases 5 --quiet
+	$(REPRO) fuzz --seed 0 --cases 5 --mutations 30 --quiet
 
 # Serving gate: over a real socket, a workload-S tenant must answer
 # `q(A) :- FinantialInstrument(A)` (11 CQs through the TBox)
@@ -93,7 +95,8 @@ chaos-smoke:
 # give exactly 1 full + 20 incremental snapshot loads and maintainer
 # refreshes, poll() agreeing with execute(); (5) 20 seeded churn rounds
 # on the Vicodi ABox, polled on q1-q4, join-order exactly the pinned
-# number of delta rules, with maintained answers equal to re-evaluation;
+# number of delta rules (one per body position and one rederive rule per
+# factored join), with maintained answers equal to re-evaluation;
 # (6) the 25 Table 1 rewritings factor into exactly the pinned number of
 # joins over predicate unions, and on a seeded ABox execute() and each
 # join answer as their disjuncts do one at a time.  Every check runs

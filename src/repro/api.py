@@ -241,13 +241,16 @@ class PreparedQuery:
     def maintainer(self) -> "MaintainedAnswerSet":
         """The lazily created delta maintainer of this query's answer set.
 
-        Shared by every subscription on this prepared handle; full
-        (re-)executions run through the backend plan's per-disjunct path,
-        incremental steps run the maintainer's delta rules over the
-        instance.  :meth:`poll` refreshes it under the same freshness key
-        as the :meth:`execute` answer cache (the backend's
-        ``data_epoch``), so both see the same data; they share no answer
-        state and cross-check each other in the differential tests.
+        Shared by every subscription on this prepared handle.  Creating
+        it factors the rewriting (:meth:`repro.queries.ucq.
+        UnionOfConjunctiveQueries.factored`), if :meth:`execute` has not
+        already; its full (re-)executions are the backend plan's
+        ``execute``, the call :meth:`execute` makes, and its incremental
+        steps run delta rules over the factored joins on the instance.
+        :meth:`poll` refreshes it under the same freshness key as the
+        :meth:`execute` answer cache (the backend's ``data_epoch``), so
+        both see the same data; they share no answer state and
+        cross-check each other in the differential tests.
         """
         if self._maintained is None:
             self._maintained = MaintainedAnswerSet(

@@ -88,9 +88,9 @@ class ExecutionPlan(ABC):
 
         *index* is the disjunct's position in the rewriting.  UCQ
         answering is a union over independent CQs, so the union of every
-        disjunct's answers is :meth:`execute`'s; the incremental
-        maintainer's support counts (:mod:`repro.incremental.maintain`)
-        are built from them.
+        disjunct's answers is :meth:`execute`'s.  No answer path runs one
+        disjunct alone: this is the one-CQ-at-a-time reference that the
+        differential tests and the perf gate hold :meth:`execute` to.
         """
 
 

@@ -6,9 +6,10 @@ its rewriting as the few joins over predicate unions it factors into
 (:meth:`repro.queries.ucq.UnionOfConjunctiveQueries.factored`): the
 disjuncts of a rewriting mostly differ in one atom's predicate, picked
 from an ontology hierarchy, and join distributes over union, so one
-search answers them all.  The UCQ is factored on the plan's first
-:meth:`~InMemoryPlan.execute`, never at prepare, and the result is
-shared by every plan of that UCQ.
+search answers them all.  The UCQ is factored when first needed — the
+plan's first :meth:`~InMemoryPlan.execute`, or the first poll of a
+standing query over it — never at prepare, and the result is shared by
+every holder of that UCQ.
 
 What ``prepare`` buys over calling the evaluator directly is a *reusable
 plan*: the cost-aware join order of each join
@@ -17,9 +18,12 @@ once per database epoch and replayed for every execution at that epoch
 (they depend on relation statistics, so they are remade when the data
 changes).  Constant bindings are compiled into the planned order, so a
 rebound execution reuses the same order — binding changes which facts
-match, not the join structure.  :meth:`~InMemoryPlan.execute_disjunct`
-still evaluates one disjunct of the rewriting on its own, planned the
-same way: the maintainer's full refresh counts answers per disjunct.
+match, not the join structure.  The standing-query maintainer
+(:mod:`repro.incremental.maintain`) refreshes in full through the same
+:meth:`~InMemoryPlan.execute`, and runs its delta rules over the same
+factored joins.  :meth:`~InMemoryPlan.execute_disjunct` still evaluates
+one disjunct of the rewriting on its own, planned the same way: it is the
+one-CQ-at-a-time reference the factored joins are checked against.
 """
 
 from __future__ import annotations
@@ -36,7 +40,11 @@ from .base import ExecutionBackend, ExecutionPlan
 
 
 class InMemoryPlan(ExecutionPlan):
-    """A UCQ's factored joins, planned and compiled once per epoch."""
+    """A UCQ's factored joins, planned and compiled once per epoch.
+
+    Also what a :class:`~repro.incremental.maintain.MaintainedAnswerSet`
+    made without a plan executes for its full refreshes.
+    """
 
     def __init__(self, ucq: UnionOfConjunctiveQueries) -> None:
         self._ucq = ucq
@@ -82,8 +90,8 @@ class InMemoryPlan(ExecutionPlan):
         index: int,
         bindings: Mapping[Constant, Constant] | None = None,
     ) -> frozenset[tuple]:
-        # Planned per call: a full refresh runs each disjunct once per
-        # epoch, so keeping its plan would only keep garbage alive.
+        # Planned per call: only checks against execute() run one
+        # disjunct alone, so keeping its plan would only keep garbage alive.
         query = self._ucq[index]
         order = CardinalityEstimator(database).plan_body(query.body).order
         program = compile_join(order, query.answer_terms, constants=bindings)

@@ -287,28 +287,6 @@ class RelationalInstance:
                 smallest = bucket
         return smallest
 
-    def matching(self, predicate: Predicate, bound: dict[int, Term]) -> frozenset[Atom]:
-        """Atoms of *predicate* agreeing with the bound (1-based) positions.
-
-        Uses the per-(position, value) index: the candidate set is the
-        intersection of the index entries, starting from the smallest.
-        """
-        if not bound:
-            return self.relation(predicate)
-        candidate_sets = []
-        for position, value in bound.items():
-            candidates = self._by_position_value.get((predicate, position, value))
-            if not candidates:
-                return frozenset()
-            candidate_sets.append(candidates)
-        candidate_sets.sort(key=len)
-        result = set(candidate_sets[0])
-        for candidates in candidate_sets[1:]:
-            result &= candidates
-            if not result:
-                break
-        return frozenset(result)
-
     def constants(self) -> frozenset[Constant]:
         """The active domain of the instance (constants only)."""
         return frozenset(

@@ -2,17 +2,16 @@
 
 Standing queries for the serving tier: a compiled UCQ rewriting is a
 non-recursive relational query, so its answer set can be *maintained*
-under single-tuple inserts and deletes instead of recomputed — semi-naive
-pinned deltas for inserts, DRed-style over-delete + rederive for deletes,
-both run as delta rules whose join orders are planned once and reused
-across polls, support counts across disjuncts, and an unconditional
-fallback to full re-execution whenever the change log cannot vouch for
-the delta.
+under single-tuple inserts and deletes instead of recomputed.  One answer
+set is kept over the joins the rewriting factors into: semi-naive pinned
+deltas for inserts, DRed-style over-delete + rederive against the whole
+union for deletes, both run as delta rules whose join orders are planned
+once and reused across polls, and an unconditional fallback to full
+re-execution — the plan's own ``execute`` — whenever the change log
+cannot vouch for the delta.
 
 Modules
 -------
-:mod:`~repro.incremental.relevance`
-    Body relation → disjuncts index routing each changed fact.
 :mod:`~repro.incremental.view`
     The pre-deletion overlay view used by the delete pass.
 :mod:`~repro.incremental.maintain`
@@ -29,7 +28,6 @@ from .maintain import (
     pinned_answers,
     unify_fact,
 )
-from .relevance import RelevanceIndex
 from .subscriptions import (
     PollResult,
     Subscription,
@@ -44,7 +42,6 @@ __all__ = [
     "MaintenanceCounters",
     "OverlayInstance",
     "PollResult",
-    "RelevanceIndex",
     "Subscription",
     "SubscriptionPool",
     "UnknownSubscriptionError",

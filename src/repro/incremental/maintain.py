@@ -4,28 +4,34 @@ The paper's pipeline compiles an ontological query *once* into a union of
 conjunctive queries; afterwards answering is pure relational evaluation.
 That makes standing queries cheap to maintain: UCQs are non-recursive, so
 the classic semi-naive / DRed machinery degenerates into two simple
-passes per changed fact, each running a fixed set of *delta rules*.
+passes per changed fact, each running a fixed set of *delta rules* over
+the few joins of predicate unions the rewriting factors into
+(:meth:`repro.queries.ucq.UnionOfConjunctiveQueries.factored`) — the
+joins a full execution runs.
 
-* **Delta rules.**  A disjunct with body ``a1, ..., an`` has one pinning
-  rule per body position ``i`` — the body without ``ai``, join-ordered
-  with ``ai``'s variables bound — and one rederive rule, the whole body
-  join-ordered with the answer variables bound.  A changed fact's unifier
-  with ``ai`` (:func:`unify_fact`) seeds the evaluator's search over rule
-  ``i``; an answer tuple seeds the rederive rule.  Nothing is rewritten,
-  probed or planned per fact.
+* **Delta rules.**  A join with body ``a1, ..., an`` has one pinning rule
+  per body position ``i`` — the body without ``ai``, join-ordered with
+  ``ai``'s variables bound — and one rederive rule, the whole body
+  join-ordered with the answer variables bound.  A changed fact over one
+  of ``ai``'s predicates unifies with ``ai`` (:func:`unify_fact`) and
+  seeds the evaluator's search over rule ``i``; an answer tuple seeds the
+  rederive rule.  Nothing is rewritten, probed or planned per fact.
 
 * **Insert.**  Any answer that is new at the current epoch must have a
   derivation using at least one inserted fact.  Running the pinning rules
   of every inserted fact over the current instance
   (:func:`pinned_answers`) yields exactly the answers gaining a new
-  derivation — the delta rule of semi-naive evaluation.
+  derivation — the delta rule of semi-naive evaluation — and those not
+  yet in the answer set are added.
 
 * **Delete.**  DRed without the recursive rederive loop: running the same
   pinning rules over the *pre-deletion* view
   (:class:`~repro.incremental.view.OverlayInstance` = current ∪ removed)
-  over-approximates the answers that lost a derivation; each
-  over-deleted tuple is then checked against the current instance with
-  the rederive rule (:func:`derives`) and kept if a derivation survives.
+  over-approximates the answers that lost a derivation; an over-deleted
+  answer is dropped only when no join's rederive rule (:func:`derives`)
+  finds a derivation on the current instance.  Checking the whole union
+  is what lets one answer set stand without support counts: an answer
+  still derived elsewhere in the union survives.
 
 * **Plan lifetime.**  A rule is join-ordered
   (:meth:`~repro.database.planning.CardinalityEstimator.plan_body`) and
@@ -41,18 +47,13 @@ passes per changed fact, each running a fixed set of *delta rules*.
   plan per rule, so the rewriting bounds it.  Join order changes the
   cost of a rule, never its answers.
 
-Answers carry **support counts** — the number of disjuncts currently
-deriving them — so a tuple deleted from one disjunct does not drop an
-answer still derived by another.  A support transition ``0 → >0`` is an
-added answer, ``>0 → 0`` a removed one; that transition stream is the
-subscription delta surfaced by the serving tier.
-
 The change log is read through :meth:`RelationalInstance.net_changes_since`,
 which also decides when it cannot be used (truncated, or the delta
 outweighs the data) — the one policy the SQLite snapshot loader shares.
 Then, and whenever the data changed somewhere the instance log does not
-see (an attached SQLite file), the maintainer re-executes every disjunct
-from scratch.  Correctness never depends on the log.
+see (an attached SQLite file), the maintainer re-executes the whole
+rewriting through its execution plan.  Correctness never depends on the
+log.
 """
 
 from __future__ import annotations
@@ -61,14 +62,14 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Hashable, Iterable, Sequence
 
+from ..backends.memory import InMemoryPlan
 from ..database.evaluator import JoinProgram, QueryEvaluator, compile_join
 from ..database.instance import LogGap, RelationalInstance
 from ..database.planning import CardinalityEstimator
-from ..logic.atoms import Atom
+from ..logic.atoms import Atom, Predicate
 from ..logic.terms import Term, is_variable
 from ..queries.conjunctive_query import ConjunctiveQuery
-from ..queries.ucq import UnionOfConjunctiveQueries
-from .relevance import RelevanceIndex
+from ..queries.ucq import UnionAtom, UnionOfConjunctiveQueries
 from .view import OverlayInstance
 
 
@@ -87,18 +88,19 @@ def _unify(terms: Sequence[Term], values: Sequence[Term]) -> dict[Term, Term] | 
     return substitution
 
 
-def _rest(body: Sequence[Atom], position: int) -> tuple[Atom, ...]:
+def _rest(body: Sequence[Atom | UnionAtom], position: int) -> tuple:
     """The body of the pinning rule for *position*: *body* without that atom."""
     return tuple(body[:position]) + tuple(body[position + 1 :])
 
 
-def unify_fact(atom: Atom, fact: Atom) -> dict[Term, Term] | None:
+def unify_fact(atom: Atom | UnionAtom, fact: Atom) -> dict[Term, Term] | None:
     """Most general substitution mapping *atom* onto the ground *fact*.
 
-    Returns ``None`` when they do not unify (constant mismatch, or one
-    variable would need two distinct values).
+    *atom* is a plain or a union atom; the fact's predicate must be one of
+    its predicates.  Returns ``None`` when they do not unify (predicate or
+    constant mismatch, or one variable would need two distinct values).
     """
-    if atom.predicate != fact.predicate:
+    if fact.predicate not in atom.predicates:
         return None
     return _unify(atom.terms, fact.terms)
 
@@ -109,21 +111,22 @@ def _variables(terms: Sequence[Term]) -> tuple[Term, ...]:
 
 
 def pinned_answers(
-    body: Sequence[Atom],
+    body: Sequence[Atom | UnionAtom],
     answer_terms: Sequence[Term],
     fact: Atom,
     view,
     rule: Callable[[int], JoinProgram] | None = None,
 ) -> frozenset[tuple]:
-    """Answers of one disjunct that have a derivation mapping a body atom to *fact*.
+    """Answers of one join that have a derivation mapping a body atom to *fact*.
 
-    Runs the disjunct's pinning rules for *fact* over *view* (any object
-    with ``probe`` and ``in``): for every body atom unifiable with the
-    fact, the rest of the body, searched from the unifier as seed.  The
-    union over the pinning choices is the complete set of answers with
-    at least one derivation through the fact — the delta rule of
-    semi-naive evaluation, specialised to a single changed tuple.  A
-    fact absent from *view* pins nothing.
+    *body* is a CQ's body or a factored join's union atoms.  Runs the
+    join's pinning rules for *fact* over *view* (any object with
+    ``probe`` and ``in``): for every body atom unifiable with the fact,
+    the rest of the body, searched from the unifier as seed.  The union
+    over the pinning choices is the complete set of answers with at least
+    one derivation through the fact — the delta rule of semi-naive
+    evaluation, specialised to a single changed tuple.  A fact absent
+    from *view* pins nothing.
 
     ``rule(position)`` is the compiled rule pinning the atom at
     *position*; the maintainer passes its cached rules.  Without it the
@@ -148,26 +151,29 @@ def pinned_answers(
 
 
 def derives(
-    body: Sequence[Atom],
+    body: Sequence[Atom | UnionAtom],
     answer_terms: Sequence[Term],
     answer: tuple,
     view,
-    rule: JoinProgram | None = None,
+    rule: Callable[[], JoinProgram] | None = None,
 ) -> bool:
-    """``True`` iff the disjunct still derives *answer* over *view*.
+    """``True`` iff the join still derives *answer* over *view*.
 
     Runs the rederive rule: a search over the body seeded with the answer
     terms bound to the tuple's values, stopping at the first derivation.
     This is the rederive step of DRed, trivial here because UCQs are
-    non-recursive.  *rule* is the compiled rule (the maintainer's cached
-    one); by default the body is joined in body order.
+    non-recursive.  ``rule()`` is the compiled rule (the maintainer's
+    cached one), asked for only once the answer unifies with the answer
+    terms; by default the body is joined in body order.
     """
     seed = _unify(answer_terms, answer)
     if seed is None:
         return False
     if rule is None:
-        rule = compile_join(body, (), _variables(answer_terms))
-    return QueryEvaluator(view).exists(rule, seed)
+        program = compile_join(body, (), _variables(answer_terms))
+    else:
+        program = rule()
+    return QueryEvaluator(view).exists(program, seed)
 
 
 @dataclass(frozen=True)
@@ -177,8 +183,8 @@ class AnswerDelta:
     ``mode`` records how the refresh was computed: ``"full"`` (initial
     computation or fallback re-execution), ``"incremental"`` (change-log
     replay) or ``"noop"`` (data unchanged).  Regardless of mode, *added*
-    and *removed* describe the combined answer set's transition since the
-    previous refresh.
+    and *removed* describe the answer set's transition since the previous
+    refresh.
     """
 
     epoch: int
@@ -202,8 +208,8 @@ class MaintenanceCounters:
     truncation_fallbacks: int = 0
     oversize_fallbacks: int = 0
     facts_applied: int = 0
-    disjuncts_reevaluated: int = 0
-    disjuncts_skipped: int = 0
+    joins_reevaluated: int = 0
+    joins_skipped: int = 0
     #: Delta rules join-ordered (each is planned once per cache lifetime).
     delta_plans: int = 0
 
@@ -214,15 +220,15 @@ class MaintenanceCounters:
 class MaintainedAnswerSet:
     """A UCQ answer set kept current against a mutating instance.
 
-    Owns per-disjunct answer sets plus the combined support counts, and
-    exposes one operation — :meth:`refresh` — that brings the state up to
-    the instance's current epoch and reports the combined answer delta.
-    The optional *plan* is used for full (re-)executions so they run on
-    the prepared backend's per-disjunct path
-    (:meth:`repro.backends.base.ExecutionPlan.execute_disjunct`);
-    incremental steps always run the delta rules directly over the
-    instance, so they run only while the instance is the data the answers
-    are read from (see :meth:`refresh`).
+    Holds one answer set and exposes one operation — :meth:`refresh` —
+    that brings it up to the instance's current epoch and reports the
+    delta.  Full (re-)executions run *plan*'s
+    :meth:`~repro.backends.base.ExecutionPlan.execute`, the call
+    :meth:`repro.api.PreparedQuery.execute` makes (an
+    :class:`~repro.backends.memory.InMemoryPlan` of the rewriting when
+    no plan is passed); incremental steps run the delta rules of the
+    factored joins directly over the instance, so they run only while the
+    instance is the data the answers are read from (see :meth:`refresh`).
     """
 
     def __init__(
@@ -230,15 +236,16 @@ class MaintainedAnswerSet:
         ucq: UnionOfConjunctiveQueries | Iterable[ConjunctiveQuery],
         plan=None,
     ) -> None:
-        queries = tuple(ucq)
-        self._disjuncts: tuple[tuple[tuple[Atom, ...], tuple[Term, ...]], ...] = tuple(
-            (query.body, query.answer_terms) for query in queries
-        )
-        self._queries = queries
-        self._relevance = RelevanceIndex(queries)
-        self._plan = plan
-        self._per_disjunct: list[set[tuple]] = [set() for _ in queries]
-        self._support: dict[tuple, int] = {}
+        if not isinstance(ucq, UnionOfConjunctiveQueries):
+            ucq = UnionOfConjunctiveQueries(ucq)
+        self._plan = InMemoryPlan(ucq) if plan is None else plan
+        self._joins = ucq.factored()
+        # Routing: each predicate to the joins with a union atom over it.
+        self._routes: dict[Predicate, list[int]] = {}
+        for number, join in enumerate(self._joins):
+            for predicate in {p for atom in join.body for p in atom.predicates}:
+                self._routes.setdefault(predicate, []).append(number)
+        self._answers: set[tuple] = set()
         self._epoch: int | None = None
         # The freshness key of the last refresh (see refresh()).
         self._key: Hashable = None
@@ -246,7 +253,7 @@ class MaintainedAnswerSet:
         # system keeps the database alive anyway, and an `is` check can
         # never confuse two instances the way a recycled id() could.
         self._instance: RelationalInstance | None = None
-        # The delta rules planned and compiled so far, keyed by (disjunct,
+        # The delta rules planned and compiled so far, keyed by (join,
         # pinned position), position None for the rederive rule; see the
         # module docstring for their lifetime.
         self._rules: dict[tuple[int, int | None], JoinProgram] = {}
@@ -257,29 +264,20 @@ class MaintainedAnswerSet:
     # -- inspection ---------------------------------------------------------------
 
     @property
-    def relevance(self) -> RelevanceIndex:
-        """The body-relation → disjuncts index driving the delta routing."""
-        return self._relevance
-
-    @property
     def epoch(self) -> int | None:
         """The instance epoch of the last refresh (``None`` before the first)."""
         return self._epoch
 
     @property
     def tuples(self) -> frozenset[tuple]:
-        """The combined (support > 0) answer set as of the last refresh."""
-        return frozenset(self._support)
-
-    def support(self, answer: tuple) -> int:
-        """Number of disjuncts currently deriving *answer*."""
-        return self._support.get(answer, 0)
+        """The answer set as of the last refresh."""
+        return frozenset(self._answers)
 
     def describe(self) -> dict:
         """Counters + sizes, for stats endpoints."""
         return {
-            "answers": len(self._support),
-            "disjuncts": len(self._disjuncts),
+            "answers": len(self._answers),
+            "joins": len(self._joins),
             "epoch": self._epoch,
             **self.counters.as_dict(),
         }
@@ -323,32 +321,26 @@ class MaintainedAnswerSet:
         self._key = key
         return delta
 
-    def _execute_disjunct(
-        self, database: RelationalInstance, index: int
-    ) -> frozenset[tuple]:
-        if self._plan is not None:
-            return self._plan.execute_disjunct(database, index)
-        return QueryEvaluator(database).evaluate(self._queries[index])
-
     def _rule(
-        self, database: RelationalInstance, index: int, position: int | None = None
+        self, database: RelationalInstance, number: int, position: int | None = None
     ) -> JoinProgram:
-        """One delta rule of disjunct *index*, planned and compiled on first use.
+        """One delta rule of join *number*, planned and compiled on first use.
 
         Pinning rule *position*: the body without that atom, with its
         variables bound.  ``position=None``: the rederive rule, the whole
         body with the answer variables bound, looking for one witness.  A
         rule of at most one atom has one join order and is not planned.
         """
-        key = (index, position)
+        key = (number, position)
         rule = self._rules.get(key)
         if rule is None:
-            body, answer_terms = self._disjuncts[index]
+            join = self._joins[number]
             if position is None:
-                rest, seeded, answer = body, _variables(answer_terms), ()
+                rest, seeded, answer = join.body, _variables(join.answer_terms), ()
             else:
-                rest = _rest(body, position)
-                seeded, answer = _variables(body[position].terms), answer_terms
+                rest = _rest(join.body, position)
+                seeded = _variables(join.body[position].terms)
+                answer = join.answer_terms
             if len(rest) > 1:
                 rest = CardinalityEstimator(database).plan_body(rest, seeded).order
             rule = self._rules[key] = compile_join(rest, answer, seeded)
@@ -362,38 +354,45 @@ class MaintainedAnswerSet:
 
     def _full_refresh(self, database: RelationalInstance) -> AnswerDelta:
         self._drop_rules(database)
-        before = frozenset(self._support)
-        self._per_disjunct = [
-            set(self._execute_disjunct(database, index))
-            for index in range(len(self._disjuncts))
-        ]
-        support: dict[tuple, int] = {}
-        for answers in self._per_disjunct:
-            for answer in answers:
-                support[answer] = support.get(answer, 0) + 1
-        self._support = support
+        before = self._answers
+        self._answers = set(self._plan.execute(database))
         self._epoch = database.epoch
         self._instance = database
         self.counters.full_refreshes += 1
-        self.counters.disjuncts_reevaluated += len(self._disjuncts)
-        after = frozenset(support)
-        return AnswerDelta(database.epoch, after - before, before - after, "full")
+        self.counters.joins_reevaluated += len(self._joins)
+        return AnswerDelta(
+            database.epoch,
+            frozenset(self._answers - before),
+            frozenset(before - self._answers),
+            "full",
+        )
 
-    def _add(self, index: int, answer: tuple) -> None:
-        answers = self._per_disjunct[index]
-        if answer not in answers:
-            answers.add(answer)
-            self._support[answer] = self._support.get(answer, 0) + 1
+    def _pinned(
+        self, database: RelationalInstance, fact: Atom, view, into: set[tuple]
+    ) -> None:
+        """Add to *into* every join's answers with a derivation through *fact*."""
+        for number in self._routes.get(fact.predicate, ()):
+            join = self._joins[number]
+            into |= pinned_answers(
+                join.body,
+                join.answer_terms,
+                fact,
+                view,
+                partial(self._rule, database, number),
+            )
 
-    def _discard(self, index: int, answer: tuple) -> None:
-        answers = self._per_disjunct[index]
-        if answer in answers:
-            answers.discard(answer)
-            remaining = self._support[answer] - 1
-            if remaining:
-                self._support[answer] = remaining
-            else:
-                del self._support[answer]
+    def _derived(self, database: RelationalInstance, answer: tuple) -> bool:
+        """``True`` iff some join derives *answer* on *database*."""
+        return any(
+            derives(
+                join.body,
+                join.answer_terms,
+                answer,
+                database,
+                partial(self._rule, database, number, None),
+            )
+            for number, join in enumerate(self._joins)
+        )
 
     def _incremental_refresh(
         self,
@@ -401,45 +400,43 @@ class MaintainedAnswerSet:
         changes: tuple[set[Atom], set[Atom]],
     ) -> AnswerDelta:
         added, removed = changes
-        before = frozenset(self._support)
-        affected = self._relevance.affected(
-            {fact.predicate for fact in added} | {fact.predicate for fact in removed}
-        )
+        touched = {
+            number
+            for facts in (added, removed)
+            for fact in facts
+            for number in self._routes.get(fact.predicate, ())
+        }
         applied = len(added) + len(removed)
         self.counters.incremental_refreshes += 1
         self.counters.facts_applied += applied
-        self.counters.disjuncts_reevaluated += len(affected)
-        self.counters.disjuncts_skipped += len(self._disjuncts) - len(affected)
+        self.counters.joins_reevaluated += len(touched)
+        self.counters.joins_skipped += len(self._joins) - len(touched)
         self._applied_since_planning += applied
         if self._applied_since_planning > self._planned_size:
             self._drop_rules(database)  # the plans drifted from the data
-        base_view = OverlayInstance(database, removed) if removed else None
-        for index in affected:
-            body, answer_terms = self._disjuncts[index]
-            rule = partial(self._rule, database, index)
-            body_predicates = {atom.predicate for atom in body}
-            relevant_removed = [f for f in removed if f.predicate in body_predicates]
-            if relevant_removed:
-                # DRed over-delete: every answer with some derivation
-                # through a removed fact, computed over the pre-deletion
-                # view so joins against other removed facts still count.
-                overdeleted: set[tuple] = set()
-                for fact in relevant_removed:
-                    overdeleted |= pinned_answers(
-                        body, answer_terms, fact, base_view, rule
-                    )
-                lost = overdeleted & self._per_disjunct[index]
-                for answer in lost:
-                    self._discard(index, answer)
-                    if derives(body, answer_terms, answer, database, rule(None)):
-                        self._add(index, answer)
-            for fact in added:
-                if fact.predicate not in body_predicates:
-                    continue
-                for answer in pinned_answers(
-                    body, answer_terms, fact, database, rule
-                ):
-                    self._add(index, answer)
+        lost: set[tuple] = set()
+        if removed:
+            # DRed over-delete: every answer with some derivation through
+            # a removed fact, computed over the pre-deletion view so joins
+            # against other removed facts still count; then rederive.
+            view = OverlayInstance(database, removed)
+            overdeleted: set[tuple] = set()
+            for fact in removed:
+                self._pinned(database, fact, view, overdeleted)
+            lost = {
+                answer
+                for answer in overdeleted & self._answers
+                if not self._derived(database, answer)
+            }
+            self._answers -= lost
+        # A lost answer has no derivation on the current instance, so no
+        # inserted fact pins it back.
+        gained: set[tuple] = set()
+        for fact in added:
+            self._pinned(database, fact, database, gained)
+        gained -= self._answers
+        self._answers |= gained
         self._epoch = database.epoch
-        after = frozenset(self._support)
-        return AnswerDelta(database.epoch, after - before, before - after, "incremental")
+        return AnswerDelta(
+            database.epoch, frozenset(gained), frozenset(lost), "incremental"
+        )

@@ -61,26 +61,3 @@ class OverlayInstance:
             if all(fact.terms[position] == value for position, value in bound)
         ]
         return chain(result, matched) if matched else result
-
-    def relation(self, predicate: Predicate) -> frozenset[Atom]:
-        """All atoms of *predicate* in the overlaid view."""
-        extra = self._extra.get(predicate)
-        base = self._base.relation(predicate)
-        if not extra:
-            return base
-        return base | frozenset(extra)
-
-    def matching(self, predicate: Predicate, bound: dict[int, Term]) -> frozenset[Atom]:
-        """Atoms of *predicate* agreeing with the bound (1-based) positions."""
-        result = self._base.matching(predicate, bound)
-        extra = self._extra.get(predicate)
-        if not extra:
-            return result
-        matched = [
-            fact
-            for fact in extra
-            if all(fact[position] == value for position, value in bound.items())
-        ]
-        if not matched:
-            return result
-        return result | frozenset(matched)

@@ -57,15 +57,22 @@ class TestInspection:
     def test_predicates(self):
         assert {p.name for p in self.instance.predicates()} == {"r", "p"}
 
-    def test_matching_uses_position_value_index(self):
-        matches = self.instance.matching(Predicate("r", 2), {1: a})
-        assert len(matches) == 2
-        matches = self.instance.matching(Predicate("r", 2), {1: a, 2: c})
-        assert matches == {Atom.of("r", a, c)}
-        assert self.instance.matching(Predicate("r", 2), {2: Constant("zzz")}) == frozenset()
+    def test_probe_uses_position_value_index(self):
+        r = Predicate("r", 2)
+        # Positions are 0-based; one bound position selects exactly.
+        assert set(self.instance.probe(r, [(0, a)])) == {
+            Atom.of("r", a, b),
+            Atom.of("r", a, c),
+        }
+        assert set(self.instance.probe(r, [(1, c)])) == {Atom.of("r", a, c)}
+        # A bound value with no facts is an empty bucket.
+        assert not self.instance.probe(r, [(1, Constant("zzz"))])
+        assert not self.instance.probe(r, [(0, a), (1, Constant("zzz"))])
 
-    def test_matching_without_bindings_returns_whole_relation(self):
-        assert len(self.instance.matching(Predicate("r", 2), {})) == 2
+    def test_unbound_probe_returns_whole_relation(self):
+        r = Predicate("r", 2)
+        assert set(self.instance.probe(r, ())) == self.instance.relation(r)
+        assert not self.instance.probe(Predicate("missing", 1), ())
 
     def test_constants_active_domain(self):
         assert self.instance.constants() == {a, b, c}
@@ -124,8 +131,8 @@ class TestRemoval:
         instance.add(keep)
         instance.add(drop)
         instance.remove(drop)
-        assert instance.matching(Predicate("r", 2), {1: a}) == frozenset({keep})
-        assert instance.matching(Predicate("r", 2), {2: c}) == frozenset()
+        assert set(instance.probe(Predicate("r", 2), [(0, a)])) == {keep}
+        assert not instance.probe(Predicate("r", 2), [(1, c)])
 
     def test_remove_tuple_wraps_python_values(self):
         instance = RelationalInstance()

@@ -51,13 +51,12 @@ class TestMutationSequences:
 
 class TestPlantedMaintenanceBug:
     class Corrupted(MaintainedAnswerSet):
-        """Drops one maintained answer after every incremental step."""
+        """Drops one answer from the answer set after every incremental step."""
 
-        def _incremental_refresh(self, database, log):
-            delta = super()._incremental_refresh(database, log)
-            if self._support:
-                victim = sorted(self._support, key=repr)[0]
-                del self._support[victim]
+        def _incremental_refresh(self, database, changes):
+            delta = super()._incremental_refresh(database, changes)
+            if self._answers:
+                self._answers.discard(min(self._answers, key=repr))
             return delta
 
     def test_corrupted_maintenance_is_caught(self, monkeypatch):

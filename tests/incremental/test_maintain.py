@@ -1,12 +1,13 @@
 """Unit tests for delta maintenance of UCQ answer sets.
 
-Covers the building blocks (relevance index, overlay view, net-change
-collapse, pinning, rederivation), the delta rules' seeded searches and
-plan lifetime (made on first use, reused, dropped by full refreshes and
-by drift), and the :class:`MaintainedAnswerSet` refresh modes: initial
-full computation, incremental insert/delete maintenance with support
-counting, and every fallback (truncated log, oversize delta, instance
-swap, noop).
+Covers the building blocks (overlay view, net-change collapse, pinning
+over plain and union atoms, rederivation), the delta rules' seeded
+searches and plan lifetime (made on first use, reused, dropped by full
+refreshes and by drift), and the :class:`MaintainedAnswerSet` refresh
+modes: initial full computation through the plan's ``execute``,
+incremental insert/delete maintenance of one answer set over the factored
+joins, routed to the joins a changed predicate occurs in, and every
+fallback (truncated log, oversize delta, instance swap, noop).
 """
 
 import pytest
@@ -16,13 +17,13 @@ from repro.database.instance import RelationalInstance, net_changes
 from repro.incremental import (
     MaintainedAnswerSet,
     OverlayInstance,
-    RelevanceIndex,
     derives,
     pinned_answers,
     unify_fact,
 )
 from repro.logic.atoms import Atom, Predicate
 from repro.logic.terms import Constant, Variable
+from repro.queries.ucq import UnionAtom
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 a, b, c = Constant("a"), Constant("b"), Constant("c")
@@ -34,52 +35,33 @@ def cq(body, answer_terms):
     return ConjunctiveQuery(body, answer_terms)
 
 
-#: q(X) :- person(X)  ∪  q(X) :- employee(X)  — overlapping disjuncts so
-#: support counting matters.
+#: q(X) :- person(X)  ∪  q(X) :- employee(X)  — overlapping disjuncts, so
+#: a deletion must not drop an answer the other disjunct still derives.
 PERSON = cq([Atom.of("person", X)], (X,))
 EMPLOYEE = cq([Atom.of("employee", X)], (X,))
 #: join disjunct: q(X) :- works(X, Y), dept(Y)
 WORKS_IN_DEPT = cq([Atom.of("works", X, Y), Atom.of("dept", Y)], (X,))
 
 
-class TestRelevanceIndex:
-    def test_routes_predicates_to_mentioning_disjuncts(self):
-        index = RelevanceIndex((PERSON, EMPLOYEE, WORKS_IN_DEPT))
-        assert index.disjunct_count == 3
-        assert index.disjuncts_for(Predicate("person", 1)) == (0,)
-        assert index.disjuncts_for(Predicate("employee", 1)) == (1,)
-        assert index.disjuncts_for(Predicate("works", 2)) == (2,)
-        assert index.disjuncts_for(Predicate("dept", 1)) == (2,)
-
-    def test_unknown_predicate_affects_nothing(self):
-        index = RelevanceIndex((PERSON,))
-        assert index.disjuncts_for(Predicate("other", 1)) == ()
-        assert index.affected({Predicate("other", 1)}) == ()
-
-    def test_affected_is_the_sorted_union(self):
-        index = RelevanceIndex((PERSON, EMPLOYEE, WORKS_IN_DEPT))
-        affected = index.affected(
-            {Predicate("dept", 1), Predicate("person", 1)}
-        )
-        assert affected == (0, 2)
-
-
 class TestOverlayInstance:
-    def test_relation_is_the_union(self):
+    def test_unbound_probe_is_the_union(self):
         base = RelationalInstance()
         base.add(Atom.of("p", a))
         view = OverlayInstance(base, [Atom.of("p", b), Atom.of("q", c)])
-        assert view.relation(Predicate("p", 1)) == frozenset(
-            {Atom.of("p", a), Atom.of("p", b)}
-        )
-        assert view.relation(Predicate("q", 1)) == frozenset({Atom.of("q", c)})
+        assert set(view.probe(Predicate("p", 1), ())) == {
+            Atom.of("p", a),
+            Atom.of("p", b),
+        }
+        assert set(view.probe(Predicate("q", 1), ())) == {Atom.of("q", c)}
 
-    def test_matching_filters_extras_positionally(self):
+    def test_probe_filters_extras_by_zero_based_position(self):
         base = RelationalInstance()
         base.add(Atom.of("r", a, b))
         view = OverlayInstance(base, [Atom.of("r", a, c), Atom.of("r", b, c)])
-        matched = view.matching(Predicate("r", 2), {1: a})
-        assert matched == frozenset({Atom.of("r", a, b), Atom.of("r", a, c)})
+        r = Predicate("r", 2)
+        assert set(view.probe(r, [(0, a)])) == {Atom.of("r", a, b), Atom.of("r", a, c)}
+        assert set(view.probe(r, [(1, c)])) == {Atom.of("r", a, c), Atom.of("r", b, c)}
+        assert set(view.probe(r, [(0, c)])) == set()
 
 
 class TestNetChanges:
@@ -134,6 +116,24 @@ class TestPinnedAnswers:
         instance.add(Atom.of("works", a, b))
         body, answer_terms = WORKS_IN_DEPT.body, WORKS_IN_DEPT.answer_terms
         assert pinned_answers(body, answer_terms, Atom.of("other", a), instance) == frozenset()
+
+    def test_union_atom_pins_a_fact_of_its_second_predicate(self):
+        # q(X) :- {works|manages}(X, Y), dept(Y): the factored join of
+        # WORKS_IN_DEPT and its manages twin.
+        union = UnionAtom((Predicate("works", 2), Predicate("manages", 2)), (X, Y))
+        body, answer_terms = (union, Atom.of("dept", Y)), (X,)
+        instance = RelationalInstance(
+            [Atom.of("works", a, b), Atom.of("manages", c, b), Atom.of("dept", b)]
+        )
+        fact = Atom.of("manages", c, b)
+        assert unify_fact(union, fact) == {X: c, Y: b}
+        assert pinned_answers(body, answer_terms, fact, instance) == {(c,)}
+        # Pinning dept(b) reaches the workers through both predicates.
+        assert pinned_answers(body, answer_terms, Atom.of("dept", b), instance) == {
+            (a,),
+            (c,),
+        }
+        assert unify_fact(union, Atom.of("owns", c, b)) is None
 
 
 class TestDerives:
@@ -284,23 +284,36 @@ class TestMaintainedAnswerSet:
         assert delta.removed == {(b,)} and not delta.added
         assert maintained.tuples == {(a,)}
 
-    def test_support_counts_survive_single_disjunct_deletion(self):
+    def test_answer_derived_by_another_disjunct_survives_deletion(self):
         # a is both a person and an employee: losing one derivation must
         # not drop the answer.
         instance, maintained = self.make(
             Atom.of("person", a), Atom.of("employee", a)
         )
         maintained.refresh(instance)
-        assert maintained.support((a,)) == 2
         instance.remove(Atom.of("employee", a))
         delta = maintained.refresh(instance)
-        assert delta.empty
-        assert maintained.support((a,)) == 1
+        assert delta.mode == "incremental" and delta.empty
         assert maintained.tuples == {(a,)}
         instance.remove(Atom.of("person", a))
         delta = maintained.refresh(instance)
         assert delta.removed == {(a,)}
-        assert maintained.support((a,)) == 0
+        assert maintained.tuples == frozenset()
+
+    def test_answer_derived_by_another_join_survives_deletion(self):
+        # person(X) and works(X, Y), dept(Y) are two joins: the rederive
+        # step checks both, not only the join the deletion touched.
+        instance = RelationalInstance(
+            [Atom.of("person", a), Atom.of("works", a, b), Atom.of("dept", b)]
+        )
+        maintained = MaintainedAnswerSet((PERSON, WORKS_IN_DEPT))
+        maintained.refresh(instance)
+        instance.remove(Atom.of("dept", b))
+        delta = maintained.refresh(instance)
+        assert delta.mode == "incremental" and delta.empty
+        assert maintained.tuples == {(a,)}
+        instance.remove(Atom.of("person", a))
+        assert maintained.refresh(instance).removed == {(a,)}
 
     def test_join_disjunct_delete_rederives_survivors(self):
         instance = RelationalInstance()
@@ -367,17 +380,26 @@ class TestMaintainedAnswerSet:
         assert delta.added == {(b,)} and delta.removed == {(a,)}
 
     def test_describe_reports_counters(self):
-        instance, maintained = self.make(Atom.of("person", a))
+        instance = RelationalInstance([Atom.of("person", a)])
+        # person and employee factor into one join; works/dept is another.
+        maintained = MaintainedAnswerSet((PERSON, EMPLOYEE, WORKS_IN_DEPT))
         maintained.refresh(instance)
         instance.add(Atom.of("person", b))
         maintained.refresh(instance)
         report = maintained.describe()
         assert report["answers"] == 2
-        assert report["disjuncts"] == 2
+        assert report["joins"] == 2
         assert report["full_refreshes"] == 1
         assert report["incremental_refreshes"] == 1
-        # The employee disjunct was skipped by the relevance index.
-        assert report["disjuncts_skipped"] == 1
+        # The full refresh ran both joins, the person insert only the
+        # join with a person atom: the works/dept join was skipped.
+        assert report["joins_reevaluated"] == 3
+        assert report["joins_skipped"] == 1
+        # A fact over a predicate no join mentions skips every join.
+        instance.add(Atom.of("other", a))
+        assert maintained.refresh(instance).empty
+        assert maintained.counters.joins_reevaluated == 3
+        assert maintained.counters.joins_skipped == 3
 
 
 class TestPreparedQueryMaintenance:
@@ -407,6 +429,79 @@ class TestPreparedQueryMaintenance:
         # The maintained set matches a from-scratch execution exactly.
         assert prepared.maintained_answers == prepared.execute().tuples
         system.close()
+
+    @pytest.mark.parametrize("backend", ("memory", "sqlite"))
+    def test_full_refresh_executes_the_plan_once(self, backend, monkeypatch):
+        from repro.api import OBDASystem
+        from repro.dependencies.tgd import tgd
+        from repro.dependencies.theory import OntologyTheory
+
+        theory = OntologyTheory(
+            tgds=[tgd(Atom.of("employee", X), Atom.of("person", X))],
+            name="refresh",
+        )
+        system = OBDASystem(theory)
+        system.add_facts([("person", ("ann",)), ("employee", ("bob",))])
+        prepared = system.prepare(cq([Atom.of("person", X)], (X,)), backend)
+        plan_class = type(prepared.plan)
+        executed = []
+        execute = plan_class.execute
+
+        def counting(self, database, bindings=None):
+            executed.append(bindings)
+            return execute(self, database, bindings)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a poll ran one disjunct alone")
+
+        monkeypatch.setattr(plan_class, "execute", counting)
+        monkeypatch.setattr(plan_class, "execute_disjunct", forbidden)
+        delta = prepared.poll()
+        assert delta.mode == "full"
+        assert executed == [None]
+        assert prepared.maintained_answers == {
+            (Constant("ann"),),
+            (Constant("bob"),),
+        }
+        system.add_fact("employee", ("carol",))
+        assert prepared.poll().mode == "incremental"
+        assert executed == [None]
+        system.close()
+
+    def test_insert_reevaluates_only_the_joins_over_its_predicate(self):
+        from repro.api import OBDASystem
+        from repro.workloads import get_workload
+
+        workload = get_workload("V")
+        names = ("q1", "q2", "q3", "q4")
+        with OBDASystem(workload.theory, database=workload.abox()) as system:
+            prepared = [system.prepare(workload.query(name)) for name in names]
+            for handle in prepared:
+                handle.poll()
+            system.add_fact("hasRole", ("fresh_object", "fresh_symbol"))
+            reevaluated, skipped = [], []
+            for handle in prepared:
+                assert handle.poll().mode == "incremental"
+                joins = handle.rewriting.ucq.factored()
+                counters = handle.maintainer().counters
+                # The first poll's full refresh ran every join.
+                reevaluated.append(counters.joins_reevaluated - len(joins))
+                skipped.append(counters.joins_skipped)
+                with_role = sum(
+                    any(
+                        predicate.name == "hasRole"
+                        for atom in join.body
+                        for predicate in atom.predicates
+                    )
+                    for join in joins
+                )
+                assert reevaluated[-1] == with_role
+                assert skipped[-1] == len(joins) - with_role
+                assert handle.maintained_answers == handle.execute().tuples
+        # q1 (Location) and q3 (relation members) have no hasRole atom; q2
+        # has one join with it, q4 two.
+        assert reevaluated == [0, 1, 0, 2]
+        assert skipped == [1, 0, 1, 0]
 
     def test_invalidate_resets_the_maintainer(self):
         from repro.api import OBDASystem

@@ -209,20 +209,26 @@ class TestExecution:
         )
         assert executed == disjuncts and executed
 
-    def test_factoring_waits_for_the_first_execute(self, monkeypatch):
+    @pytest.mark.parametrize("first", ("execute", "poll"))
+    def test_factoring_waits_for_the_first_execute_or_poll(self, monkeypatch, first):
+        # prepare() never factors; whichever of execute() and poll() runs
+        # first factors once, and the other shares the result.
         calls = []
         original = ucq_module.factor
         monkeypatch.setattr(
             ucq_module, "factor", lambda queries: calls.append(1) or original(queries)
         )
+        second = "poll" if first == "execute" else "execute"
         workload = get_workload("S")
         with OBDASystem(workload.theory, database=workload.abox()) as system:
             prepared = system.prepare(workload.query("q1"))
-            prepared.poll()
             assert calls == []
-            prepared.execute()
+            getattr(prepared, first)()
+            assert calls == [1]
+            getattr(prepared, second)()
             system.database.add_tuple("Stock", ("fresh",))
             prepared.execute()
+            prepared.poll()
             assert calls == [1]
 
 
