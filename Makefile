@@ -84,7 +84,7 @@ subscribe-smoke:
 chaos-smoke:
 	$(REPRO) chaos --seed 0 --cases 6 --quiet
 
-# Perf gate (seconds, not minutes), six checks: (1) the running example
+# Perf gate (seconds, not minutes), seven checks: (1) the running example
 # rewritten through an auto strategy passed to each run
 # (rewrite(query, strategy=auto)) gives the sequential bytes; (2) the
 # tuple-encoded canonical-key kernel gives the reference's keys and
@@ -99,7 +99,11 @@ chaos-smoke:
 # factored join), with maintained answers equal to re-evaluation;
 # (6) the 25 Table 1 rewritings factor into exactly the pinned number of
 # joins over predicate unions, and on a seeded ABox execute() and each
-# join answer as their disjuncts do one at a time.  Every check runs
+# join answer as their disjuncts do one at a time; (7) 20 seeded
+# single-fact mutations of workload U, each followed by is_consistent(),
+# give a fresh system's verdict every time, and the negative constraints'
+# maintained answer sets refresh exactly 2 times in full and 40 times
+# incrementally (consistency re-checks stay incremental).  Every check runs
 # even after one fails.  The exhaustive hot-path benchmark is
 # benchmarks/bench_hotpaths.py under `make bench-json`.
 perf-smoke:

@@ -52,8 +52,13 @@ serve-smoke subscribe-smoke perf-smoke`` gate every CI run.
        ABox per ontology each rewriting's ``execute()``, and each of its
        joins alone, equals the union of ``execute_disjunct()`` (one
        disjunct at a time) over the disjuncts it stands for.
+    7. :data:`CONSISTENCY_MUTATIONS` seeded single-fact mutations of U's
+       ABox, each followed by ``is_consistent()``, give a fresh system's
+       verdict every time, and the negative constraints' maintained
+       answer sets refresh exactly :data:`CONSISTENCY_REFRESHES`
+       full/incremental times.
 
-    Checks 2-6 count work or compare answers, so they are exact on any
+    Checks 2-7 count work or compare answers, so they are exact on any
     host; no check times anything.  ``benchmarks/bench_hotpaths.py``
     (``make bench-json``) is the exhaustive form of checks 1 and 2, with
     timings.
@@ -84,7 +89,11 @@ from repro.database.evaluator import (  # noqa: E402
     evaluate_ucq,
 )
 from repro.database.generator import DatabaseGenerator  # noqa: E402
-from repro.database.instance import database_from_tuples  # noqa: E402
+from repro.database.instance import (  # noqa: E402
+    RelationalInstance,
+    database_from_tuples,
+)
+from repro.incremental.maintain import MaintainedAnswerSet  # noqa: E402
 from repro.logic.atoms import Atom  # noqa: E402
 from repro.logic.canonical import (  # noqa: E402
     canonical_fingerprint,
@@ -162,6 +171,14 @@ TABLE1 = ("V", "S", "U", "A", "P5")
 FACTORED_JOINS = 96
 FACTORING_SEED = 6
 FACTORING_FACTS = 25
+#: Check 7's seeded mutation script on workload U, and the pinned
+#: (full, incremental) refreshes of the answer sets of U's 2 negative
+#: constraints: one full refresh each at the first check, then one
+#: incremental refresh each per mutation.  At this seed the verdict
+#: changes 5 times, so violations are both made and repaired.
+CONSISTENCY_MUTATIONS = 20
+CONSISTENCY_SEED = 22
+CONSISTENCY_REFRESHES = (2, 2 * CONSISTENCY_MUTATIONS)
 
 
 # -- the shared pieces ---------------------------------------------------
@@ -250,6 +267,17 @@ def fact_sampler(database, rng: random.Random):
         )
 
     return random_fact
+
+
+def mutate(database, rng: random.Random, random_fact) -> None:
+    """One seeded single-fact delete or insert that changes the facts."""
+    changed = False
+    while not changed:  # retry until the fact set really changes
+        facts = sorted(database.facts, key=repr)
+        if facts and rng.random() < 0.4:
+            changed = database.remove(rng.choice(facts))
+        else:
+            changed = database.add(random_fact())
 
 
 def answer(endpoint, query: str):
@@ -531,13 +559,7 @@ def change_log_counts(check) -> None:
         random_fact = fact_sampler(database, rng)
         agreed = prepared.execute().tuples == frozenset(prepared.poll().added)
         for _ in range(CHANGE_LOG_MUTATIONS):
-            changed = False
-            while not changed:  # retry until the fact set really changes
-                facts = sorted(database.facts, key=repr)
-                if facts and rng.random() < 0.4:
-                    changed = database.remove(rng.choice(facts))
-                else:
-                    changed = database.add(random_fact())
+            mutate(database, rng, random_fact)
             answers = prepared.execute().tuples
             prepared.poll()
             agreed = agreed and answers == prepared.maintained_answers
@@ -638,6 +660,46 @@ def factored_execution(check) -> None:
     )
 
 
+def consistency_rechecks(check) -> None:
+    """Perf check 7: consistency re-checks refresh the NC answer sets incrementally."""
+    workload = get_workload("U")
+    modes = []
+    refresh = MaintainedAnswerSet.refresh
+
+    def recorded(self, *args, **kwargs):
+        delta = refresh(self, *args, **kwargs)
+        modes.append(delta.mode)
+        return delta
+
+    agreed, inconsistent = True, 0
+    with OBDASystem(workload.theory, database=workload.abox()) as system:
+        database = system.database
+        rng = random.Random(CONSISTENCY_SEED)
+        random_fact = fact_sampler(database, rng)
+        for step in range(CONSISTENCY_MUTATIONS + 1):
+            if step:
+                mutate(database, rng, random_fact)
+            # Only the checked system's refreshes are counted.
+            MaintainedAnswerSet.refresh = recorded
+            try:
+                verdict = system.is_consistent()
+            finally:
+                MaintainedAnswerSet.refresh = refresh
+            copy = RelationalInstance(database.facts)
+            with OBDASystem(workload.theory, database=copy) as fresh:
+                agreed = agreed and verdict == fresh.is_consistent()
+            inconsistent += not verdict
+    refreshes = (modes.count("full"), modes.count("incremental"))
+    check(
+        agreed and refreshes == CONSISTENCY_REFRESHES,
+        f"consistency re-checks on U ({CONSISTENCY_MUTATIONS} mutations, "
+        f"{inconsistent} of {CONSISTENCY_MUTATIONS + 1} states inconsistent): "
+        f"full/incremental NC refreshes {refreshes[0]}/{refreshes[1]} (pinned "
+        f"{CONSISTENCY_REFRESHES[0]}/{CONSISTENCY_REFRESHES[1]}); verdicts "
+        f"{'equal' if agreed else 'DIFFER FROM'} a fresh system's",
+    )
+
+
 GATES = {
     "strategy": (strategy_identity,),
     "serve": (on_tenant(serve_checks),),
@@ -649,6 +711,7 @@ GATES = {
         change_log_counts,
         delta_rule_plans,
         factored_execution,
+        consistency_rechecks,
     ),
 }
 

@@ -97,7 +97,7 @@ from .dependencies import (
     theory,
 )
 from .logic import Atom, Constant, Null, Predicate, Substitution, Variable
-from .metrics import RewritingMetrics, format_table, metrics_table_row, ucq_metrics
+from .metrics import RewritingMetrics, ucq_metrics
 from .queries import ConjunctiveQuery, UnionOfConjunctiveQueries, boolean_query, parse_query
 
 __version__ = "1.0.0"
@@ -176,8 +176,6 @@ __all__ = [
     "eliminate",
     "evaluate",
     "evaluate_ucq",
-    "format_table",
-    "metrics_table_row",
     "normalize",
     "random_database",
     "rewrite",

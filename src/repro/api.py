@@ -45,7 +45,6 @@ from .cache.fingerprint import theory_fingerprint
 from .cache.store import RewritingStore
 from .chase.chase import certain_answers as chase_certain_answers
 from .core.rewriter import RewritingResult, RewritingStatistics, TGDRewriter
-from .database.evaluator import QueryEvaluator
 from .database.instance import RelationalInstance
 from .database.schema import RelationalSchema
 from .database.sql import ucq_to_sql
@@ -450,7 +449,7 @@ class OBDASystem:
         self._prepared_misses = 0
         self._prepared_evictions = 0
         self._theory_constants: frozenset[Constant] | None = None
-        self._nc_rewritings: tuple | None = None
+        self._nc_answer_sets: tuple | None = None
         self._consistency_verdict: tuple[int, str | None] | None = None
 
     # -- data management ----------------------------------------------------------
@@ -484,9 +483,12 @@ class OBDASystem:
         constraints are checked as BCQs *after* rewriting them, so that
         constraint violations entailed through the TGDs are detected too.
 
-        The NC rewritings are compiled once per system (the theory is
-        immutable) and the verdict is cached per database epoch, so
-        repeated consistency checks between mutations are free.
+        Each constraint's rewriting is compiled once per system (the
+        theory is immutable) and its answer set is a
+        :class:`~repro.incremental.maintain.MaintainedAnswerSet`, non-empty
+        exactly when the constraint is violated; a check refreshes every
+        set from the database's change log.  The verdict is cached per
+        database epoch, so repeated checks between mutations are free.
         """
         epoch = self._database.epoch
         if self._consistency_verdict is not None and self._consistency_verdict[0] == epoch:
@@ -504,26 +506,20 @@ class OBDASystem:
         for key in self._theory.key_dependencies:
             if not self._database.satisfies_key(key):
                 return f"key dependency violated: {key!r}"
-        evaluator = QueryEvaluator(self._database)
-        for constraint, rewriting in self._constraint_rewritings():
-            if evaluator.entails_ucq(rewriting.ucq):
-                return f"negative constraint violated: {constraint!r}"
-        return None
-
-    def _constraint_rewritings(self) -> tuple:
-        """The negative constraints paired with their (cached) BCQ rewritings.
-
-        Rewritten with a plain ``TGD-rewrite`` engine (no NC pruning — the
-        constraints themselves are being checked) exactly once; every
-        later :meth:`check_consistency` call reuses the compiled UCQs.
-        """
-        if self._nc_rewritings is None:
+        if self._nc_answer_sets is None:
+            # Plain TGD-rewrite: no NC pruning, the constraints themselves
+            # are being checked.
             rewriter = TGDRewriter(self._theory.tgds)
-            self._nc_rewritings = tuple(
-                (constraint, rewriter.rewrite(constraint.as_query()))
-                for constraint in self._theory.negative_constraints
+            self._nc_answer_sets = tuple(
+                (nc, MaintainedAnswerSet(rewriter.rewrite(nc.as_query()).ucq))
+                for nc in self._theory.negative_constraints
             )
-        return self._nc_rewritings
+        failure = None
+        for constraint, violations in self._nc_answer_sets:
+            violations.refresh(self._database)
+            if failure is None and violations.tuples:
+                failure = f"negative constraint violated: {constraint!r}"
+        return failure
 
     def is_consistent(self) -> bool:
         """``True`` iff the database is consistent with the theory."""

@@ -125,46 +125,17 @@ def compile_join(
 
 
 class QueryEvaluator:
-    """Evaluates conjunctive queries and unions thereof over an instance.
+    """Runs compiled join programs (:func:`compile_join`) over an instance.
 
-    The instance is anything with :meth:`~repro.database.instance.
+    :meth:`answers` collects a program's answers and :meth:`exists` stops
+    at the first; :func:`evaluate_ucq` plans and compiles a UCQ's members
+    for them.  The instance is anything with :meth:`~repro.database.instance.
     RelationalInstance.probe`: a :class:`RelationalInstance` or the
     maintainer's :class:`~repro.incremental.view.OverlayInstance`.
     """
 
     def __init__(self, instance: RelationalInstance) -> None:
         self._instance = instance
-
-    # -- public API ----------------------------------------------------------------
-
-    def evaluate(self, query: ConjunctiveQuery) -> frozenset[tuple[Term, ...]]:
-        """All answers (tuples of constants) of *query* over the instance."""
-        return self.answers_for_order(self.join_order(query.body), query.answer_terms)
-
-    def answers_for_order(
-        self,
-        ordered_body: Sequence[Atom],
-        answer_terms: Sequence[Term],
-        seed: Mapping[Term, Term] | None = None,
-    ) -> frozenset[tuple[Term, ...]]:
-        """Answers of a CQ whose join order has already been fixed.
-
-        The search starts from *seed*, a binding of some variables to
-        values (a delta rule's unifier, see :mod:`repro.incremental.
-        maintain`); answer terms read their values from it like from any
-        binding.  Callers that run one order many times compile it once
-        with :func:`compile_join` and call :meth:`answers`.
-        """
-        seed = seed or {}
-        program = compile_join(ordered_body, answer_terms, seed)
-        return frozenset(self.answers(program, seed))
-
-    def satisfiable(
-        self, ordered_body: Sequence[Atom], seed: Mapping[Term, Term] | None = None
-    ) -> bool:
-        """``True`` iff some binding extending *seed* satisfies the ordered body."""
-        seed = seed or {}
-        return self.exists(compile_join(ordered_body, (), seed), seed)
 
     def answers(
         self,
@@ -187,44 +158,6 @@ class QueryEvaluator:
     ) -> bool:
         """``True`` iff *program* has an answer from *seed*; stops at the first."""
         return self._run(program, seed, None)
-
-    def evaluate_ucq(
-        self, ucq: UnionOfConjunctiveQueries | Iterable[ConjunctiveQuery]
-    ) -> frozenset[tuple[Term, ...]]:
-        """Union of the answers of all member CQs, each evaluated on its own."""
-        answers: set[tuple[Term, ...]] = set()
-        for query in ucq:
-            program = compile_join(self.join_order(query.body), query.answer_terms)
-            self.answers(program, into=answers)
-        return frozenset(answers)
-
-    def entails(self, query: ConjunctiveQuery) -> bool:
-        """``True`` iff the (Boolean or non-Boolean) query has at least one answer.
-
-        For a BCQ this is the ``I |= q`` check of the paper; for a CQ with
-        answer variables it checks non-emptiness of the answer set.
-        """
-        return self.exists(
-            compile_join(self.join_order(query.body), query.answer_terms)
-        )
-
-    def entails_ucq(
-        self, ucq: UnionOfConjunctiveQueries | Iterable[ConjunctiveQuery]
-    ) -> bool:
-        """``True`` iff some member CQ has an answer."""
-        return any(self.entails(query) for query in ucq)
-
-    def join_order(self, body: Sequence[Atom]) -> list[Atom]:
-        """Cost-aware greedy join ordering (fewest estimated rows first).
-
-        Delegates to :meth:`repro.database.planning.CardinalityEstimator.
-        plan_body`, which estimates each candidate's output from the
-        instance's relation sizes and per-position distinct counts; the
-        previous structural heuristic (bound terms, relation size)
-        survives as the tie-break.  The order affects evaluation cost
-        only, never the answer set.
-        """
-        return list(CardinalityEstimator(self._instance).plan_body(body).order)
 
     # -- the search ----------------------------------------------------------------
 
@@ -319,12 +252,25 @@ def evaluate(
     query: ConjunctiveQuery, instance: RelationalInstance
 ) -> frozenset[tuple[Term, ...]]:
     """Evaluate a single CQ over *instance*."""
-    return QueryEvaluator(instance).evaluate(query)
+    return evaluate_ucq((query,), instance)
 
 
 def evaluate_ucq(
     ucq: UnionOfConjunctiveQueries | Iterable[ConjunctiveQuery],
     instance: RelationalInstance,
 ) -> frozenset[tuple[Term, ...]]:
-    """Evaluate a UCQ over *instance*."""
-    return QueryEvaluator(instance).evaluate_ucq(ucq)
+    """Evaluate a UCQ over *instance*, one member CQ at a time.
+
+    Each member is join-ordered on its own by :class:`CardinalityEstimator`
+    (fewest estimated rows first; the order affects cost only, never the
+    answers) and searched through :meth:`QueryEvaluator.answers`: the
+    one-CQ-at-a-time reference that the factored execution of
+    :mod:`repro.backends.memory` is checked against.
+    """
+    estimator = CardinalityEstimator(instance)
+    evaluator = QueryEvaluator(instance)
+    answers: set[tuple[Term, ...]] = set()
+    for query in ucq:
+        order = estimator.plan_body(query.body).order
+        evaluator.answers(compile_join(order, query.answer_terms), into=answers)
+    return frozenset(answers)

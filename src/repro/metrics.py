@@ -73,37 +73,3 @@ def ucq_metrics(
         length=sum(query_length(q) for q in queries),
         width=sum(query_width(q) for q in queries),
     )
-
-
-def metrics_table_row(
-    label: str,
-    rewritings: dict[str, UnionOfConjunctiveQueries | Iterable[ConjunctiveQuery]],
-) -> dict[str, object]:
-    """Build one row of a Table-1-style report.
-
-    ``rewritings`` maps a system name (e.g. ``"QO"``, ``"RQ"``, ``"NY"``,
-    ``"NY*"``) to its UCQ rewriting; the row contains, for every system, the
-    three metrics, keyed ``"<system>_size"`` etc.
-    """
-    row: dict[str, object] = {"query": label}
-    for system, rewriting in rewritings.items():
-        metrics = ucq_metrics(rewriting)
-        row[f"{system}_size"] = metrics.size
-        row[f"{system}_length"] = metrics.length
-        row[f"{system}_width"] = metrics.width
-    return row
-
-
-def format_table(rows: list[dict[str, object]], systems: list[str]) -> str:
-    """Render Table-1-style rows as aligned plain text."""
-    headers = ["query"]
-    for metric in ("size", "length", "width"):
-        for system in systems:
-            headers.append(f"{system}_{metric}")
-    widths = {h: max(len(h), *(len(str(r.get(h, ""))) for r in rows)) for h in headers}
-    lines = ["  ".join(h.ljust(widths[h]) for h in headers)]
-    for row in rows:
-        lines.append(
-            "  ".join(str(row.get(h, "")).ljust(widths[h]) for h in headers)
-        )
-    return "\n".join(lines)

@@ -80,8 +80,8 @@ class SchedulingStrategy(ABC):
 
         *generation* is the frontier generation the run starts from (non-zero
         when resuming a checkpoint).  The default does nothing; adaptive
-        strategies use it to observe per-query telemetry (rule fan-out,
-        resume depth) before the first batch arrives.
+        strategies use it to observe per-query telemetry (rule fan-out)
+        before the first batch arrives.
         """
 
     def close(self) -> None:
@@ -293,9 +293,7 @@ class AutoStrategy(SchedulingStrategy):
     * **rule fan-out** — :meth:`repro.core.applicability.RuleIndex.fan_out`
       of the query being rewritten, captured by :meth:`begin_run`: how many
       rule applications a frontier query can trigger, i.e. how much CPU one
-      batch member represents.
-    * **generation depth** — deep generations mean the run survived the
-      early narrow frontier; combined with width it gates the expensive
+      batch member represents.  Combined with width it gates the expensive
       process pool, whose spin-up only pays off on wide, busy frontiers
       (``width × fan-out`` ≥ :attr:`CHUNK_WORK_THRESHOLD`).
 
@@ -324,7 +322,6 @@ class AutoStrategy(SchedulingStrategy):
         self._threaded: ThreadedStrategy | None = None
         self._chunked: ChunkedProcessStrategy | None = None
         self._fan_out = 0
-        self._generation = 0
 
     @property
     def workers(self) -> int:
@@ -335,7 +332,6 @@ class AutoStrategy(SchedulingStrategy):
         self, engine: "TGDRewriter", query: ConjunctiveQuery, generation: int = 0
     ) -> None:
         self._fan_out = engine.rule_index.fan_out(query)
-        self._generation = generation
 
     def _choose(self, width: int) -> SchedulingStrategy:
         if self._workers <= 1 or width < self.SMALL_GENERATION:
@@ -356,9 +352,7 @@ class AutoStrategy(SchedulingStrategy):
     def expand_generation(
         self, engine: "TGDRewriter", batch: Sequence[ConjunctiveQuery]
     ) -> Iterable[Expansion]:
-        inner = self._choose(len(batch))
-        self._generation += 1
-        return inner.expand_generation(engine, batch)
+        return self._choose(len(batch)).expand_generation(engine, batch)
 
     def close(self) -> None:
         self._sequential.close()

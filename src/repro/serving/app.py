@@ -70,7 +70,7 @@ import sqlite3
 import time
 from dataclasses import dataclass
 
-from ..backends.base import BackendError
+from ..backends import BACKENDS, BackendError
 from ..cache.checkpoint import compile_digest
 from ..cache.serialization import (
     atom_from_json,
@@ -122,6 +122,9 @@ MAX_ENCODED_ROWS = 65536
 #: scalars, so their sort key needs no ``sort_keys``.
 _BODY_ENCODER = json.JSONEncoder(sort_keys=True)
 _ROW_ENCODER = json.JSONEncoder()
+
+#: The JSON scalars a fact value may be (``bool`` is an ``int``).
+_SCALARS = (str, int, float, type(None))
 
 
 @dataclass(frozen=True)
@@ -479,7 +482,11 @@ class ServingApp:
 
     @staticmethod
     def _decode_facts(payload: dict, field: str = "facts") -> list[tuple[str, list]]:
-        """``[[relation, [v1, v2, ...]], ...]`` fact lists."""
+        """``[[relation, [v1, v2, ...]], ...]`` fact lists of JSON scalar values.
+
+        The whole list is checked before anything is applied, so a bad
+        fact rejects its batch whole.
+        """
         facts = payload.get(field, [])
         if not isinstance(facts, list):
             raise ServingError(400, "bad-facts", f"'{field}' must be a list")
@@ -496,6 +503,14 @@ class ServingApp:
                     "bad-facts",
                     f"each fact must be [relation, [values...]], got {entry!r}",
                 )
+            for value in entry[1]:
+                if not isinstance(value, _SCALARS):
+                    raise ServingError(
+                        400,
+                        "bad-facts",
+                        "fact values must be strings, numbers, booleans or "
+                        f"null, got {value!r} in {entry!r}",
+                    )
             decoded.append((entry[0], entry[1]))
         return decoded
 
@@ -644,6 +659,13 @@ class ServingApp:
         theory = self._decode_theory(payload, default_name=name)
         facts = self._decode_facts(payload)
         backend = payload.get("backend")
+        if backend not in (None, *BACKENDS):
+            raise ServingError(
+                400,
+                "bad-backend",
+                f"unknown backend {backend!r}; known backends: "
+                f"{', '.join(sorted(BACKENDS))}",
+            )
         loop = asyncio.get_running_loop()
         tenant, shared = await loop.run_in_executor(
             None,

@@ -766,16 +766,27 @@ class TenantRegistry:
                 "deregister a tenant first"
             )
         artifacts, shared = self._artifacts_for(theory)
-        tenant = Tenant(
-            name,
-            artifacts,
-            backend=backend or self._default_backend,
-            fault_plan=self._fault_plan,
-            max_tracked_changes=self._max_tracked_changes,
-        )
-        tenant.on_own_thread(tenant.add_facts, facts)
-        if warm_prepared and artifacts.rewriting_cache:
-            tenant.on_own_thread(tenant.warm_prepared_pool, self._warm_limit)
+        tenant = None
+        try:
+            tenant = Tenant(
+                name,
+                artifacts,
+                backend=backend or self._default_backend,
+                fault_plan=self._fault_plan,
+                max_tracked_changes=self._max_tracked_changes,
+            )
+            tenant.on_own_thread(tenant.add_facts, facts)
+            if warm_prepared and artifacts.rewriting_cache:
+                tenant.on_own_thread(tenant.warm_prepared_pool, self._warm_limit)
+        except BaseException:
+            # Leave nothing behind: the half-built tenant's epoch holds a
+            # reference on the set, and a set made for it has no tenant.
+            if tenant is not None:
+                tenant.close()
+            if not artifacts.tenant_names:
+                del self._artifacts[artifacts.fingerprint]
+                artifacts.retire()
+            raise
         self._attach(artifacts, name)
         self._tenants[name] = tenant
         return tenant, shared

@@ -2,7 +2,7 @@
 
 from repro.baselines.quonto import QuOntoStyleRewriter, quonto_rewrite
 from repro.core.rewriter import rewrite
-from repro.database.evaluator import QueryEvaluator
+from repro.database.evaluator import evaluate_ucq
 from repro.database.instance import RelationalInstance
 from repro.logic.atoms import Atom
 from repro.logic.terms import Constant, Variable
@@ -37,7 +37,7 @@ class TestCorrectness:
         database = RelationalInstance()
         database.add(Atom.of("p", a))
         result = quonto_rewrite(example4_query(), example4_rules())
-        assert QueryEvaluator(database).entails_ucq(result.ucq)
+        assert evaluate_ucq(result.ucq, database) == {()}
 
     def test_applicability_condition_is_respected(self):
         # The constant of Example 3 must not be lost.

@@ -3,7 +3,12 @@
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from repro.database.evaluator import QueryEvaluator, evaluate, evaluate_ucq
+from repro.database.evaluator import (
+    QueryEvaluator,
+    compile_join,
+    evaluate,
+    evaluate_ucq,
+)
 from repro.database.instance import RelationalInstance, database_from_tuples
 from repro.logic.atoms import Atom
 from repro.logic.homomorphism import has_homomorphism
@@ -70,20 +75,21 @@ class TestSingleQueryEvaluation:
         evaluator = QueryEvaluator(_sample_database())
         body = [Atom.of("works_for", A, B), Atom.of("company", B)]
         ann = Constant("ann")
+        eve = Constant("eve")
         # The seed binds A like a constant would; answer terms read it.
-        assert evaluator.answers_for_order(body, (A, B), {A: ann}) == {
-            (ann, Constant("acme"))
-        }
-        assert evaluator.answers_for_order(body, (A,), {A: Constant("eve")}) == set()
-        assert evaluator.satisfiable(body, {A: ann})
-        assert not evaluator.satisfiable(body, {A: Constant("eve")})
+        pairs = compile_join(body, (A, B), bound=(A,))
+        assert evaluator.answers(pairs, {A: ann}) == {(ann, Constant("acme"))}
+        assert evaluator.answers(pairs, {A: eve}) == set()
+        witness = compile_join(body, bound=(A,))
+        assert evaluator.exists(witness, {A: ann})
+        assert not evaluator.exists(witness, {A: eve})
         # An empty body is satisfied by the seed alone.
-        assert evaluator.answers_for_order((), (A,), {A: ann}) == {(ann,)}
+        assert evaluator.answers(compile_join((), (A,), (A,)), {A: ann}) == {(ann,)}
 
     def test_boolean_query_entailment(self):
         evaluator = QueryEvaluator(_sample_database())
-        assert evaluator.entails(ConjunctiveQuery([Atom.of("company", A)], ()))
-        assert not evaluator.entails(ConjunctiveQuery([Atom.of("person", A)], ()))
+        assert evaluator.exists(compile_join([Atom.of("company", A)]))
+        assert not evaluator.exists(compile_join([Atom.of("person", A)]))
 
     def test_repeated_variable_in_atom(self):
         database = database_from_tuples([("e", ("x", "x")), ("e", ("x", "y"))])
@@ -107,13 +113,13 @@ class TestUCQEvaluation:
         assert len(answers) == 3
 
     def test_entails_ucq(self):
-        evaluator = QueryEvaluator(_sample_database())
+        database = _sample_database()
         ucq = [
             ConjunctiveQuery([Atom.of("person", A)], ()),
             ConjunctiveQuery([Atom.of("company", A)], ()),
         ]
-        assert evaluator.entails_ucq(ucq)
-        assert not evaluator.entails_ucq(ucq[:1])
+        assert evaluate_ucq(ucq, database) == {()}
+        assert evaluate_ucq(ucq[:1], database) == frozenset()
 
     def test_empty_ucq_has_no_answers(self):
         assert evaluate_ucq([], _sample_database()) == frozenset()
@@ -129,4 +135,6 @@ class TestEvaluatorAgainstHomomorphismOracle:
         for fact in facts:
             instance.add(fact)
         expected = has_homomorphism(query.body, instance.facts)
-        assert QueryEvaluator(instance).entails(query) == expected
+        # Searched in body order, and in the planned order.
+        assert QueryEvaluator(instance).exists(compile_join(query.body)) == expected
+        assert bool(evaluate(query, instance)) == expected

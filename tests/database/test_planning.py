@@ -1,7 +1,7 @@
 """Cost-aware planning: estimates, join order, explain."""
 
 from repro.api import OBDASystem
-from repro.database.evaluator import QueryEvaluator, evaluate
+from repro.database.evaluator import evaluate
 from repro.database.instance import RelationalInstance, database_from_tuples
 from repro.database.planning import CardinalityEstimator, JoinPlan
 from repro.logic.atoms import Atom
@@ -111,12 +111,6 @@ class TestJoinOrder:
                 estimator.plan_body(query.body)
             )
         system.close()
-
-    def test_evaluator_join_order_is_the_planned_order(self):
-        database = _skewed_database()
-        body = (Atom.of("big", A, B), Atom.of("tiny", A))
-        planned = CardinalityEstimator(database).plan_body(body).order
-        assert tuple(QueryEvaluator(database).join_order(body)) == planned
 
     def test_ordering_never_changes_answers(self):
         database = _skewed_database()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cache.serialization import tgd_to_json
 from repro.serving import ServingApp
+from repro.serving.tenants import Tenant
 from repro.workloads import get_workload
 
 from .conftest import FACTS, TBOX, register, serve
@@ -90,7 +91,12 @@ class TestRegisterTheory:
             ({"tenant": "acme", "tbox": TBOX, "workload": "S"}, "bad-theory"),
             ({"tenant": "acme", "tbox": "this is not an axiom"}, "bad-theory"),
             ({"tenant": "acme", "tbox": TBOX, "facts": [["oops"]]}, "bad-facts"),
+            (
+                {"tenant": "acme", "tbox": TBOX, "facts": [["Student", [["a"]]]]},
+                "bad-facts",
+            ),
             ({"tenant": "", "tbox": TBOX}, "bad-request"),
+            ({"tenant": "acme", "tbox": TBOX, "backend": "bogus"}, "bad-backend"),
         ],
     )
     def test_malformed_registrations_are_400(self, app, payload, code):
@@ -98,6 +104,67 @@ class TestRegisterTheory:
             response = await app.request("POST", "/register-theory", payload)
             assert response.status == 400
             assert response.payload["error"]["code"] == code
+            # Nothing was built: no tenant, no artifact set.
+            assert len(app.registry) == 0
+            assert app.registry.artifact_sets() == ()
+
+        serve(body)
+
+    def test_unknown_backend_names_the_known_ones(self, app):
+        async def body():
+            response = await app.request(
+                "POST",
+                "/register-theory",
+                {"tenant": "acme", "tbox": TBOX, "backend": "bogus"},
+            )
+            message = response.payload["error"]["message"]
+            assert "'bogus'" in message
+            assert "memory" in message and "sqlite" in message
+
+        serve(body)
+
+    def test_failed_registration_of_a_new_theory_leaves_no_artifacts(
+        self, app, monkeypatch
+    ):
+        def failing(tenant, facts):
+            raise RuntimeError("facts could not be loaded")
+
+        async def body():
+            monkeypatch.setattr(Tenant, "add_facts", failing)
+            response = await app.request(
+                "POST", "/register-theory", {"tenant": "acme", "tbox": TBOX}
+            )
+            assert response.status == 500
+            stats = await app.request("GET", "/stats")
+            assert stats.payload["tenants"] == {}
+            assert stats.payload["artifacts"] == {}
+
+        serve(body)
+
+    def test_failed_registration_on_a_shared_set_releases_its_reference(
+        self, app, monkeypatch
+    ):
+        def failing(tenant, facts):
+            raise RuntimeError("facts could not be loaded")
+
+        async def body():
+            await register(app, "acme")
+            (artifacts,) = app.registry.artifact_sets()
+            refs = artifacts._refs  # membership + the tenant's epoch
+            with monkeypatch.context() as patch:
+                patch.setattr(Tenant, "add_facts", failing)
+                response = await app.request(
+                    "POST", "/register-theory", {"tenant": "beta", "tbox": TBOX}
+                )
+            assert response.status == 500
+            assert "beta" not in app.registry
+            assert artifacts._refs == refs
+            assert artifacts.tenant_names == {"acme"}
+            # The last real tenant leaving closes the set.
+            await app.request(
+                "POST", "/invalidate", {"tenant": "acme", "scope": "tenant"}
+            )
+            assert artifacts._closed
 
         serve(body)
 
@@ -245,6 +312,25 @@ class TestDataAndInvalidation:
             )
             after = await app.request("POST", "/answer", query)
             assert ["alice"] not in after.payload["answers"]
+
+        serve(body)
+
+    def test_rejected_batch_changes_nothing(self, app):
+        async def body():
+            await register(app, "acme")
+            database = app.registry.get("acme").system.database
+            facts, epoch = len(database), database.epoch
+            response = await app.request(
+                "POST",
+                "/data",
+                {
+                    "tenant": "acme",
+                    "add": [["stock", ["s1", "acme", 3]], ["stock", [[1], "x", 3]]],
+                },
+            )
+            assert response.status == 400
+            assert response.payload["error"]["code"] == "bad-facts"
+            assert (len(database), database.epoch) == (facts, epoch)
 
         serve(body)
 

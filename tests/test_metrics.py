@@ -6,8 +6,6 @@ from repro.logic.atoms import Atom
 from repro.logic.terms import Constant, Variable
 from repro.metrics import (
     RewritingMetrics,
-    format_table,
-    metrics_table_row,
     query_length,
     query_width,
     ucq_metrics,
@@ -75,14 +73,6 @@ class TestUCQMetrics:
 
     def test_empty_rewriting(self):
         assert ucq_metrics([]) == RewritingMetrics(size=0, length=0, width=0)
-
-    def test_table_row_and_formatting(self):
-        ucq = [ConjunctiveQuery([Atom.of("p", A)], (A,))]
-        row = metrics_table_row("q1", {"NY": ucq, "NY*": ucq})
-        assert row["NY_size"] == 1
-        assert row["NY*_width"] == 0
-        table = format_table([row], systems=["NY", "NY*"])
-        assert "q1" in table and "NY*_size" in table
 
 
 class TestMetricProperties:
