@@ -84,14 +84,14 @@ subscribe-smoke:
 chaos-smoke:
 	$(REPRO) chaos --seed 0 --cases 6 --quiet
 
-# Perf gate (seconds, not minutes), seven checks: (1) the running example
+# Perf gate (seconds, not minutes), eight checks: (1) the running example
 # rewritten through an auto strategy passed to each run
 # (rewrite(query, strategy=auto)) gives the sequential bytes; (2) the
 # tuple-encoded canonical-key kernel gives the reference's keys and
 # executes no more bytecode than the reference (counted, not timed);
-# (3) P5 under TGD-rewrite* compiles to the same rewritings with
-# memoisation on and off, within a pinned count of coverage chain
-# searches; (4) 20 seeded single-fact mutations of workload S on SQLite
+# (3) P5 under TGD-rewrite*, on the per-CQ reference kernel, compiles to
+# the same rewritings with memoisation on and off, within a pinned count
+# of coverage chain searches; (4) 20 seeded single-fact mutations of workload S on SQLite
 # give exactly 1 full + 20 incremental snapshot loads and maintainer
 # refreshes, poll() agreeing with execute(); (5) 20 seeded churn rounds
 # on the Vicodi ABox, polled on q1-q4, join-order exactly the pinned
@@ -103,7 +103,10 @@ chaos-smoke:
 # single-fact mutations of workload U, each followed by is_consistent(),
 # give a fresh system's verdict every time, and the negative constraints'
 # maintained answer sets refresh exactly 2 times in full and 40 times
-# incrementally (consistency re-checks stay incremental).  Every check runs
+# incrementally (consistency re-checks stay incremental); (8) the 25 Table
+# 1 compiles expand exactly the pinned number of union-CQs over renaming
+# closures and equal the per-CQ kernel's rewritings as sets, as does a
+# Vicodi query whose union NC pruning must split.  Every check runs
 # even after one fails.  The exhaustive hot-path benchmark is
 # benchmarks/bench_hotpaths.py under `make bench-json`.
 perf-smoke:

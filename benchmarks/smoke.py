@@ -31,8 +31,9 @@ serve-smoke subscribe-smoke perf-smoke`` gate every CI run.
     2. The flat canonical-key kernel gives the reference kernel's keys and
        executes no more bytecode than the reference doing so
        (:func:`executed_bytecode`).
-    3. P5 under TGD-rewrite* gives the same rewritings with memoisation on
-       and off; the memoised engine runs at most
+    3. P5 under TGD-rewrite*, on the per-CQ reference kernel
+       (:func:`per_cq_kernel`), gives the same rewritings with
+       memoisation on and off; the memoised engine runs at most
        :data:`COVERAGE_SEARCH_CEILING` coverage chain searches and exactly
        :data:`ELIMINATION_RUNS` elimination runs, the unmemoised one
        eliminates every candidate that is not a dead end plus every input
@@ -57,8 +58,13 @@ serve-smoke subscribe-smoke perf-smoke`` gate every CI run.
        verdict every time, and the negative constraints' maintained
        answer sets refresh exactly :data:`CONSISTENCY_REFRESHES`
        full/incremental times.
+    8. The 25 Table 1 compiles under serving's options, one engine per
+       ontology, expand exactly :data:`TABLE1_EXPANSIONS` union-CQs
+       (:mod:`repro.core.closures`), and every rewriting equals the per-CQ
+       reference kernel's as a set; so does :data:`SPLIT_QUERY`'s, a
+       union-CQ that NC pruning must split.
 
-    Checks 2-7 count work or compare answers, so they are exact on any
+    Checks 2-8 count work or compare answers, so they are exact on any
     host; no check times anything.  ``benchmarks/bench_hotpaths.py``
     (``make bench-json``) is the exhaustive form of checks 1 and 2, with
     timings.
@@ -74,6 +80,7 @@ import json
 import random
 import sys
 import traceback
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -81,7 +88,8 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.api import OBDASystem  # noqa: E402
+from repro.api import OBDASystem, resolve_engine_options  # noqa: E402
+from repro.core.closures import RenamingClosures  # noqa: E402
 from repro.core.rewriter import TGDRewriter  # noqa: E402
 from repro.database.evaluator import (  # noqa: E402
     QueryEvaluator,
@@ -100,6 +108,7 @@ from repro.logic.canonical import (  # noqa: E402
     canonical_fingerprint_reference,
 )
 from repro.queries.parser import parse_query  # noqa: E402
+from repro.queries.ucq import QuerySet  # noqa: E402
 from repro.scheduling import (  # noqa: E402
     AutoStrategy,
     SequentialStrategy,
@@ -171,6 +180,14 @@ TABLE1 = ("V", "S", "U", "A", "P5")
 FACTORED_JOINS = 96
 FACTORING_SEED = 6
 FACTORING_FACTS = 25
+#: Queries check 8's 25 Table 1 compiles expand (``processed_queries``):
+#: union-CQs, each standing for the cross product of its atoms'
+#: renaming closures (846 CQs for the per-CQ kernel).
+TABLE1_EXPANSIONS = 199
+#: Check 8's split case: Flexible-Time-Unit and Event have 96 members,
+#: but under NC pruning ``Location(A), Event(A)`` violates vicodi#55 and
+#: the 14 members below Location are never reached: 81 CQs.
+SPLIT_QUERY = "q(A) :- Flexible-Time-Unit(A), Event(A)"
 #: Check 7's seeded mutation script on workload U, and the pinned
 #: (full, incremental) refreshes of the answer sets of U's 2 negative
 #: constraints: one full refresh each at the first check, then one
@@ -214,6 +231,29 @@ class Checks:
             file=sys.stderr if failed else sys.stdout,
         )
         return 1 if failed else 0
+
+
+@contextmanager
+def per_cq_kernel():
+    """Engines built and run inside are the per-CQ reference kernel.
+
+    Every renaming closure is a one-predicate union, so each renaming
+    rule resolves one atom at a time.
+    """
+    table = RenamingClosures.__dict__["table"]
+    RenamingClosures.table = {}
+    try:
+        yield
+    finally:
+        RenamingClosures.table = table
+
+
+def same_members(left, right) -> bool:
+    """``True`` iff two UCQs hold the same CQs up to variable renaming."""
+    store = QuerySet(left)
+    return len(store) == len(left) == len(right) and all(
+        store.find_variant(member) is not None for member in right
+    )
 
 
 def named(workload) -> list:
@@ -513,10 +553,10 @@ def coverage_memo_ceiling(check) -> None:
     """Perf check 3: memo on and off agree on P5, within the work pins."""
     workload = get_workload("P5")
     rules = workload.theory.tgds
-    memoised = TGDRewriter(rules, use_elimination=True)
-    plain = TGDRewriter(rules, use_elimination=True, use_memoisation=False)
     queries = named(workload)
-    with CandidateCount() as counted:
+    with per_cq_kernel(), CandidateCount() as counted:
+        memoised = TGDRewriter(rules, use_elimination=True)
+        plain = TGDRewriter(rules, use_elimination=True, use_memoisation=False)
         rewriters = {
             "memo on": memoised.rewrite,
             "memo off": partial(plain.rewrite, strategy=counted),
@@ -700,6 +740,44 @@ def consistency_rechecks(check) -> None:
     )
 
 
+def union_expansions(check) -> None:
+    """Perf check 8: Table 1 compiles explore union-CQs, reaching the same CQs."""
+    expansions = 0
+    differ = []
+    for name in TABLE1:
+        workload = get_workload(name)
+        options = resolve_engine_options(workload.theory)
+        queries = named(workload)
+        if name == "V":
+            queries.append(("split", parse_query(SPLIT_QUERY)))
+
+        def engine():
+            return TGDRewriter(
+                workload.theory,
+                use_elimination=options.use_elimination,
+                use_nc_pruning=options.use_nc_pruning,
+            )
+
+        with per_cq_kernel():
+            reference = engine()
+            expected = [reference.rewrite(query).ucq for _, query in queries]
+        union = engine()
+        for (query_name, query), ucq in zip(queries, expected):
+            result = union.rewrite(query)
+            if query_name != "split":
+                expansions += result.statistics.processed_queries
+            if not same_members(list(result.ucq), list(ucq)):
+                differ.append(f"{name} {query_name}")
+    check(
+        expansions == TABLE1_EXPANSIONS and not differ,
+        f"union-CQs of Table 1: {expansions} expansions (pinned "
+        f"{TABLE1_EXPANSIONS}); rewritings of the 25 queries and "
+        f"{SPLIT_QUERY!r} {'equal' if not differ else 'DIFFER FROM'} the "
+        f"per-CQ kernel's as sets",
+        f"differing: {', '.join(differ)}",
+    )
+
+
 GATES = {
     "strategy": (strategy_identity,),
     "serve": (on_tenant(serve_checks),),
@@ -712,6 +790,7 @@ GATES = {
         delta_rule_plans,
         factored_execution,
         consistency_rechecks,
+        union_expansions,
     ),
 }
 

@@ -25,6 +25,7 @@ Quick start::
 
 from .api import (
     AnswerSet,
+    ConflictingKeysError,
     ExecutionCacheInfo,
     InconsistentTheoryError,
     OBDASystem,
@@ -141,6 +142,7 @@ __all__ = [
     "Constant",
     "CoverageChecker",
     "DependencyGraph",
+    "ConflictingKeysError",
     "InconsistentTheoryError",
     "KeyDependency",
     "NegativeConstraint",

@@ -48,12 +48,31 @@ from .core.rewriter import RewritingResult, RewritingStatistics, TGDRewriter
 from .database.instance import RelationalInstance
 from .database.schema import RelationalSchema
 from .database.sql import ucq_to_sql
+from .dependencies.constraints import KeyDependency, first_conflict
+from .dependencies.tgd import TGD
 from .dependencies.theory import OntologyTheory
 from .incremental.maintain import AnswerDelta, MaintainedAnswerSet
 from .logic.terms import Constant
 from .queries.conjunctive_query import ConjunctiveQuery
 
 logger = logging.getLogger(__name__)
+
+
+class ConflictingKeysError(ValueError):
+    """A key dependency conflicts with a TGD of the theory.
+
+    Section 5 rewrites as if the keys were absent, which is sound only
+    when they are non-conflicting with the TGDs
+    (:func:`repro.dependencies.constraints.is_non_conflicting`):
+    otherwise a rule can derive a tuple that breaks the key, and no
+    check on the stored facts sees it.  ``rule`` and ``key`` name the
+    first conflicting pair.
+    """
+
+    def __init__(self, rule: TGD, key: KeyDependency) -> None:
+        super().__init__(f"key {key!r} conflicts with TGD {rule!r}")
+        self.rule = rule
+        self.key = key
 
 
 class InconsistentTheoryError(RuntimeError):
@@ -418,6 +437,9 @@ class OBDASystem:
     ) -> None:
         if max_prepared is not None and max_prepared < 1:
             raise ValueError(f"max_prepared must be >= 1, got {max_prepared}")
+        conflict = first_conflict(theory.tgds, theory.key_dependencies)
+        if conflict is not None:
+            raise ConflictingKeysError(*conflict)
         self._theory = theory
         self._database = database if database is not None else RelationalInstance(schema=schema)
         self._schema = schema if schema is not None else self._database.schema

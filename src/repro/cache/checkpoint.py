@@ -81,7 +81,9 @@ class FrontierCheckpoint:
     """
 
     #: On-disk checkpoint format; bump on any incompatible change.
-    FORMAT_VERSION = 1
+    #: Version 2: entries are union-CQs, whose collapsed atoms are over
+    #: marked predicates (:mod:`repro.core.closures`).
+    FORMAT_VERSION = 2
 
     def __init__(self, path: str | os.PathLike) -> None:
         self._path = Path(path)

@@ -41,7 +41,13 @@ from ..logic.unification import atom_sequence_profile
 #: results of theories with multi-head or multi-existential rules list
 #: fewer auxiliary queries and smaller counters, plus the new
 #: ``pruned_dead_ends`` counter (their UCQs are byte-identical).
-ENGINE_VERSION = 3
+#: Version 4: the kernel explores union-CQs over renaming closures
+#: (:mod:`repro.core.closures`) and unfolds them at the end, so a stored
+#: UCQ holds the same members in another order (members of one union-CQ
+#: together, in closure order), its statistics count union-CQs, and its
+#: auxiliary queries are the label-0 and internal union-CQs in their
+#: root form, collapsed atoms marked ``⊔``.
+ENGINE_VERSION = 4
 
 
 def rule_signature(rule: TGD) -> str:

@@ -37,7 +37,7 @@ The shape is :func:`shape_key`, which the coverage memo of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..logic.atoms import Atom, Predicate, atoms_predicates
 from ..logic.substitution import Substitution
@@ -50,6 +50,9 @@ from ..logic.unification import (
 )
 from ..dependencies.tgd import TGD
 from ..queries.conjunctive_query import ConjunctiveQuery
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .closures import RenamingClosures
 
 
 class RuleIndex:
@@ -64,7 +67,7 @@ class RuleIndex:
     rename-apart and unification work from the hot path.
     """
 
-    __slots__ = ("_rules", "_by_head")
+    __slots__ = ("_rules", "_by_head", "_by_union")
 
     def __init__(self, rules: Iterable[TGD]) -> None:
         self._rules: tuple[TGD, ...] = tuple(rules)
@@ -76,6 +79,7 @@ class RuleIndex:
         self._by_head: dict[Predicate, tuple[tuple[int, TGD], ...]] = {
             predicate: tuple(entries) for predicate, entries in by_head.items()
         }
+        self._by_union: dict[Predicate, tuple[tuple[int, TGD], ...]] = {}
 
     @property
     def rules(self) -> tuple[TGD, ...]:
@@ -97,17 +101,44 @@ class RuleIndex:
         """The rules whose head predicate is *predicate*, in rule order."""
         return tuple(rule for _, rule in self._by_head.get(predicate, ()))
 
-    def candidate_rules(self, query: ConjunctiveQuery) -> list[TGD]:
+    def candidate_rules(
+        self, query: ConjunctiveQuery, unions: "RenamingClosures | None" = None
+    ) -> list[TGD]:
         """The rules whose head predicate occurs in ``body(query)``.
 
         The result preserves the global rule order, so swapping a linear scan
         of Σ for this lookup leaves the rewriting exploration deterministic.
+        With *unions*, a collapsed atom offers every predicate of its
+        closure (:mod:`repro.core.closures`).
         """
+        by_head = self._by_head
         entries: list[tuple[int, TGD]] = []
         for predicate in atoms_predicates(query.body):
-            entries.extend(self._by_head.get(predicate, ()))
+            found = by_head.get(predicate)
+            if found is None and unions is not None and unions.is_collapsed(predicate):
+                found = self._union_entries(predicate, unions)
+            if found:
+                entries.extend(found)
+        if unions is not None:
+            # Two closures may share a predicate, hence a rule.
+            entries = list(dict(entries).items())
         entries.sort(key=lambda entry: entry[0])
         return [rule for _, rule in entries]
+
+    def _union_entries(
+        self, predicate: Predicate, unions: "RenamingClosures"
+    ) -> tuple[tuple[int, TGD], ...]:
+        """The index entries of every predicate of a collapsed predicate's closure."""
+        cache = self._by_union
+        found = cache.get(predicate)
+        if found is None:
+            found = tuple(
+                entry
+                for member in unions.members(predicate)
+                for entry in self._by_head.get(member, ())
+            )
+            cache[predicate] = found
+        return found
 
     def fan_out(self, query: ConjunctiveQuery) -> int:
         """How many rule applications *query* can trigger per rewriting step.
@@ -331,6 +362,8 @@ def applicable_atom_sets(
     query: ConjunctiveQuery,
     memo: ApplicabilityMemo | None = None,
     rule_key: object = None,
+    unions: "RenamingClosures | None" = None,
+    renaming: bool = False,
 ) -> Iterator[tuple[Atom, ...]]:
     """Enumerate the subsets ``A ⊆ body(q)`` to which *rule* is applicable.
 
@@ -342,21 +375,36 @@ def applicable_atom_sets(
     When *memo* (and its *rule_key*) is given, each Definition 1 check is
     answered through the :class:`ApplicabilityMemo` instead of being
     recomputed.
+
+    With *unions* (:mod:`repro.core.closures`), a collapsed atom is a
+    candidate when its closure holds the head predicate, and the check
+    reads it as an atom over the head predicate.  A *renaming* rule
+    (:attr:`~repro.core.closures.RenamingClosures.renaming_rules`) is
+    never offered a single collapsed atom: what it would make is another
+    member of the same union-CQ.
     """
     if not rule.is_single_head:
         raise ValueError(f"{rule!r} must be normalised (single head atom)")
     head_predicate = rule.head[0].predicate
-    candidates = [atom for atom in query.body if atom.predicate == head_predicate]
+    if unions is None:
+        candidates = [atom for atom in query.body if atom.predicate == head_predicate]
+    else:
+        candidates = [
+            atom for atom in query.body if unions.holds(atom.predicate, head_predicate)
+        ]
     if not candidates:
         return
     total = len(candidates)
     # Enumerate subsets ordered by size (stable order within a size).
     for size in range(1, total + 1):
         for subset in _combinations(candidates, size):
+            if renaming and size == 1 and unions.is_collapsed(subset[0].predicate):
+                continue
+            probe = subset if unions is None else unions.retarget(subset, head_predicate)
             if memo is None:
-                applicable = is_applicable(rule, subset, query)
+                applicable = is_applicable(rule, probe, query)
             else:
-                applicable = memo.is_applicable(rule_key, rule, subset, query)
+                applicable = memo.is_applicable(rule_key, rule, probe, query)
             if applicable:
                 yield tuple(subset)
 
@@ -378,7 +426,7 @@ class FactorizableSet:
 
 
 def factorizable_sets(
-    rule: TGD, query: ConjunctiveQuery
+    rule: TGD, query: ConjunctiveQuery, unions: "RenamingClosures | None" = None
 ) -> Iterator[FactorizableSet]:
     """Enumerate the sets ``S ⊆ body(q)`` factorizable w.r.t. *rule* (Definition 2).
 
@@ -387,7 +435,9 @@ def factorizable_sets(
     ``S`` *only at position* ``πσ`` and nowhere else in the query (body
     outside ``S``, nor in the head for non-Boolean queries).  Consequently
     ``S`` is exactly the set of body atoms containing ``V``, which makes the
-    enumeration linear in the number of query variables.
+    enumeration linear in the number of query variables.  With *unions*,
+    a collapsed atom belongs to ``S`` when its closure holds the head
+    predicate, and the unifier is taken over the atoms' terms.
     """
     if not rule.is_single_head:
         raise ValueError(f"{rule!r} must be normalised (single head atom)")
@@ -411,7 +461,10 @@ def factorizable_sets(
             # For non-Boolean CQs the witnessing variable must not occur in
             # the head, otherwise unifying would lose an answer binding.
             continue
-        if any(atom.predicate != head_predicate for atom in atoms):
+        if unions is None:
+            if any(atom.predicate != head_predicate for atom in atoms):
+                continue
+        elif not all(unions.holds(atom.predicate, head_predicate) for atom in atoms):
             continue
         # V must occur only at πσ in every atom of S.
         occurs_elsewhere = False
@@ -424,7 +477,7 @@ def factorizable_sets(
                 break
         if occurs_elsewhere:
             continue
-        unifier = mgu(atoms)
+        unifier = mgu(atoms if unions is None else unions.retarget(atoms, head_predicate))
         if unifier is None:
             continue
         yield FactorizableSet(tuple(atoms), variable, unifier)

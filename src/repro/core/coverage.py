@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..logic.atoms import Atom, Position, Predicate
 from ..logic.terms import Term, is_constant
@@ -51,6 +51,9 @@ from ..queries.conjunctive_query import ConjunctiveQuery
 from .applicability import shape_key
 from .dependency_graph import DependencyGraph
 from .equality_types import eq_subset, equality_type
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .closures import RenamingClosures
 
 
 @dataclass(frozen=True)
@@ -155,6 +158,39 @@ class CoverageChecker:
         if chain is None:
             return None
         return CoverageWitness(source, target, chain)
+
+    def union_covers(
+        self,
+        source: Atom,
+        target: Atom,
+        query: ConjunctiveQuery,
+        unions: "RenamingClosures",
+    ) -> bool | None:
+        """Whether *source* covers *target* in every member of a union-CQ.
+
+        ``True`` if every pair of predicates the two atoms can pick
+        covers, ``False`` if none does, ``None`` if only some do.  The
+        members share their terms and shared variables (the union-CQ is
+        distinct, :meth:`repro.core.closures.RenamingClosures.distinct`),
+        so condition (i) is decided once for all of them.
+        """
+        source_terms = set(source.terms)
+        if any(term not in source_terms for term in self._relevant_terms(target, query)):
+            return False
+        verdict = None
+        for source_predicate in unions.members(source.predicate):
+            reachable = self._reachable.get(source_predicate, ())
+            member = Atom(source_predicate, source.terms)
+            for target_predicate in unions.members(target.predicate):
+                covered = target_predicate in reachable and (
+                    self.covers(member, Atom(target_predicate, target.terms), query)
+                    is not None
+                )
+                if verdict is None:
+                    verdict = covered
+                elif verdict != covered:
+                    return None
+        return verdict
 
     def cover_set(
         self, target: Atom, query: ConjunctiveQuery

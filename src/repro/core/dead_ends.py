@@ -27,7 +27,7 @@ reduced or checked against the negative constraints.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..dependencies.tgd import TGD
 from ..logic.atoms import Position, Predicate
@@ -98,16 +98,30 @@ class DeadEndFilter:
         """:func:`null_reach` of the engine's rules, built once."""
         return null_reach(self._rules, self._internal_predicates)
 
-    def is_dead_end(self, flat: FlatQuery) -> bool:
+    def is_dead_end(
+        self,
+        flat: FlatQuery,
+        unions: Mapping[PredicateKey, Iterable[PredicateKey]] | None = None,
+    ) -> bool | None:
         """``True`` if the encoded CQ is a dead end (see the module docstring).
 
         Sufficient, not necessary: a null that another internal
         predicate's rule copies in is not followed, so some CQs without
         certain answers pass.
+
+        *unions* maps each collapsed predicate of an encoded union-CQ
+        to the predicates of its closure
+        (:attr:`repro.core.closures.RenamingClosures.key_members`).
+        ``True`` then means every member is a dead end, ``False`` none,
+        and ``None`` that only some are.  No internal predicate with an
+        invented null has a closure (its one rule invents the null, so
+        no renaming rule defines it), so only the other atoms holding
+        the null are read through their closures.
         """
         reach = self.reach
         keys = flat.predicate_keys
         templates = flat.templates
+        some = False
         for predicate_id, codes in templates:
             birth = reach.get(keys[predicate_id])
             if birth is None:
@@ -120,7 +134,16 @@ class DeadEndFilter:
                 if code not in other_codes:
                     continue
                 key = keys[other_id]
+                members = unions.get(key) if unions is not None else None
                 for position, other in enumerate(other_codes):
-                    if other == code and (key, position) not in reachable:
+                    if other != code:
+                        continue
+                    if members is None:
+                        if (key, position) not in reachable:
+                            return True
+                        continue
+                    held = [(member, position) in reachable for member in members]
+                    if not any(held):
                         return True
-        return False
+                    some = some or not all(held)
+        return None if some else False

@@ -19,12 +19,15 @@ dropped).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..logic.atoms import Atom
 from ..dependencies.tgd import TGD
 from ..queries.conjunctive_query import ConjunctiveQuery
 from .coverage import CoverageChecker
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .closures import RenamingClosures
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,40 @@ class QueryEliminator:
             eliminated=tuple(eliminated),
             strategy=order,
         )
+
+    def union_eliminated(
+        self, query: ConjunctiveQuery, unions: "RenamingClosures"
+    ) -> tuple[Atom, ...] | None:
+        """The atoms elimination drops from every member of a union-CQ alike.
+
+        The cover relation is decided over the union atoms
+        (:meth:`CoverageChecker.union_covers`).  ``None`` when some
+        member would drop other atoms than another, or when which atoms
+        go depends on the strategy: an atom whose every coverer is
+        itself covered.  Otherwise every strategy drops exactly the atoms
+        with a non-empty cover set, in every member.  *query* must be
+        distinct (:meth:`repro.core.closures.RenamingClosures.distinct`).
+        """
+        self.runs += 1
+        checker = self._checker
+        body = query.body
+        cover: dict[Atom, list[Atom]] = {}
+        for target in body:
+            covering = []
+            for source in body:
+                if source is target:
+                    continue
+                verdict = checker.union_covers(source, target, query, unions)
+                if verdict is None:
+                    return None
+                if verdict:
+                    covering.append(source)
+            cover[target] = covering
+        eliminated = tuple(atom for atom in body if cover[atom])
+        for atom in eliminated:
+            if all(cover[source] for source in cover[atom]):
+                return None
+        return eliminated
 
     def eliminate(self, query: ConjunctiveQuery) -> ConjunctiveQuery:
         """The reduced query ``eliminate(q, Σ)`` (default strategy)."""

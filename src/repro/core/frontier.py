@@ -78,14 +78,22 @@ class Derivation(NamedTuple):
     """
 
     source: ConjunctiveQuery
-    substitution: Substitution
+    substitution: Substitution | None
     removed: tuple[Atom, ...] = ()
     added: tuple[Atom, ...] = ()
 
     def build(
         self, fingerprint: CanonicalFingerprint | None = None
     ) -> ConjunctiveQuery:
-        """The derived query (*fingerprint*, if given, becomes its cached key)."""
+        """The derived query (*fingerprint*, if given, becomes its cached key).
+
+        Without a substitution the candidate is *source* itself: a member
+        the engine unfolded from a union-CQ that is not uniform.
+        """
+        if self.substitution is None:
+            if fingerprint is not None:
+                self.source.__dict__["canonical_fingerprint"] = fingerprint
+            return self.source
         return self.source.derive(
             self.substitution, self.removed, self.added, fingerprint
         )

@@ -13,11 +13,21 @@ empty UCQ: the query is unsatisfiable w.r.t. every consistent database.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import product
+from math import prod
+from typing import TYPE_CHECKING, Iterable, Sequence
 
+from ..logic.atoms import Atom
 from ..logic.homomorphism import has_homomorphism
 from ..dependencies.constraints import NegativeConstraint
 from ..queries.conjunctive_query import ConjunctiveQuery
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .closures import RenamingClosures
+
+#: The most member choices :meth:`NegativeConstraintPruner.union_verdict`
+#: tries before it calls a union-CQ not uniform.
+UNION_CHOICES = 64
 
 
 class NegativeConstraintPruner:
@@ -47,6 +57,61 @@ class NegativeConstraintPruner:
     def is_unsatisfiable(self, query: ConjunctiveQuery) -> bool:
         """``True`` iff the query can be pruned (it embeds some constraint body)."""
         return self.violated_by(query) is not None
+
+    def union_verdict(
+        self, query: ConjunctiveQuery, unions: "RenamingClosures"
+    ) -> bool | None:
+        """Whether every member of a union-CQ can be pruned, none, or only some.
+
+        A member embeds a constraint body exactly when its atoms over the
+        constraints' predicates do, so the members are tried by which of
+        those predicates each collapsed atom picks, if any: ``True`` when
+        every choice embeds some body, ``False`` when none does, ``None``
+        otherwise (also when there are more than :data:`UNION_CHOICES`
+        choices to try).  A collapsed atom read as every predicate of its
+        closure at once rejects most union-CQs before any choice is tried.
+        """
+        frozen_body, _ = query.freeze()
+        members = unions.members
+        expanded = [
+            Atom(member, atom.terms)
+            for atom in frozen_body
+            for member in members(atom.predicate)
+        ]
+        offered = {atom.predicate for atom in expanded}
+        relevant = [
+            constraint
+            for constraint in self._constraints
+            if all(atom.predicate in offered for atom in constraint.body)
+            and has_homomorphism(constraint.body, expanded)
+        ]
+        if not relevant:
+            return False
+        predicates = {atom.predicate for c in relevant for atom in c.body}
+        certain: list[Atom] = []
+        choices: list[list[Atom | None]] = []
+        for atom in frozen_body:
+            if not unions.is_collapsed(atom.predicate):
+                certain.append(atom)
+                continue
+            closure = members(atom.predicate)
+            options: list[Atom | None] = [
+                Atom(member, atom.terms) for member in closure if member in predicates
+            ]
+            if len(options) < len(closure):
+                options.append(None)
+            choices.append(options)
+        if prod(len(options) for options in choices) > UNION_CHOICES:
+            return None
+        verdict = None
+        for picked in product(*choices):
+            target = certain + [atom for atom in picked if atom is not None]
+            embeds = any(has_homomorphism(c.body, target) for c in relevant)
+            if verdict is None:
+                verdict = embeds
+            elif verdict != embeds:
+                return None
+        return verdict
 
 
 def prune_unsatisfiable(

@@ -72,6 +72,14 @@ to the store.  Only the other candidates are built as ``Atom`` and
 second time, as its reduced form.  The table follows ``use_memoisation``
 and lives exactly as long as the run; the dead-end verdict is taken with
 memoisation on and off.
+
+The CQs the kernel stores are *union-CQs* (:mod:`repro.core.closures`):
+an atom over a predicate with subclasses under renaming rules stands for
+the whole closure, so a hierarchy is rewritten once, not once per
+subclass, and the final rewriting is the unfolding of the stored
+union-CQs.  A union-CQ whose members would not all get the same
+verdicts is unfolded into the members the per-CQ kernel builds; with
+every closure trivial, the kernel is the per-CQ kernel.
 """
 
 from __future__ import annotations
@@ -79,9 +87,11 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from itertools import product
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from ..logic.flat import encode_query
+from ..logic.atoms import Atom
+from ..logic.flat import FlatQuery, encode_query
 from ..logic.unification import mgu
 from ..dependencies.classifiers import is_linear
 from ..dependencies.constraints import NegativeConstraint
@@ -97,6 +107,7 @@ from .applicability import (
     applicable_atom_sets,
     factorizable_sets,
 )
+from .closures import RenamingClosures, distinct_members
 from .coverage import CoverageChecker
 from .dead_ends import DeadEndFilter
 from .elimination import QueryEliminator
@@ -212,7 +223,13 @@ class RewritingStatistics:
 
 @dataclass
 class RewritingResult:
-    """The perfect rewriting of a query together with run statistics."""
+    """The perfect rewriting of a query together with run statistics.
+
+    ``auxiliary_queries`` are the stored union-CQs that are not part of
+    the rewriting as such: the label-0 ones and those over internal
+    predicates, in root form (a collapsed atom's predicate is marked
+    ``⊔``, see :mod:`repro.core.closures`).
+    """
 
     query: ConjunctiveQuery
     rules: tuple[TGD, ...]
@@ -305,6 +322,7 @@ class TGDRewriter:
         # and candidates with an atom over one that no chase can hold are
         # dropped as soon as they are keyed.
         self._internal_predicates = internal_predicates
+        self._closures = RenamingClosures(self._rules, internal_predicates)
         self._dead_ends = (
             DeadEndFilter(self._rules, internal_predicates)
             if internal_predicates
@@ -450,8 +468,8 @@ class TGDRewriter:
             state = checkpoint.load(self, query)
         if state is None:
             statistics = RewritingStatistics()
-            initial = self._reduce(query, statistics)
-            if self._pruner is not None and self._pruner.is_unsatisfiable(initial):
+            initial, pruned = self._initial(query, statistics)
+            if pruned:
                 # The input query itself violates a negative constraint: it
                 # can never be entailed by a consistent database (§5.1).
                 statistics.pruned_by_constraints += 1
@@ -486,11 +504,7 @@ class TGDRewriter:
                 checkpoint.save(self, query, state)
 
         store, labels = state.store, state.labels
-        final = [
-            stored
-            for stored in store
-            if labels[stored] == LABEL_REWRITING and not self._mentions_internal(stored)
-        ]
+        final = self._unfold(store, labels)
         auxiliary = tuple(
             stored
             for stored in store
@@ -566,6 +580,39 @@ class TGDRewriter:
             return False
         return any(atom.predicate in self._internal_predicates for atom in query.body)
 
+    def _unions(self) -> RenamingClosures | None:
+        """The closures to collapse, or ``None`` when every closure is trivial."""
+        closures = self._closures
+        return closures if closures.table else None
+
+    def _unfold(
+        self, store: QuerySet, labels: dict[ConjunctiveQuery, int]
+    ) -> list[ConjunctiveQuery]:
+        """The final rewriting: the label-1 members of the stored union-CQs.
+
+        Every member of a label-1 union-CQ is in it, and every member of
+        a label-0 one but the member a factorisation step made (see
+        :meth:`RenamingClosures.unfold`).  Members over internal
+        predicates are dropped, and a member that is a variant of an
+        earlier one is dropped too (:func:`distinct_members`): two
+        union-CQs can share members.
+        """
+        unions = self._unions()
+        if unions is None:
+            return [
+                stored
+                for stored in store
+                if labels[stored] == LABEL_REWRITING
+                and not self._mentions_internal(stored)
+            ]
+        members = [
+            member
+            for stored in store
+            for member in unions.unfold(stored, labels[stored] != LABEL_REWRITING)
+            if not self._mentions_internal(member)
+        ]
+        return distinct_members(members)
+
     # -- the pure step function of the frontier kernel ---------------------------------
 
     def expand(self, query: ConjunctiveQuery) -> Expansion:
@@ -580,6 +627,12 @@ class TGDRewriter:
         run concurrently — on threads sharing this engine, or in worker
         processes holding a replica — without changing a byte of the
         merged result.
+
+        *query* is a union-CQ (:mod:`repro.core.closures`): a step
+        applies to any predicate of a collapsed atom's closure, the atoms
+        a step adds (a rule body, a factorisation's merged atom) are
+        collapsed, and a renaming rule is applied to a single collapsed
+        atom never, as its result is a member of *query* itself.
 
         Each candidate is encoded straight from the step's unifier
         (:func:`repro.logic.flat.encode_query`).  The encoding first
@@ -597,36 +650,49 @@ class TGDRewriter:
         it eliminated nothing; the reduced form of a candidate that lost
         atoms is never reused, as Lemma 9 fixes how many atoms go, not
         which.
+
+        A union-CQ candidate stays collapsed only when every member gets
+        the same verdicts: it is distinct (no two atoms can coincide), and
+        the dead-end verdict, query elimination and NC pruning treat its
+        members alike.  Otherwise the members the per-CQ kernel would
+        have made are built instead (:meth:`_unfolded`) and settled one by
+        one.
         """
-        candidate_rules = self._rule_index.candidate_rules(query)
+        unions = self._unions()
+        candidate_rules = self._rule_index.candidate_rules(query, unions)
         candidates: list[CandidateQuery] = []
 
         for rule in candidate_rules:
-            for factorizable in factorizable_sets(rule, query):
-                candidates.append(
-                    self._candidate(
-                        Derivation(query, factorizable.unifier), LABEL_FACTORIZATION
-                    )
+            for factorizable in factorizable_sets(rule, query, unions):
+                self._settle(
+                    self._factorization(query, rule, factorizable, unions),
+                    LABEL_FACTORIZATION,
+                    candidates,
                 )
 
         for rule in candidate_rules:
             renamed = self._rename_apart(rule, query)
             head_atom = renamed.head[0]
+            added = renamed.body if unions is None else unions.collapse_atoms(renamed.body)
             for atom_set in applicable_atom_sets(
                 renamed,
                 query,
                 memo=self._applicability_memo,
                 rule_key=self._rule_keys[id(rule)],
+                unions=unions,
+                renaming=unions is not None and id(rule) in unions.renaming_rules,
             ):
                 # γ_{A ∪ {head(σ)}}(q[A / body(σ)]), the rewriting step.
-                unifier = mgu(list(atom_set) + [head_atom])
+                probe = list(atom_set) if unions is None else unions.retarget(
+                    atom_set, head_atom.predicate
+                )
+                unifier = mgu(probe + [head_atom])
                 if unifier is None:  # pragma: no cover - applicability already checked
                     continue
-                candidates.append(
-                    self._candidate(
-                        Derivation(query, unifier, atom_set, renamed.body),
-                        LABEL_REWRITING,
-                    )
+                self._settle(
+                    Derivation(query, unifier, atom_set, added),
+                    LABEL_REWRITING,
+                    candidates,
                 )
 
         return Expansion(
@@ -636,9 +702,55 @@ class TGDRewriter:
             rules_skipped=len(self._rules) - len(candidate_rules),
         )
 
-    def _candidate(self, derivation: Derivation, label: int) -> CandidateQuery:
-        """Drop one raw candidate as a dead end, or key it, then settle or reduce it."""
+    @staticmethod
+    def _factorization(
+        query: ConjunctiveQuery,
+        rule: TGD,
+        factorizable,
+        unions: RenamingClosures | None,
+    ) -> Derivation:
+        """The factorisation step's derivation: the set merged into one atom.
+
+        The merged atom ranges over the head predicate's closure.  When
+        the head predicate has none and every atom of the set is over it,
+        applying the unifier merges them in place; otherwise they are
+        replaced by the merged atom, a new atom of the step.
+        """
+        head = rule.head[0].predicate
+        merged = head if unions is None else unions.collapse(head)
+        atoms = factorizable.atoms
+        if merged == head and all(atom.predicate == head for atom in atoms):
+            return Derivation(query, factorizable.unifier)
+        return Derivation(
+            query, factorizable.unifier, atoms, (Atom(merged, atoms[0].terms),)
+        )
+
+    def _settle(
+        self, derivation: Derivation, label: int, candidates: list[CandidateQuery]
+    ) -> None:
+        """Append the candidates of one step to *candidates*.
+
+        One candidate, unless the step made a union-CQ that is not
+        uniform: then one per member the per-CQ kernel would have made.
+        """
         flat = encode_query(*derivation)
+        unions = self._unions()
+        if unions is None or not unions.has_collapsed(flat):
+            candidates.append(self._candidate(derivation, label, flat))
+            return
+        collapsed = self._union_candidate(derivation, label, flat, unions)
+        if collapsed is not None:
+            candidates.append(collapsed)
+            return
+        for member in self._unfolded(derivation, unions):
+            candidates.append(self._candidate(Derivation(member, None), label))
+
+    def _candidate(
+        self, derivation: Derivation, label: int, flat: FlatQuery | None = None
+    ) -> CandidateQuery:
+        """Drop one raw candidate as a dead end, or key it, then settle or reduce it."""
+        if flat is None:
+            flat = encode_query(*derivation)
         if self._dead_ends is not None and self._dead_ends.is_dead_end(flat):
             return CandidateQuery(None, label, False, 0, None, derivation, True)
         fingerprint = encoded_fingerprint(flat)
@@ -658,6 +770,108 @@ class TGDRewriter:
         if exact and keys is not None and not eliminated:
             keys[key] = pruned
         return CandidateQuery(query, label, pruned, eliminated, fingerprint, derivation)
+
+    def _union_candidate(
+        self,
+        derivation: Derivation,
+        label: int,
+        flat: FlatQuery,
+        unions: RenamingClosures,
+    ) -> CandidateQuery | None:
+        """:meth:`_candidate` for a union-CQ, or ``None`` if it is not uniform."""
+        source, _, removed, added = derivation
+        if not unions.distinct(flat, len(source.body) - len(removed) + len(added)):
+            return None
+        if self._dead_ends is not None:
+            dead = self._dead_ends.is_dead_end(flat, unions.key_members)
+            if dead is None:
+                return None
+            if dead:
+                return CandidateQuery(None, label, False, 0, None, derivation, True)
+        fingerprint = encoded_fingerprint(flat)
+        key, exact = fingerprint
+        keys = self._run_keys
+        if exact and keys is not None:
+            pruned = keys.get(key)
+            if pruned is not None:
+                return CandidateQuery(None, label, pruned, 0, fingerprint, derivation)
+        verdict = self._union_verdict(derivation.build(fingerprint), unions)
+        if verdict is None:
+            return None
+        query, eliminated, pruned = verdict
+        if exact and keys is not None and not eliminated:
+            keys[key] = pruned
+        return CandidateQuery(query, label, pruned, eliminated, fingerprint, derivation)
+
+    def _union_verdict(
+        self, query: ConjunctiveQuery, unions: RenamingClosures
+    ) -> tuple[ConjunctiveQuery, int, bool] | None:
+        """Reduce and judge a distinct union-CQ, or ``None`` if its members differ.
+
+        Returns the reduced union-CQ, how many atoms went, and whether
+        NC pruning drops every member.  Elimination must drop the same
+        atoms from every member, and, when it drops any, leave a union-CQ
+        that drops nothing more: the per-CQ kernel reaches the members of
+        the reduced form by renaming steps, each reduced again.
+        """
+        eliminated = 0
+        if self._eliminator is not None:
+            dropped = self._eliminator.union_eliminated(query, unions)
+            if dropped is None:
+                return None
+            if dropped:
+                eliminated = len(dropped)
+                query = query.drop_atoms(dropped)
+                if self._eliminator.union_eliminated(query, unions) != ():
+                    return None
+        pruned = False
+        if self._pruner is not None:
+            pruned = self._pruner.union_verdict(query, unions)
+            if pruned is None:
+                return None
+        return query, eliminated, pruned
+
+    @staticmethod
+    def _unfolded(
+        derivation: Derivation, unions: RenamingClosures
+    ) -> Iterator[ConjunctiveQuery]:
+        """The members the per-CQ kernel makes by one step on a union-CQ's members.
+
+        The atoms the step keeps from the expanded union-CQ range over
+        their closures; the atoms it adds are at their root predicate (the
+        per-CQ kernel reaches their subclasses by later renaming steps).
+        """
+        source, substitution, removed, added = derivation
+        apply_atom = substitution.apply_atom
+        kept = [apply_atom(atom) for atom in source.body if atom not in removed]
+        new = [
+            Atom(unions.root(atom.predicate), atom.terms)
+            for atom in map(apply_atom, added)
+        ]
+        answer_terms = tuple(substitution.apply_term(t) for t in source.answer_terms)
+        for predicates in product(*(unions.members(atom.predicate) for atom in kept)):
+            body = [
+                Atom(predicate, atom.terms) for predicate, atom in zip(predicates, kept)
+            ]
+            yield ConjunctiveQuery(body + new, answer_terms, source.head_name)
+
+    def _initial(
+        self, query: ConjunctiveQuery, statistics: RewritingStatistics
+    ) -> tuple[ConjunctiveQuery, bool]:
+        """The input query, collapsed if uniform, reduced, and its pruning verdict."""
+        unions = self._unions()
+        if unions is not None:
+            collapsed = unions.collapse_query(query)
+            if collapsed is not query and unions.distinct(
+                encode_query(collapsed), len(collapsed.body)
+            ):
+                verdict = self._union_verdict(collapsed, unions)
+                if verdict is not None:
+                    initial, eliminated, pruned = verdict
+                    statistics.eliminated_atoms += eliminated
+                    return initial, pruned
+        initial = self._reduce(query, statistics)
+        return initial, self._pruner is not None and self._pruner.is_unsatisfiable(initial)
 
     def _reduce(
         self, query: ConjunctiveQuery, statistics: RewritingStatistics

@@ -167,4 +167,20 @@ def is_non_conflicting(rule: TGD, key: KeyDependency) -> bool:
 
 def non_conflicting_set(rules: Sequence[TGD], keys: Sequence[KeyDependency]) -> bool:
     """``True`` iff every TGD/KD pair is non-conflicting."""
-    return all(is_non_conflicting(rule, key) for rule in rules for key in keys)
+    return first_conflict(rules, keys) is None
+
+
+def first_conflict(
+    rules: Sequence[TGD], keys: Sequence[KeyDependency]
+) -> tuple[TGD, KeyDependency] | None:
+    """The first TGD/KD pair that is not non-conflicting, in rule then key order.
+
+    ``None`` when the keys are separable from the rules by
+    :func:`is_non_conflicting`, the only case in which Section 5's
+    rewriting may ignore the keys.
+    """
+    for rule in rules:
+        for key in keys:
+            if not is_non_conflicting(rule, key):
+                return rule, key
+    return None

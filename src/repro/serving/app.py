@@ -70,6 +70,7 @@ import sqlite3
 import time
 from dataclasses import dataclass
 
+from ..api import ConflictingKeysError
 from ..backends import BACKENDS, BackendError
 from ..cache.checkpoint import compile_digest
 from ..cache.serialization import (
@@ -77,7 +78,7 @@ from ..cache.serialization import (
     query_from_json,
     tgd_from_json,
 )
-from ..dependencies.constraints import NegativeConstraint
+from ..dependencies.constraints import NegativeConstraint, first_conflict
 from ..dependencies.theory import OntologyTheory
 from ..incremental.subscriptions import UnknownSubscriptionError
 from ..logic.terms import Constant
@@ -433,9 +434,22 @@ class ServingApp:
             "'query' must be a string (\"q(A) :- p(A)\") or a tagged-JSON object",
         )
 
+    @classmethod
+    def _decode_theory(cls, payload: dict, default_name: str) -> OntologyTheory:
+        """A theory from a workload name, a textual TBox or JSON TGDs.
+
+        A theory whose keys conflict with its TGDs is refused here, before
+        anything is built for it (:class:`repro.api.ConflictingKeysError`).
+        """
+        theory = cls._read_theory(payload, default_name)
+        conflict = first_conflict(theory.tgds, theory.key_dependencies)
+        if conflict is not None:
+            raise ServingError(400, "conflicting-keys", str(ConflictingKeysError(*conflict)))
+        return theory
+
     @staticmethod
-    def _decode_theory(payload: dict, default_name: str) -> OntologyTheory:
-        """A theory from a workload name, a textual TBox or JSON TGDs."""
+    def _read_theory(payload: dict, default_name: str) -> OntologyTheory:
+        """The theory a registration or theory update names."""
         sources = [key for key in ("workload", "tbox", "tgds") if key in payload]
         if len(sources) != 1:
             raise ServingError(

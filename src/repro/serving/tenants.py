@@ -855,7 +855,13 @@ class TenantRegistry:
             artifacts, shared = self._artifacts_for(theory)
             old = tenant.artifacts
             self._attach(artifacts, name)
-            tenant.adopt(artifacts)
+            try:
+                tenant.adopt(artifacts)
+            except BaseException:
+                # The tenant stays on its old set; a set it was the first
+                # to join retires with no tenant.
+                self._detach(artifacts, name)
+                raise
             self._detach(old, name)
             return tenant, True, shared
 

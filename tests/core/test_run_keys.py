@@ -11,6 +11,7 @@ key is new to the store.
 
 import sys
 
+from repro.core.closures import RenamingClosures
 from repro.core.frontier import (
     LABEL_REWRITING,
     CandidateQuery,
@@ -143,7 +144,9 @@ class TestRunScope:
         plain.rewrite(query)
         assert counts[0] < runs(plain)
 
-    def test_the_table_saves_elimination_runs_without_changing_a_byte(self):
+    @staticmethod
+    def _p5_runs() -> tuple[int, int]:
+        """Elimination runs of P5 with memoisation on and off, same bytes."""
         workload = get_workload("P5")
         rules = workload.theory.tgds
         memoised = TGDRewriter(rules, use_elimination=True)
@@ -151,7 +154,20 @@ class TestRunScope:
         for name in workload.query_names:
             query = workload.query(name)
             assert repr(memoised.rewrite(query).ucq) == repr(plain.rewrite(query).ucq)
-        assert runs(memoised) < runs(plain) / 2
+        return runs(memoised), runs(plain)
+
+    def test_the_table_saves_elimination_runs_without_changing_a_byte(
+        self, monkeypatch
+    ):
+        # The per-CQ kernel, as the table was measured on.
+        monkeypatch.setattr(RenamingClosures, "table", {})
+        memoised, plain = self._p5_runs()
+        assert memoised < plain / 2
+
+    def test_the_table_saves_elimination_runs_on_union_cqs(self):
+        # The hierarchy kernel runs fewer candidates, each a union-CQ
+        # judged once: the table saves 40% of its elimination runs.
+        assert self._p5_runs() == (198, 329)
 
 
 class TestQuerylessMerge:

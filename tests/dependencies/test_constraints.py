@@ -7,6 +7,7 @@ from repro.logic.terms import Variable
 from repro.dependencies.constraints import (
     KeyDependency,
     NegativeConstraint,
+    first_conflict,
     is_non_conflicting,
     non_conflicting_set,
 )
@@ -92,3 +93,14 @@ class TestNonConflicting:
         unsafe_keys = [KeyDependency(Predicate("s", 2), (1,))]
         assert non_conflicting_set(rules, safe_keys)
         assert not non_conflicting_set(rules, unsafe_keys)
+
+    def test_first_conflict_names_the_first_conflicting_pair(self):
+        rules = [
+            tgd(Atom.of("p", X), Atom.of("q", X, Y)),
+            tgd(Atom.of("r", X, Y), Atom.of("s", X, Y)),
+            tgd(Atom.of("t", X, Y), Atom.of("s", X, Y)),
+        ]
+        safe = KeyDependency(Predicate("q", 2), (1, 2))
+        unsafe = KeyDependency(Predicate("s", 2), (1,))
+        assert first_conflict(rules, [safe]) is None
+        assert first_conflict(rules, [safe, unsafe]) == (rules[1], unsafe)

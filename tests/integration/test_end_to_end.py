@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import InconsistentTheoryError, OBDASystem
+from repro.api import ConflictingKeysError, InconsistentTheoryError, OBDASystem
 from repro.logic.atoms import Atom
 from repro.logic.terms import Constant, Variable
 from repro.dependencies.constraints import KeyDependency, NegativeConstraint
@@ -105,6 +105,23 @@ class TestConsistencyChecking:
         system.add_fact("works_for", ("ann", "initech"))
         with pytest.raises(InconsistentTheoryError):
             system.check_consistency()
+
+    def test_conflicting_keys_are_refused(self):
+        # A role specialising a functional role: the chase derives
+        # employedBy(ann, globex) from worksFor(ann, globex), which breaks
+        # the key against employedBy(ann, acme), and no check on the
+        # stored facts would see it.
+        from repro.ontology.parser import parse_ontology
+        from repro.ontology.translation import to_theory
+
+        theory = to_theory(parse_ontology("worksFor [= employedBy\nfunct employedBy"))
+        assert not theory.keys_are_non_conflicting()
+        with pytest.raises(ConflictingKeysError) as refused:
+            OBDASystem(theory)
+        assert isinstance(refused.value, ValueError)
+        assert refused.value.key == theory.key_dependencies[0]
+        assert refused.value.rule == theory.tgds[0]
+        assert "key(employedBy)" in str(refused.value)
 
     def test_direct_negative_constraint_violation(self):
         theory = OntologyTheory(

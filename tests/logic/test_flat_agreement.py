@@ -35,6 +35,7 @@ from functools import lru_cache
 import pytest
 
 from repro.api import resolve_engine_options
+from repro.core.closures import RenamingClosures
 from repro.core.dead_ends import DeadEndFilter
 from repro.core.rewriter import TGDRewriter
 from repro.fuzzing import FRAGMENTS, GeneratorConfig, WorkloadGenerator
@@ -131,8 +132,16 @@ class CandidateCollector(SequentialStrategy):
 
 
 def collect_candidates(engine: TGDRewriter, query) -> list:
+    """Every candidate of *engine*'s run of the per-CQ reference kernel.
+
+    With every renaming closure a one-predicate union
+    (:mod:`repro.core.closures`), the corpus is the one the sweep was
+    sized on.
+    """
     collector = CandidateCollector()
-    engine.rewrite(query, strategy=collector)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RenamingClosures, "table", {})
+        engine.rewrite(query, strategy=collector)
     return collector.candidates
 
 

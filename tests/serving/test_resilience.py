@@ -38,6 +38,10 @@ from .conftest import (
 import pytest
 
 QUERY = {"tenant": "acme", "query": "q(A) :- Person(A)"}
+#: A query whose compile needs 3 generations (taughtBy, then Course, then
+#: attends); the Person query's Student/Grad hierarchy is one union-CQ,
+#: so it needs only 2.
+DEEP_QUERY = {"tenant": "acme", "query": "q(A) :- taughtBy(A, B)"}
 
 
 class Flaky:
@@ -205,7 +209,7 @@ class TestCompileTimeout:
         """The PR 8 acceptance path: 504 → checkpoint → cheaper retry."""
 
         async def body():
-            # The Person query needs 3 generations; at 0.15s each, the
+            # The deep query needs 3 generations; at 0.15s each, the
             # 0.25s budget lets exactly one finish (and checkpoint)
             # before the deadline fires.
             slow = ServingApp(
@@ -215,7 +219,7 @@ class TestCompileTimeout:
             )
             try:
                 await register(slow, "acme")
-                response = await slow.request("POST", "/answer", QUERY)
+                response = await slow.request("POST", "/answer", DEEP_QUERY)
                 assert response.status == 504, response.payload
                 assert response.payload["error"]["code"] == "timeout"
                 assert "resume" in response.payload["error"]["message"]
@@ -228,7 +232,7 @@ class TestCompileTimeout:
             fresh = ServingApp(fault_plan=OnGeneration(fresh_generations.append))
             try:
                 await register(fresh, "acme")
-                reference = await fresh.request("POST", "/answer", QUERY)
+                reference = await fresh.request("POST", "/answer", DEEP_QUERY)
                 assert reference.ok
             finally:
                 await fresh.aclose()
@@ -243,7 +247,7 @@ class TestCompileTimeout:
             )
             try:
                 await register(resumed, "acme")
-                retry = await resumed.request("POST", "/answer", QUERY)
+                retry = await resumed.request("POST", "/answer", DEEP_QUERY)
                 assert retry.ok, retry.payload
                 assert retry.payload["answers"] == reference.payload["answers"]
                 assert 0 < len(resumed_generations) < len(fresh_generations)

@@ -19,6 +19,10 @@ from repro.serving.tenants import CHECKPOINT_DIRNAME
 from .conftest import register, serve, slow_generations
 
 QUERY = {"tenant": "acme", "query": "q(A) :- Person(A)"}
+#: A query whose compile needs 3 generations (taughtBy, then Course, then
+#: attends); the Person query's Student/Grad hierarchy is one union-CQ,
+#: so it needs only 2.
+DEEP_QUERY = {"tenant": "acme", "query": "q(A) :- taughtBy(A, B)"}
 
 
 def _executor_threads() -> list[str]:
@@ -36,7 +40,7 @@ class TestShutdownUnderLoad:
         async def body():
             app = ServingApp(cache=str(tmp_path), fault_plan=slow_generations(0.1))
             await register(app, "acme")
-            inflight = asyncio.ensure_future(app.request("POST", "/answer", QUERY))
+            inflight = asyncio.ensure_future(app.request("POST", "/answer", DEEP_QUERY))
             # Let at least one generation finish (and checkpoint).
             await asyncio.sleep(0.18)
             await app.aclose()
@@ -55,7 +59,7 @@ class TestShutdownUnderLoad:
                 cache=str(tmp_path), fault_plan=slow_generations(generation)
             )
             await register(app, "acme")
-            inflight = asyncio.ensure_future(app.request("POST", "/answer", QUERY))
+            inflight = asyncio.ensure_future(app.request("POST", "/answer", DEEP_QUERY))
             await asyncio.sleep(0.05)
             started = time.monotonic()
             await app.aclose()

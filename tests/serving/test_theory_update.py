@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 
 from repro.serving import ServingApp
+from repro.serving.tenants import Tenant
 
 from .conftest import FACTS, TBOX, register, serve
 
@@ -200,5 +201,130 @@ class TestUpdateUnderLoad:
             legal = ([["alice"]], [["alice"], ["bob"], ["dana"]])
             for response in responses:
                 assert response.payload["answers"] in legal
+
+        serve(body)
+
+
+class TestFailedSwap:
+    """A theory update whose new epoch cannot open leaks no artifact reference."""
+
+    @staticmethod
+    def _failing_epoch(monkeypatch):
+        def refuse(self, artifacts, database):
+            raise RuntimeError("injected: the new epoch cannot open")
+
+        monkeypatch.setattr(Tenant, "_open_epoch", refuse)
+
+    @staticmethod
+    async def _tenants_by_fingerprint(app) -> dict:
+        stats = await app.request("GET", "/stats")
+        return {
+            entry["fingerprint"]: entry["tenants"]
+            for entry in stats.payload["artifacts"].values()
+        }
+
+    def test_onto_a_new_fingerprint(self, app, monkeypatch):
+        async def body():
+            await register(app, "acme")
+            old = app.registry.get("acme").artifacts
+            with monkeypatch.context() as patch:
+                self._failing_epoch(patch)
+                failed = await app.request(
+                    "POST", "/tenants/acme/theory", {"tbox": SHRUNK_TBOX}
+                )
+            assert failed.status == 500, failed.payload
+            assert await self._tenants_by_fingerprint(app) == {
+                old.fingerprint: ["acme"]
+            }
+            # The set made for the swap was retired with no tenant.
+            assert app.registry.artifact_sets() == (old,)
+            still = await app.request("POST", "/answer", QUERY)
+            assert sorted(v for [v] in still.payload["answers"]) == [
+                "alice",
+                "bob",
+                "dana",
+            ]
+            retried = await app.request(
+                "POST", "/tenants/acme/theory", {"tbox": SHRUNK_TBOX}
+            )
+            assert retried.status == 200, retried.payload
+            after = await app.request("POST", "/answer", QUERY)
+            assert after.payload["answers"] == [["alice"]]
+
+        serve(body)
+
+    def test_onto_a_set_shared_with_another_tenant(self, app, monkeypatch):
+        async def body():
+            await register(app, "acme")
+            sibling = await app.request(
+                "POST",
+                "/register-theory",
+                {"tenant": "globex", "tbox": SHRUNK_TBOX, "facts": FACTS},
+            )
+            assert sibling.status == 201, sibling.payload
+            old = app.registry.get("acme").artifacts
+            shared = app.registry.get("globex").artifacts
+            refs = shared._refs
+            with monkeypatch.context() as patch:
+                self._failing_epoch(patch)
+                failed = await app.request(
+                    "POST", "/tenants/acme/theory", {"tbox": SHRUNK_TBOX}
+                )
+            assert failed.status == 500, failed.payload
+            assert await self._tenants_by_fingerprint(app) == {
+                old.fingerprint: ["acme"],
+                shared.fingerprint: ["globex"],
+            }
+            # The shared set keeps only the other tenant's references.
+            assert shared._refs == refs and not shared._closed
+            still = await app.request("POST", "/answer", QUERY)
+            assert len(still.payload["answers"]) == 3
+            retried = await app.request(
+                "POST", "/tenants/acme/theory", {"tbox": SHRUNK_TBOX}
+            )
+            assert retried.status == 200 and retried.payload["shared_artifacts"]
+            assert await self._tenants_by_fingerprint(app) == {
+                shared.fingerprint: ["acme", "globex"]
+            }
+
+        serve(body)
+
+
+#: A role specialising a functional role: the key conflicts with the rule.
+CONFLICTING_TBOX = "worksFor [= employedBy\nfunct employedBy"
+
+
+class TestConflictingKeys:
+    def test_registration_is_refused_and_leaves_nothing(self, app):
+        async def body():
+            response = await app.request(
+                "POST",
+                "/register-theory",
+                {"tenant": "acme", "tbox": CONFLICTING_TBOX},
+            )
+            assert response.status == 400, response.payload
+            error = response.payload["error"]
+            assert error["code"] == "conflicting-keys"
+            assert "key(employedBy)" in error["message"]
+            assert "worksFor(X, Y) -> employedBy(X, Y)" in error["message"]
+            stats = await app.request("GET", "/stats")
+            assert stats.payload["artifacts"] == {}
+            assert "acme" not in stats.payload["tenants"]
+
+        serve(body)
+
+    def test_a_theory_update_is_refused_and_keeps_the_tenant(self, app):
+        async def body():
+            await register(app, "acme")
+            before = app.registry.get("acme").artifacts
+            response = await app.request(
+                "POST", "/tenants/acme/theory", {"tbox": CONFLICTING_TBOX}
+            )
+            assert response.status == 400, response.payload
+            assert response.payload["error"]["code"] == "conflicting-keys"
+            assert app.registry.artifact_sets() == (before,)
+            assert app.registry.get("acme").artifacts is before
+            still = await app.request("POST", "/answer", QUERY)
+            assert still.ok
 
         serve(body)

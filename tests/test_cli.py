@@ -233,7 +233,7 @@ class TestCompileCommand:
         # P5's multi-head rule is normalised through an internal predicate.
         assert main(["compile", "--workload", "P5", "--stats"]) == 0
         output = capsys.readouterr().out
-        assert " 843 dead ends dropped, " in output
+        assert " 298 dead ends dropped, " in output
 
     def test_fail_on_miss_requires_a_cache(self, tbox_file, queries_file, capsys):
         assert main(
