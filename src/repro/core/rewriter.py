@@ -598,7 +598,10 @@ class TGDRewriter:
         union-CQs can share members.
         """
         unions = self._unions()
-        if unions is None:
+        if unions is None or not any(
+            unions.is_collapsed(atom.predicate) for stored in store for atom in stored.body
+        ):
+            # Every stored CQ is its own one member, and they are interned.
             return [
                 stored
                 for stored in store
@@ -858,19 +861,22 @@ class TGDRewriter:
     def _initial(
         self, query: ConjunctiveQuery, statistics: RewritingStatistics
     ) -> tuple[ConjunctiveQuery, bool]:
-        """The input query, collapsed if uniform, reduced, and its pruning verdict."""
+        """The input query, reduced, collapsed if uniform, and its pruning verdict.
+
+        An input query that loses atoms is not collapsed: its union-CQ
+        would be uniform only if every member lost the same atoms, and
+        the per-CQ start is exact either way.
+        """
+        initial = self._reduce(query, statistics)
         unions = self._unions()
-        if unions is not None:
+        if unions is not None and initial is query:
             collapsed = unions.collapse_query(query)
             if collapsed is not query and unions.distinct(
                 encode_query(collapsed), len(collapsed.body)
             ):
                 verdict = self._union_verdict(collapsed, unions)
                 if verdict is not None:
-                    initial, eliminated, pruned = verdict
-                    statistics.eliminated_atoms += eliminated
-                    return initial, pruned
-        initial = self._reduce(query, statistics)
+                    return verdict[0], verdict[2]
         return initial, self._pruner is not None and self._pruner.is_unsatisfiable(initial)
 
     def _reduce(

@@ -166,8 +166,8 @@ class TestRunScope:
 
     def test_the_table_saves_elimination_runs_on_union_cqs(self):
         # The hierarchy kernel runs fewer candidates, each a union-CQ
-        # judged once: the table saves 40% of its elimination runs.
-        assert self._p5_runs() == (198, 329)
+        # judged once: the table saves about 40% of its elimination runs.
+        assert self._p5_runs() == (203, 334)
 
 
 class TestQuerylessMerge:
