@@ -738,57 +738,40 @@ class TGDRewriter:
         """
         flat = encode_query(*derivation)
         unions = self._unions()
-        if unions is None or not unions.has_collapsed(flat):
-            candidates.append(self._candidate(derivation, label, flat))
-            return
-        collapsed = self._union_candidate(derivation, label, flat, unions)
-        if collapsed is not None:
-            candidates.append(collapsed)
+        if unions is not None and not unions.has_collapsed(flat):
+            unions = None
+        candidate = self._candidate(derivation, label, flat, unions)
+        if candidate is not None:
+            candidates.append(candidate)
             return
         for member in self._unfolded(derivation, unions):
             candidates.append(self._candidate(Derivation(member, None), label))
 
     def _candidate(
-        self, derivation: Derivation, label: int, flat: FlatQuery | None = None
-    ) -> CandidateQuery:
-        """Drop one raw candidate as a dead end, or key it, then settle or reduce it."""
-        if flat is None:
-            flat = encode_query(*derivation)
-        if self._dead_ends is not None and self._dead_ends.is_dead_end(flat):
-            return CandidateQuery(None, label, False, 0, None, derivation, True)
-        fingerprint = encoded_fingerprint(flat)
-        key, exact = fingerprint
-        keys = self._run_keys
-        if exact and keys is not None:
-            pruned = keys.get(key)
-            if pruned is not None:
-                return CandidateQuery(None, label, pruned, 0, fingerprint, derivation)
-        query = derivation.build(fingerprint)
-        eliminated = 0
-        if self._eliminator is not None:
-            result = self._eliminator.eliminate_atoms(query)
-            eliminated = result.removed_count
-            query = result.reduced
-        pruned = self._pruner is not None and self._pruner.is_unsatisfiable(query)
-        if exact and keys is not None and not eliminated:
-            keys[key] = pruned
-        return CandidateQuery(query, label, pruned, eliminated, fingerprint, derivation)
-
-    def _union_candidate(
         self,
         derivation: Derivation,
         label: int,
-        flat: FlatQuery,
-        unions: RenamingClosures,
+        flat: FlatQuery | None = None,
+        unions: RenamingClosures | None = None,
     ) -> CandidateQuery | None:
-        """:meth:`_candidate` for a union-CQ, or ``None`` if it is not uniform."""
-        source, _, removed, added = derivation
-        if not unions.distinct(flat, len(source.body) - len(removed) + len(added)):
-            return None
-        if self._dead_ends is not None:
-            dead = self._dead_ends.is_dead_end(flat, unions.key_members)
-            if dead is None:
+        """Drop one raw candidate as a dead end, or key it, then settle or reduce it.
+
+        With *unions* the candidate is a union-CQ, and ``None`` means
+        that its members would not all get the same verdicts.
+        """
+        if flat is None:
+            flat = encode_query(*derivation)
+        if unions is not None:
+            source, _, removed, added = derivation
+            if not unions.distinct(flat, len(source.body) - len(removed) + len(added)):
                 return None
+        if self._dead_ends is not None:
+            if unions is None:
+                dead = self._dead_ends.is_dead_end(flat)
+            else:
+                dead = self._dead_ends.is_dead_end(flat, unions.key_members)
+                if dead is None:
+                    return None
             if dead:
                 return CandidateQuery(None, label, False, 0, None, derivation, True)
         fingerprint = encoded_fingerprint(flat)
@@ -798,13 +781,28 @@ class TGDRewriter:
             pruned = keys.get(key)
             if pruned is not None:
                 return CandidateQuery(None, label, pruned, 0, fingerprint, derivation)
-        verdict = self._union_verdict(derivation.build(fingerprint), unions)
-        if verdict is None:
-            return None
+        query = derivation.build(fingerprint)
+        if unions is None:
+            verdict = self._verdict(query)
+        else:
+            verdict = self._union_verdict(query, unions)
+            if verdict is None:
+                return None
         query, eliminated, pruned = verdict
         if exact and keys is not None and not eliminated:
             keys[key] = pruned
         return CandidateQuery(query, label, pruned, eliminated, fingerprint, derivation)
+
+    def _verdict(self, query: ConjunctiveQuery) -> tuple[ConjunctiveQuery, int, bool]:
+        """Reduce a CQ: the reduced CQ, how many atoms went, and its NC verdict."""
+        eliminated = 0
+        if self._eliminator is not None:
+            result = self._eliminator.eliminate_atoms(query)
+            eliminated = result.removed_count
+            query = result.reduced
+        return query, eliminated, self._pruner is not None and self._pruner.is_unsatisfiable(
+            query
+        )
 
     def _union_verdict(
         self, query: ConjunctiveQuery, unions: RenamingClosures
@@ -867,9 +865,10 @@ class TGDRewriter:
         would be uniform only if every member lost the same atoms, and
         the per-CQ start is exact either way.
         """
-        initial = self._reduce(query, statistics)
+        initial, eliminated, pruned = self._verdict(query)
+        statistics.eliminated_atoms += eliminated
         unions = self._unions()
-        if unions is not None and initial is query:
+        if unions is not None and not eliminated:
             collapsed = unions.collapse_query(query)
             if collapsed is not query and unions.distinct(
                 encode_query(collapsed), len(collapsed.body)
@@ -877,17 +876,7 @@ class TGDRewriter:
                 verdict = self._union_verdict(collapsed, unions)
                 if verdict is not None:
                     return verdict[0], verdict[2]
-        return initial, self._pruner is not None and self._pruner.is_unsatisfiable(initial)
-
-    def _reduce(
-        self, query: ConjunctiveQuery, statistics: RewritingStatistics
-    ) -> ConjunctiveQuery:
-        """Apply query elimination when enabled (``TGD-rewrite*``)."""
-        if self._eliminator is None:
-            return query
-        result = self._eliminator.eliminate_atoms(query)
-        statistics.eliminated_atoms += result.removed_count
-        return result.reduced
+        return initial, pruned
 
 
 def rewrite(
