@@ -14,7 +14,6 @@ empty UCQ: the query is unsatisfiable w.r.t. every consistent database.
 from __future__ import annotations
 
 from itertools import product
-from math import prod
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..logic.atoms import Atom
@@ -24,10 +23,6 @@ from ..queries.conjunctive_query import ConjunctiveQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .closures import RenamingClosures
-
-#: The most member choices :meth:`NegativeConstraintPruner.union_verdict`
-#: tries before it calls a union-CQ not uniform.
-UNION_CHOICES = 64
 
 
 class NegativeConstraintPruner:
@@ -67,9 +62,10 @@ class NegativeConstraintPruner:
         constraints' predicates do, so the members are tried by which of
         those predicates each collapsed atom picks, if any: ``True`` when
         every choice embeds some body, ``False`` when none does, ``None``
-        otherwise (also when there are more than :data:`UNION_CHOICES`
-        choices to try).  A collapsed atom read as every predicate of its
-        closure at once rejects most union-CQs before any choice is tried.
+        otherwise.  There are never more choices than members, and ``None``
+        makes the kernel build every member, so the choices are not capped.
+        A collapsed atom read as every predicate of its closure at once
+        rejects most union-CQs before any choice is tried.
         """
         frozen_body, _ = query.freeze()
         members = unions.members
@@ -101,8 +97,6 @@ class NegativeConstraintPruner:
             if len(options) < len(closure):
                 options.append(None)
             choices.append(options)
-        if prod(len(options) for options in choices) > UNION_CHOICES:
-            return None
         verdict = None
         for picked in product(*choices):
             target = certain + [atom for atom in picked if atom is not None]

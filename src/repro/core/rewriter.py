@@ -597,21 +597,10 @@ class TGDRewriter:
         earlier one is dropped too (:func:`distinct_members`): two
         union-CQs can share members.
         """
-        unions = self._unions()
-        if unions is None or not any(
-            unions.is_collapsed(atom.predicate) for stored in store for atom in stored.body
-        ):
-            # Every stored CQ is its own one member, and they are interned.
-            return [
-                stored
-                for stored in store
-                if labels[stored] == LABEL_REWRITING
-                and not self._mentions_internal(stored)
-            ]
         members = [
             member
             for stored in store
-            for member in unions.unfold(stored, labels[stored] != LABEL_REWRITING)
+            for member in self._closures.unfold(stored, labels[stored] != LABEL_REWRITING)
             if not self._mentions_internal(member)
         ]
         return distinct_members(members)
