@@ -395,16 +395,23 @@ class Tenant:
         )
         return TenantEpoch(artifacts, system)
 
-    def adopt(self, artifacts: SharedArtifacts) -> None:
-        """Swap this tenant onto *artifacts* (a live theory update).
+    def open_epoch(self, artifacts: SharedArtifacts) -> TenantEpoch:
+        """A new epoch on *artifacts* over this tenant's database, not yet live.
 
         The new epoch answers over the *same* database instance — facts
-        and the epoch counter survive the update.  The old epoch keeps
-        serving its in-flight requests on the old artifacts and is closed
-        when they drain; new requests see the new epoch the moment the
-        swap completes.
+        and the epoch counter survive a theory update.
         """
-        fresh = self._open_epoch(artifacts, self._epoch.system.database)
+        return self._open_epoch(artifacts, self._epoch.system.database)
+
+    def adopt(self, fresh: TenantEpoch) -> None:
+        """Swap this tenant onto *fresh*, from :meth:`open_epoch` (a live
+        theory update).
+
+        The old epoch keeps serving its in-flight requests on the old
+        artifacts and is closed when they drain; new requests see the new
+        epoch the moment the swap completes.  The swap itself cannot
+        fail: an error comes from closing the old epoch, after it.
+        """
         with self._epoch_lock:
             old = self._epoch
             self._epoch = fresh
@@ -417,18 +424,21 @@ class Tenant:
 
     def _close_epoch(self, epoch: TenantEpoch) -> None:
         """Close a live epoch's system (on the tenant thread) and release
-        its artifact reference; a no-op for an epoch already closed."""
+        its artifact reference, also when the close fails; a no-op for an
+        epoch already closed."""
         with self._epoch_lock:
             if epoch not in self._live_epochs:
                 return
             self._live_epochs.remove(epoch)
         try:
-            self.executor.submit(epoch.system.close).result()
-        except RuntimeError:
-            # Executor already shut down — nothing ran since, so closing
-            # from this thread is the best remaining option.
-            epoch.system.close()
-        epoch.artifacts.release()
+            try:
+                self.executor.submit(epoch.system.close).result()
+            except RuntimeError:
+                # Executor already shut down — nothing ran since, so closing
+                # from this thread is the best remaining option.
+                epoch.system.close()
+        finally:
+            epoch.artifacts.release()
 
     def on_own_thread(self, function, *args):
         """Run *function* on this tenant's executor thread, synchronously.
@@ -856,13 +866,18 @@ class TenantRegistry:
             old = tenant.artifacts
             self._attach(artifacts, name)
             try:
-                tenant.adopt(artifacts)
+                fresh = tenant.open_epoch(artifacts)
             except BaseException:
                 # The tenant stays on its old set; a set it was the first
                 # to join retires with no tenant.
                 self._detach(artifacts, name)
                 raise
-            self._detach(old, name)
+            try:
+                tenant.adopt(fresh)
+            finally:
+                # The tenant is on the new set even when closing its old
+                # epoch failed.
+                self._detach(old, name)
             return tenant, True, shared
 
     def deregister(self, name: str) -> None:

@@ -289,6 +289,41 @@ class TestFailedSwap:
 
         serve(body)
 
+    def test_closing_the_old_epoch_fails_after_the_swap(self, app, monkeypatch):
+        async def body():
+            await register(app, "acme")
+            tenant = app.registry.get("acme")
+            old = tenant.artifacts
+
+            def refuse():
+                raise OSError("injected: the old system cannot close")
+
+            monkeypatch.setattr(tenant.system, "close", refuse)
+            failed = await app.request(
+                "POST", "/tenants/acme/theory", {"tbox": SHRUNK_TBOX}
+            )
+            assert failed.status == 500, failed.payload
+            # The swap happened: the tenant is on the new set only, and
+            # the old set, which no tenant holds, is closed.
+            new = tenant.artifacts
+            assert new is not old
+            assert await self._tenants_by_fingerprint(app) == {
+                new.fingerprint: ["acme"]
+            }
+            assert old._closed and old._refs == 0
+            after = await app.request("POST", "/answer", QUERY)
+            assert after.payload["answers"] == [["alice"]]
+            # Deregistering releases the new set once, and closes it.
+            assert new._refs == 2
+            gone = await app.request(
+                "POST", "/invalidate", {"tenant": "acme", "scope": "tenant"}
+            )
+            assert gone.ok, gone.payload
+            assert new._closed and new._refs == 0
+            assert app.registry.artifact_sets() == ()
+
+        serve(body)
+
 
 #: A role specialising a functional role: the key conflicts with the rule.
 CONFLICTING_TBOX = "worksFor [= employedBy\nfunct employedBy"
