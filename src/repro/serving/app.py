@@ -46,8 +46,10 @@ status and a machine-readable code — 400 malformed (``bad-request`` /
 ``bad-query`` / ...), 404 unknown tenant/endpoint, 405 wrong method,
 409 duplicate tenant, 429 admission control, 500 ``compile-failed`` /
 ``internal``, 503 ``overloaded`` / ``circuit-open`` / ``backend-error``
-(retryable, carrying ``retry_after``), 504 ``timeout`` (the compile's
-progress is checkpointed; a retry resumes it).
+(retryable, carrying ``retry_after``), 503 ``shutting-down`` (the
+request's next executor hop came after :meth:`ServingApp.aclose` closed
+the executors), 504 ``timeout`` (the compile's progress is
+checkpointed; a retry resumes it).
 
 The resilience layer (:mod:`repro.serving.resilience`, PR 8) threads
 through every request: per-request deadlines (``compile_timeout`` /
@@ -365,6 +367,12 @@ class ServingApp:
         except (KeyError, TypeError, ValueError) as error:
             return ServingError(400, "bad-request", str(error)).response()
         except Exception as error:  # truly unclassified failures
+            if self._closed and isinstance(error, RuntimeError):
+                # The request's next hop found an executor that shutdown
+                # had closed.
+                return ServingError(
+                    503, "shutting-down", "the service is shutting down"
+                ).response()
             return ServingError(
                 500, "internal", f"{type(error).__name__}: {error}"
             ).response()
@@ -601,6 +609,8 @@ class ServingApp:
         except (ServingError, CircuitOpenError, OverloadedError):
             raise
         except Exception as error:
+            if self._closed and isinstance(error, RuntimeError):
+                raise  # shutdown closed the compile executor: 503
             if leader:
                 self.breaker.record_failure(digest, error)
             raise ServingError(

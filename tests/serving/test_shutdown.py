@@ -14,7 +14,7 @@ import threading
 import time
 
 from repro.serving import ServingApp
-from repro.serving.tenants import CHECKPOINT_DIRNAME
+from repro.serving.tenants import CHECKPOINT_DIRNAME, SharedArtifacts, Tenant
 
 from .conftest import register, serve, slow_generations
 
@@ -49,6 +49,75 @@ class TestShutdownUnderLoad:
             assert response.payload["error"]["code"] == "timeout"
             checkpoints = list((tmp_path / CHECKPOINT_DIRNAME).glob("*.json"))
             assert checkpoints, "interrupted compile must leave its checkpoint"
+
+        serve(body)
+
+    def test_a_compile_that_ends_as_close_begins_is_refused_as_shutting_down(
+        self, tmp_path, monkeypatch
+    ):
+        # The compile finishes, then waits until shutdown has closed the
+        # tenant's executor: the request's answer hop finds it closed.
+        compiled, closed = threading.Event(), threading.Event()
+        compile_blocking, close = SharedArtifacts.compile_blocking, Tenant.close
+
+        def compile_then_wait(self, query, scope=None):
+            result = compile_blocking(self, query, scope)
+            compiled.set()
+            assert closed.wait(timeout=30.0), "the tenant was never closed"
+            return result
+
+        def close_then_signal(self):
+            close(self)
+            closed.set()
+
+        monkeypatch.setattr(SharedArtifacts, "compile_blocking", compile_then_wait)
+        monkeypatch.setattr(Tenant, "close", close_then_signal)
+
+        async def body():
+            app = ServingApp(cache=str(tmp_path))
+            await register(app, "acme")
+            inflight = asyncio.ensure_future(app.request("POST", "/answer", QUERY))
+            while not compiled.is_set():
+                await asyncio.sleep(0.001)
+            await app.aclose()
+            response = await inflight
+            assert response.status == 503, response.payload
+            assert response.payload["error"]["code"] == "shutting-down"
+
+        serve(body)
+
+    def test_a_compile_that_starts_after_close_is_refused_as_shutting_down(
+        self, tmp_path, monkeypatch
+    ):
+        # A batch's second compile starts only once shutdown is over: its
+        # hop finds the compile executor closed, which is no compile
+        # failure.
+        ensure_compiled = ServingApp._ensure_compiled
+        calls, closed = [], asyncio.Event()
+
+        async def gated(self, *args):
+            calls.append(args)
+            if len(calls) == 2:
+                await closed.wait()
+            return await ensure_compiled(self, *args)
+
+        monkeypatch.setattr(ServingApp, "_ensure_compiled", gated)
+
+        async def body():
+            app = ServingApp(cache=str(tmp_path))
+            await register(app, "acme")
+            batch = {"queries": [QUERY["query"], DEEP_QUERY["query"]]}
+            inflight = asyncio.ensure_future(
+                app.request("POST", "/tenants/acme/prepare-batch", batch)
+            )
+            while len(calls) < 2:
+                await asyncio.sleep(0.001)
+            await app.aclose()
+            closed.set()
+            response = await inflight
+            assert response.status == 503, response.payload
+            assert response.payload["error"]["code"] == "shutting-down"
+            assert app.breaker.describe()["tracked"] == 0, "no failure was recorded"
 
         serve(body)
 
