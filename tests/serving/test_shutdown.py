@@ -77,8 +77,9 @@ class TestShutdownUnderLoad:
             app = ServingApp(cache=str(tmp_path))
             await register(app, "acme")
             inflight = asyncio.ensure_future(app.request("POST", "/answer", QUERY))
-            while not compiled.is_set():
-                await asyncio.sleep(0.001)
+            async with asyncio.timeout(30.0):
+                while not compiled.is_set():
+                    await asyncio.sleep(0.001)
             await app.aclose()
             response = await inflight
             assert response.status == 503, response.payload
@@ -110,8 +111,9 @@ class TestShutdownUnderLoad:
             inflight = asyncio.ensure_future(
                 app.request("POST", "/tenants/acme/prepare-batch", batch)
             )
-            while len(calls) < 2:
-                await asyncio.sleep(0.001)
+            async with asyncio.timeout(30.0):
+                while len(calls) < 2:
+                    await asyncio.sleep(0.001)
             await app.aclose()
             closed.set()
             response = await inflight
