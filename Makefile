@@ -84,7 +84,7 @@ subscribe-smoke:
 chaos-smoke:
 	$(REPRO) chaos --seed 0 --cases 6 --quiet
 
-# Perf gate (seconds, not minutes), eight checks: (1) the running example
+# Perf gate (seconds, not minutes), nine checks: (1) the running example
 # rewritten through an auto strategy passed to each run
 # (rewrite(query, strategy=auto)) gives the sequential bytes; (2) the
 # tuple-encoded canonical-key kernel gives the reference's keys and
@@ -106,9 +106,12 @@ chaos-smoke:
 # incrementally (consistency re-checks stay incremental); (8) the 25 Table
 # 1 compiles expand exactly the pinned number of union-CQs over renaming
 # closures and equal the per-CQ kernel's rewritings as sets, as does a
-# Vicodi query whose union NC pruning must split.  Every check runs
-# even after one fails.  The exhaustive hot-path benchmark is
-# benchmarks/bench_hotpaths.py under `make bench-json`.
+# Vicodi query whose union NC pruning must split; (9) the same 25 compiles
+# make exactly the pinned number of MGU calls, with one system per
+# ontology and with a fresh system per query, and rewrite alike (one
+# unification per candidate set).  Every check runs even after one fails.
+# The exhaustive hot-path benchmark is benchmarks/bench_hotpaths.py under
+# `make bench-json`.
 perf-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) \
 	    benchmarks/smoke.py perf

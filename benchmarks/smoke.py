@@ -63,8 +63,15 @@ serve-smoke subscribe-smoke perf-smoke`` gate every CI run.
        (:mod:`repro.core.closures`), and every rewriting equals the per-CQ
        reference kernel's as a set; so does :data:`SPLIT_QUERY`'s, a
        union-CQ that NC pruning must split.
+    9. The 25 Table 1 compiles under serving's options make exactly
+       :data:`TABLE1_MGU_CALLS` MGU calls, both with one ``OBDASystem``
+       per ontology and with a fresh one per query, and the two runs'
+       rewritings are equal: Definition 1 returns the unifier its
+       rewriting step applies, so each candidate set is unified once and
+       a compile's work does not depend on what its engine compiled
+       before.
 
-    Checks 2-8 count work or compare answers, so they are exact on any
+    Checks 2-9 count work or compare answers, so they are exact on any
     host; no check times anything.  ``benchmarks/bench_hotpaths.py``
     (``make bench-json``) is the exhaustive form of checks 1 and 2, with
     timings.
@@ -102,6 +109,7 @@ from repro.database.instance import (  # noqa: E402
     database_from_tuples,
 )
 from repro.incremental.maintain import MaintainedAnswerSet  # noqa: E402
+from repro.logic import unification  # noqa: E402
 from repro.logic.atoms import Atom  # noqa: E402
 from repro.logic.canonical import (  # noqa: E402
     canonical_fingerprint,
@@ -109,11 +117,7 @@ from repro.logic.canonical import (  # noqa: E402
 )
 from repro.queries.parser import parse_query  # noqa: E402
 from repro.queries.ucq import QuerySet  # noqa: E402
-from repro.scheduling import (  # noqa: E402
-    AutoStrategy,
-    SequentialStrategy,
-    ThreadedStrategy,
-)
+from repro.scheduling import AutoStrategy, ThreadedStrategy  # noqa: E402
 from repro.serving import ServingApp, ServingClient, ServingServer  # noqa: E402
 from repro.serving.app import encode_answers  # noqa: E402
 from repro.workloads import get_workload  # noqa: E402
@@ -188,6 +192,10 @@ TABLE1_EXPANSIONS = 199
 #: but under NC pruning ``Location(A), Event(A)`` violates vicodi#55 and
 #: the 14 members below Location are never reached: 81 CQs.
 SPLIT_QUERY = "q(A) :- Flexible-Time-Unit(A), Event(A)"
+#: MGU calls of the same 25 compiles (``repro.logic.unification.flat_mgu``):
+#: one per candidate set that passes Definition 1's condition (ii), and
+#: one per factorizable set.
+TABLE1_MGU_CALLS = 636
 #: Check 7's seeded mutation script on workload U, and the pinned
 #: (full, incremental) refreshes of the answer sets of U's 2 negative
 #: constraints: one full refresh each at the first check, then one
@@ -234,18 +242,23 @@ class Checks:
 
 
 @contextmanager
+def patched(owner, name: str, value):
+    """``owner.name`` is *value* inside the context."""
+    original = owner.__dict__[name]
+    setattr(owner, name, value)
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
+
+
 def per_cq_kernel():
     """Engines built and run inside are the per-CQ reference kernel.
 
     Every renaming closure is a one-predicate union, so each renaming
     rule resolves one atom at a time.
     """
-    table = RenamingClosures.__dict__["table"]
-    RenamingClosures.table = {}
-    try:
-        yield
-    finally:
-        RenamingClosures.table = table
+    return patched(RenamingClosures, "table", {})
 
 
 def same_members(left, right) -> bool:
@@ -537,30 +550,26 @@ def flat_kernel_floor(check) -> None:
     )
 
 
-class CandidateCount(SequentialStrategy):
-    """The sequential strategy, counting the candidates it expands."""
-
-    def __init__(self) -> None:
-        self.candidates = 0
-
-    def expand_generation(self, engine, batch):
-        for expansion in super().expand_generation(engine, batch):
-            self.candidates += len(expansion.candidates)
-            yield expansion
-
-
 def coverage_memo_ceiling(check) -> None:
     """Perf check 3: memo on and off agree on P5, within the work pins."""
     workload = get_workload("P5")
     rules = workload.theory.tgds
     queries = named(workload)
-    with per_cq_kernel(), CandidateCount() as counted:
-        memoised = TGDRewriter(rules, use_elimination=True)
-        plain = TGDRewriter(rules, use_elimination=True, use_memoisation=False)
-        rewriters = {
-            "memo on": memoised.rewrite,
-            "memo off": partial(plain.rewrite, strategy=counted),
-        }
+    memoised = TGDRewriter(rules, use_elimination=True)
+    plain = TGDRewriter(rules, use_elimination=True, use_memoisation=False)
+    candidates = 0
+    expand = TGDRewriter.expand
+
+    def counted(engine, query):
+        # Without memoisation a run expands with the engine itself.
+        nonlocal candidates
+        expansion = expand(engine, query)
+        if engine is plain:
+            candidates += len(expansion.candidates)
+        return expansion
+
+    with per_cq_kernel(), patched(TGDRewriter, "expand", counted):
+        rewriters = {"memo on": memoised.rewrite, "memo off": plain.rewrite}
         results = compare(check, "P5", queries, rewriters)
     searches = memoised.eliminator.checker.chain_searches
     check(
@@ -572,11 +581,11 @@ def coverage_memo_ceiling(check) -> None:
     drops = sum(memo_on.statistics.pruned_dead_ends for memo_on, _ in results)
     plain_drops = sum(memo_off.statistics.pruned_dead_ends for _, memo_off in results)
     runs = memoised.eliminator.runs
-    every = counted.candidates - plain_drops + len(queries)
+    every = candidates - plain_drops + len(queries)
     check(
         runs == ELIMINATION_RUNS and plain.eliminator.runs == every,
         f"elimination runs on P5: memo on {runs} (pinned {ELIMINATION_RUNS}), "
-        f"off {plain.eliminator.runs} (every one of {counted.candidates} "
+        f"off {plain.eliminator.runs} (every one of {candidates} "
         f"candidates but {plain_drops} dead ends, and {len(queries)} "
         f"queries: {every})",
     )
@@ -720,11 +729,8 @@ def consistency_rechecks(check) -> None:
             if step:
                 mutate(database, rng, random_fact)
             # Only the checked system's refreshes are counted.
-            MaintainedAnswerSet.refresh = recorded
-            try:
+            with patched(MaintainedAnswerSet, "refresh", recorded):
                 verdict = system.is_consistent()
-            finally:
-                MaintainedAnswerSet.refresh = refresh
             copy = RelationalInstance(database.facts)
             with OBDASystem(workload.theory, database=copy) as fresh:
                 agreed = agreed and verdict == fresh.is_consistent()
@@ -778,6 +784,37 @@ def union_expansions(check) -> None:
     )
 
 
+def unifications(check) -> None:
+    """Perf check 9: one MGU per candidate set, whatever the engine compiled before."""
+    calls = 0
+    flat_mgu = unification.flat_mgu
+
+    def counted(atoms):
+        nonlocal calls
+        calls += 1
+        return flat_mgu(atoms)
+
+    counts, rewritings = [], []
+    for shared in (True, False):
+        calls, ucqs = 0, []
+        with patched(unification, "flat_mgu", counted):
+            for name in TABLE1:
+                workload = get_workload(name)
+                system = OBDASystem(workload.theory)
+                for _, query in named(workload):
+                    if not shared:
+                        system = OBDASystem(workload.theory)
+                    ucqs.append(system.compile(query).ucq.queries)
+        counts.append(calls)
+        rewritings.append(ucqs)
+    check(
+        counts == [TABLE1_MGU_CALLS] * 2 and rewritings[0] == rewritings[1],
+        f"MGU calls of Table 1: {counts[0]} with one system per ontology, "
+        f"{counts[1]} with one per query (pinned {TABLE1_MGU_CALLS}); the "
+        f"rewritings {'equal' if rewritings[0] == rewritings[1] else 'DIFFER'}",
+    )
+
+
 GATES = {
     "strategy": (strategy_identity,),
     "serve": (on_tenant(serve_checks),),
@@ -791,6 +828,7 @@ GATES = {
         factored_execution,
         consistency_rechecks,
         union_expansions,
+        unifications,
     ),
 }
 

@@ -26,7 +26,7 @@ import time
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from ..core.applicability import is_applicable
+from ..core.applicability import applicable_unifier
 from ..core.rewriter import RewritingResult, RewritingStatistics
 from ..dependencies.normalization import is_normalized, normalize
 from ..dependencies.tgd import TGD
@@ -115,10 +115,8 @@ class QuOntoStyleRewriter:
             for atom in query.body:
                 if atom.predicate != head_atom.predicate:
                     continue
-                if not is_applicable(renamed, (atom,), query):
-                    continue
-                unifier = mgu([atom, head_atom])
-                if unifier is None:  # pragma: no cover - applicability checked
+                unifier = applicable_unifier(renamed, (atom,), query)
+                if unifier is None:
                     continue
                 # Assemble the resolved query in one go: the intermediate
                 # query q[a / body(σ)] may temporarily drop an answer

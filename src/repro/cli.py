@@ -163,9 +163,7 @@ def _cmd_rewrite(arguments: argparse.Namespace) -> int:
             f"constraints, {statistics.pruned_dead_ends} dead ends dropped"
         )
         print(
-            f"# memoisation: {statistics.unification_memo_hits} applicability "
-            f"hits / {statistics.unification_memo_misses} misses, "
-            f"{statistics.rename_cache_hits} rename-apart hits / "
+            f"# memoisation: {statistics.rename_cache_hits} rename-apart hits / "
             f"{statistics.rename_cache_misses} misses"
         )
     if arguments.sql:

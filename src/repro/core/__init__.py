@@ -4,8 +4,8 @@ from .applicability import (
     FactorizableSet,
     RuleIndex,
     applicable_atom_sets,
+    applicable_unifier,
     factorizable_sets,
-    is_applicable,
     is_factorizable,
 )
 from .coverage import CoverageChecker, CoverageWitness, covers
@@ -59,12 +59,12 @@ __all__ = [
     "RuleIndex",
     "TGDRewriter",
     "applicable_atom_sets",
+    "applicable_unifier",
     "covers",
     "eliminate",
     "eq_subset",
     "equality_type",
     "factorizable_sets",
-    "is_applicable",
     "is_factorizable",
     "prune_unsatisfiable",
     "rewrite",

@@ -16,38 +16,31 @@ These two notions drive the rewriting algorithm of Section 5:
 
 Both are stated for a *normalised* TGD: single head atom, at most one
 existential variable occurring once, so ``πσ`` is well defined.
+:func:`applicable_unifier` returns the unifier the rewriting step applies,
+so each step unifies once.
 
-Because the rewriter re-asks the same applicability questions for hundreds
-of structurally similar CQs, this module also houses the engine's memo
-layers (shared across every query of a workload run):
+The module also houses the engine's rule-side helpers, shared across
+every query of a workload run:
 
 * :class:`RuleIndex` — the head-predicate index that keeps non-candidate
   TGDs off the hot path entirely;
 * :class:`RenameApartCache` — a per-rule pool of freshly renamed rule
   copies, so renaming a TGD apart from a query is a disjointness probe
   instead of a substitution walk;
-* :class:`ApplicabilityMemo` — a per-``(rule, atom-set shape)`` outcome
-  table that makes repeated Definition 1 checks (including their MGU
-  attempts) a single dictionary lookup.
-
-The shape is :func:`shape_key`, which the coverage memo of
-:class:`repro.core.coverage.CoverageChecker` shares.
+* :func:`shape_key` — the renaming-invariant shape of an atom set, the
+  key of the coverage memo of :class:`repro.core.coverage.CoverageChecker`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..logic.atoms import Atom, Predicate, atoms_predicates
 from ..logic.substitution import Substitution
 from ..logic.terms import Variable, is_constant, is_variable
-from ..logic.unification import (
-    AtomProfile,
-    UnificationMemo,
-    atom_sequence_profile,
-    mgu,
-)
+from ..logic.unification import AtomProfile, atom_sequence_profile, mgu
 from ..dependencies.tgd import TGD
 from ..queries.conjunctive_query import ConjunctiveQuery
 
@@ -251,130 +244,66 @@ def shape_key(
     query: ConjunctiveQuery,
     kept_constants: frozenset | None = None,
 ) -> AtomProfile:
-    """The renaming-invariant shape of *atoms* inside *query*: the engine's memo key.
+    """The renaming-invariant shape of *atoms* inside *query*: the coverage memo's key.
 
     :func:`repro.logic.unification.atom_sequence_profile` with the query's
     shared variables marked and only *kept_constants* — the constants the
     rule set mentions — kept by value; every other constant is kept by
-    identity only.  Definition 1 and Definition 5 look at a query's atoms
-    only through their predicates, their variable-equality pattern, which
-    of their variables are shared, and which of their constants are equal
-    to each other or to a rule constant — so equal keys imply equal
-    outcomes.  As the rule set fixes the kept constants, there are
-    finitely many keys of each length over the rules' predicates, however
-    many distinct constants the queries bring.  ``None`` keeps every
-    constant by value.
+    identity only.  Definition 5 looks at a query's atoms only through
+    their predicates, their variable-equality pattern, which of their
+    variables are shared, and which of their constants are equal to each
+    other or to a rule constant — so equal keys imply equal outcomes.  As
+    the rule set fixes the kept constants, there are finitely many keys
+    of each length over the rules' predicates, however many distinct
+    constants the queries bring.  ``None`` keeps every constant by value.
     """
     return atom_sequence_profile(
         atoms, marked=query.shared_variables, kept_constants=kept_constants
     )
 
 
-class ApplicabilityMemo:
-    """Memoised Definition 1 checks, keyed by ``(rule, atom-set shape)``.
-
-    The outcome of :func:`is_applicable` depends only on the rule (up to
-    renaming) and on the *shape* of the candidate atom set (:func:`shape_key`):
-    its predicates, its variable-equality pattern, which of its variables
-    are shared in the surrounding query, and its constants — by value if
-    the rule set mentions them, by identity otherwise.  So the boolean can
-    be cached across every query of a run, and the MGU attempt inside the
-    check runs once per shape instead of once per query.  *kept_constants*
-    must contain every constant of the rules checked through the memo
-    (``None``, the default, keeps every constant by value).
-
-    Outcomes are pure, so the memo is shared by concurrent expansions
-    without a lock: a race can only compute an entry twice.
-    """
-
-    __slots__ = ("_memo", "_kept_constants")
-
-    def __init__(self, kept_constants: frozenset | None = None) -> None:
-        self._memo = UnificationMemo()
-        self._kept_constants = kept_constants
-
-    def __len__(self) -> int:
-        return len(self._memo)
-
-    @property
-    def hits(self) -> int:
-        """Number of checks answered from the table."""
-        return self._memo.hits
-
-    @property
-    def misses(self) -> int:
-        """Number of checks actually computed (and then stored)."""
-        return self._memo.misses
-
-    def is_applicable(
-        self,
-        rule_key: object,
-        rule: TGD,
-        atoms: Sequence[Atom],
-        query: ConjunctiveQuery,
-    ) -> bool:
-        """Memoised :func:`is_applicable`.
-
-        *rule_key* must stably identify *rule* up to variable renaming:
-        every call passing the same key must pass an α-equivalent rule
-        (the rewriter passes the rule's position in its rule tuple and a
-        copy from the :class:`RenameApartCache`).
-        """
-        profile = shape_key(atoms, query, self._kept_constants)
-        return self._memo.lookup(
-            (rule_key, profile), lambda: is_applicable(rule, atoms, query)
-        )
-
-
-def is_applicable(
+def applicable_unifier(
     rule: TGD, atoms: Sequence[Atom], query: ConjunctiveQuery
-) -> bool:
-    """Definition 1: is *rule* applicable to the set *atoms* ⊆ body(*query*)?
+) -> Substitution | None:
+    """Definition 1: the unifier with which *rule* applies to *atoms* ⊆ body(*query*).
 
-    Assumes the rule is normalised and its variables are disjoint from the
+    Returns ``γ``, the MGU of ``atoms ∪ {head(rule)}`` that the rewriting
+    step applies, or ``None`` when the rule is not applicable.  Assumes
+    the rule is normalised and its variables are disjoint from the
     query's (callers rename the rule apart first).
     """
     if not rule.is_single_head:
         raise ValueError(f"{rule!r} must be normalised (single head atom)")
     atoms = list(atoms)
-    if not atoms:
-        return False
     head_atom = rule.head[0]
-    if any(atom.predicate != head_atom.predicate for atom in atoms):
-        return False
-    # Condition (i): A ∪ {head(σ)} unifies.
-    if mgu(atoms + [head_atom]) is None:
-        return False
-    # Condition (ii): no constant / shared variable of q sits at πσ.
+    if not atoms or any(atom.predicate != head_atom.predicate for atom in atoms):
+        return None
+    # Condition (ii), first as it needs no unification: no constant or
+    # shared variable of q sits at πσ.
     existential_position = rule.existential_position
-    if existential_position is None:
-        return True
-    index = existential_position.index
-    for atom in atoms:
-        term = atom[index]
-        if is_constant(term) or query.is_shared(term):
-            return False
-    return True
+    if existential_position is not None:
+        index = existential_position.index
+        for atom in atoms:
+            term = atom[index]
+            if is_constant(term) or query.is_shared(term):
+                return None
+    # Condition (i): A ∪ {head(σ)} unifies.
+    return mgu(atoms + [head_atom])
 
 
 def applicable_atom_sets(
     rule: TGD,
     query: ConjunctiveQuery,
-    memo: ApplicabilityMemo | None = None,
-    rule_key: object = None,
     unions: "RenamingClosures | None" = None,
     renaming: bool = False,
-) -> Iterator[tuple[Atom, ...]]:
+) -> Iterator[tuple[tuple[Atom, ...], Substitution]]:
     """Enumerate the subsets ``A ⊆ body(q)`` to which *rule* is applicable.
 
-    Only atoms whose predicate matches the rule's head predicate can belong
+    Each set comes with its unifier (:func:`applicable_unifier`).  Only
+    atoms whose predicate matches the rule's head predicate can belong
     to such a set, so the enumeration is over the non-empty subsets of those
     candidate atoms (singletons first, then growing, in a deterministic
     order).  In the vast majority of cases this is a handful of atoms.
-
-    When *memo* (and its *rule_key*) is given, each Definition 1 check is
-    answered through the :class:`ApplicabilityMemo` instead of being
-    recomputed.
 
     With *unions* (:mod:`repro.core.closures`), a collapsed atom is a
     candidate when its closure holds the head predicate, and the check
@@ -392,28 +321,15 @@ def applicable_atom_sets(
         candidates = [
             atom for atom in query.body if unions.holds(atom.predicate, head_predicate)
         ]
-    if not candidates:
-        return
-    total = len(candidates)
-    # Enumerate subsets ordered by size (stable order within a size).
-    for size in range(1, total + 1):
-        for subset in _combinations(candidates, size):
+    # Subsets ordered by size, in a stable order within a size.
+    for size in range(1, len(candidates) + 1):
+        for subset in combinations(candidates, size):
             if renaming and size == 1 and unions.is_collapsed(subset[0].predicate):
                 continue
             probe = subset if unions is None else unions.retarget(subset, head_predicate)
-            if memo is None:
-                applicable = is_applicable(rule, probe, query)
-            else:
-                applicable = memo.is_applicable(rule_key, rule, probe, query)
-            if applicable:
-                yield tuple(subset)
-
-
-def _combinations(items: Sequence[Atom], size: int) -> Iterator[tuple[Atom, ...]]:
-    """Deterministic k-subsets of *items* preserving input order."""
-    from itertools import combinations
-
-    yield from combinations(items, size)
+            unifier = applicable_unifier(rule, probe, query)
+            if unifier is not None:
+                yield subset, unifier
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..logic.atoms import Atom, Position, Predicate
 from ..logic.terms import Term, is_constant
-from ..logic.unification import UnificationMemo
 from ..dependencies.tgd import TGD, schema_constants
 from ..dependencies.classifiers import is_linear
 from ..queries.conjunctive_query import ConjunctiveQuery
@@ -105,7 +104,7 @@ class CoverageChecker:
         self._rules = tuple(rules)
         self._max_states = max_states
         self._constants = schema_constants(self._rules)
-        self._memo = UnificationMemo() if memoise else None
+        self._memo: dict | None = {} if memoise else None
         self.chain_searches = 0
 
     @cached_property
@@ -123,8 +122,8 @@ class CoverageChecker:
         return self._rules
 
     @property
-    def memo(self) -> UnificationMemo | None:
-        """The chain memo (``None`` when memoisation is off)."""
+    def memo(self) -> dict | None:
+        """The chain memo, by pair shape (``None`` when memoisation is off)."""
         return self._memo
 
     def reaches(self, source: Predicate, target: Predicate) -> bool:
@@ -148,13 +147,15 @@ class CoverageChecker:
         for term in shared_terms:
             if term not in source_terms:
                 return None
-        if self._memo is None:
+        memo = self._memo
+        if memo is None:
             chain = self._find_chain(source, target, shared_terms)
         else:
-            chain = self._memo.lookup(
-                shape_key((source, target), query, self._constants),
-                lambda: self._find_chain(source, target, shared_terms),
-            )
+            key = shape_key((source, target), query, self._constants)
+            if key in memo:
+                chain = memo[key]
+            else:
+                chain = memo[key] = self._find_chain(source, target, shared_terms)
         if chain is None:
             return None
         return CoverageWitness(source, target, chain)

@@ -24,15 +24,15 @@ Termination is guaranteed for linear, sticky and sticky-join TGDs
 
 A :class:`TGDRewriter` is a *compilation engine*, built once per theory and
 reused across queries: the head-predicate :class:`RuleIndex`, the
-:class:`~repro.core.applicability.RenameApartCache`, the
-:class:`~repro.core.applicability.ApplicabilityMemo` and (for
+:class:`~repro.core.applicability.RenameApartCache` and (for
 ``TGD-rewrite*``) the coverage memo of the
 :class:`~repro.core.coverage.CoverageChecker` all live on the rewriter
 instance and keep learning across calls, so compiling a workload through
 one rewriter (:meth:`repro.api.OBDASystem.compile_many`) is faster than
 compiling each query in a fresh engine.  Every run's
-:class:`RewritingStatistics` reports the per-run share of the rename and
-applicability memo work.
+:class:`RewritingStatistics` reports the per-run share of the rename-apart
+pool's work.  Each rewriting step applies the unifier with which
+Definition 1 found its rule applicable, so a step unifies once.
 
 Structurally, :meth:`TGDRewriter.rewrite` is a *frontier kernel* (see
 :mod:`repro.core.frontier`): the worklist is an explicit
@@ -92,16 +92,14 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from ..logic.atoms import Atom
 from ..logic.flat import FlatQuery, encode_query
-from ..logic.unification import mgu
 from ..dependencies.classifiers import is_linear
 from ..dependencies.constraints import NegativeConstraint
 from ..dependencies.normalization import is_normalized, normalize
-from ..dependencies.tgd import TGD, schema_constants
+from ..dependencies.tgd import TGD
 from ..dependencies.theory import OntologyTheory
 from ..queries.conjunctive_query import ConjunctiveQuery, encoded_fingerprint
 from ..queries.ucq import QuerySet, UnionOfConjunctiveQueries
 from .applicability import (
-    ApplicabilityMemo,
     RenameApartCache,
     RuleIndex,
     applicable_atom_sets,
@@ -167,11 +165,9 @@ class RewritingStatistics:
     # -- rule-index counters ---------------------------------------------
     rules_considered: int = 0
     rules_skipped_by_index: int = 0
-    # -- memoisation counters (this run's share of the engine memos) ------
+    # -- memoisation counters (this run's share of the rename-apart pool) --
     rename_cache_hits: int = 0
     rename_cache_misses: int = 0
-    unification_memo_hits: int = 0
-    unification_memo_misses: int = 0
     # -- persistent-cache counters (set by the serving layer) -------------
     persistent_cache_hits: int = 0
     persistent_cache_misses: int = 0
@@ -186,8 +182,6 @@ class RewritingStatistics:
             "elapsed_seconds",
             "rename_cache_hits",
             "rename_cache_misses",
-            "unification_memo_hits",
-            "unification_memo_misses",
             "persistent_cache_hits",
             "persistent_cache_misses",
         }
@@ -269,17 +263,17 @@ class TGDRewriter:
         Budget on the number of distinct CQs generated; exceeding it raises
         :class:`RewritingBudgetExceeded`.
     use_memoisation:
-        Keep per-rule rename-apart pools, applicability outcomes and (with
-        elimination) atom-coverage chains across the whole lifetime of the
-        rewriter (default).  Both outcome memos are keyed by the shape of
-        the atoms checked (:func:`~repro.core.applicability.shape_key`):
-        neither grows with constants the rules do not mention, and the
-        coverage memo is finite for a fixed theory.  Each run also keeps
-        its own table of candidate keys that eliminate nothing
-        (:meth:`for_run`).  Disabling it reproduces the unmemoised engine,
-        which builds and reduces every candidate that is not a dead end —
-        useful for differential testing; the computed rewritings are
-        identical either way.
+        Keep per-rule rename-apart pools and (with elimination)
+        atom-coverage chains across the whole lifetime of the rewriter
+        (default).  The coverage memo is keyed by the shape of the atoms
+        checked (:func:`~repro.core.applicability.shape_key`), so it does
+        not grow with constants the rules do not mention and is finite
+        for a fixed theory.  Each run also keeps its own table of
+        candidate keys that eliminate nothing (:meth:`for_run`).
+        Disabling it reproduces the unmemoised engine, which builds and
+        reduces every candidate that is not a dead end — useful for
+        differential testing; the computed rewritings are identical either
+        way.
     """
 
     def __init__(
@@ -313,9 +307,6 @@ class TGDRewriter:
         # The run's table of candidate keys; only the copies for_run()
         # hands to a run have one.
         self._run_keys: dict | None = None
-        self._applicability_memo = (
-            ApplicabilityMemo(schema_constants(self._rules)) if use_memoisation else None
-        )
         # Auxiliary predicates introduced by the internal normalisation are
         # not part of the caller's schema: no database ever stores facts for
         # them, so rewritten CQs mentioning them are dropped from the output,
@@ -363,11 +354,6 @@ class TGDRewriter:
         return self._eliminator is not None
 
     @property
-    def applicability_memo(self) -> ApplicabilityMemo | None:
-        """The engine's applicability memo (``None`` without memoisation)."""
-        return self._applicability_memo
-
-    @property
     def eliminator(self) -> QueryEliminator | None:
         """The query eliminator of ``TGD-rewrite*`` (``None`` without elimination)."""
         return self._eliminator
@@ -404,7 +390,7 @@ class TGDRewriter:
             self._eliminator is not None,
             self._pruner is not None,
             self._max_queries,
-            self._applicability_memo is not None,
+            self._rename_cache is not None,
         )
 
     @classmethod
@@ -423,7 +409,7 @@ class TGDRewriter:
         ends, so no run sees another's.  Without memoisation, the engine itself: every
         candidate that is not a dead end is built and reduced.
         """
-        if self._applicability_memo is None:
+        if self._rename_cache is None:
             return self
         run = copy.copy(self)
         run._run_keys = {}
@@ -537,30 +523,23 @@ class TGDRewriter:
         statistics.variant_exact_hits = interning.exact_hits
         statistics.variant_confirmations = interning.confirmations
 
-    def _memo_counters(self) -> tuple[int, int, int, int]:
-        """Current absolute counters of the engine-lifetime memo tables."""
-        if self._applicability_memo is None:
-            return (0, 0, 0, 0)
-        return (
-            self._rename_cache.hits,
-            self._rename_cache.misses,
-            self._applicability_memo.hits,
-            self._applicability_memo.misses,
-        )
+    def _memo_counters(self) -> tuple[int, int]:
+        """Current absolute hit and miss counters of the rename-apart pool."""
+        if self._rename_cache is None:
+            return (0, 0)
+        return (self._rename_cache.hits, self._rename_cache.misses)
 
     def _record_memo_counters(
-        self, statistics: RewritingStatistics, snapshot: tuple[int, int, int, int]
+        self, statistics: RewritingStatistics, snapshot: tuple[int, int]
     ) -> None:
-        """Store this run's memo-counter deltas into *statistics*.
+        """Store this run's rename-apart counter deltas into *statistics*.
 
-        The memo tables live for the whole engine, so a run's share is the
+        The pool lives for the whole engine, so a run's share is the
         difference against the snapshot taken when the run started.
         """
         after = self._memo_counters()
         statistics.rename_cache_hits = after[0] - snapshot[0]
         statistics.rename_cache_misses = after[1] - snapshot[1]
-        statistics.unification_memo_hits = after[2] - snapshot[2]
-        statistics.unification_memo_misses = after[3] - snapshot[3]
 
     def _rename_apart(self, rule: TGD, query: ConjunctiveQuery) -> TGD:
         """A copy of *rule* with variables disjoint from *query*'s.
@@ -664,23 +643,14 @@ class TGDRewriter:
 
         for rule in candidate_rules:
             renamed = self._rename_apart(rule, query)
-            head_atom = renamed.head[0]
             added = renamed.body if unions is None else unions.collapse_atoms(renamed.body)
-            for atom_set in applicable_atom_sets(
+            for atom_set, unifier in applicable_atom_sets(
                 renamed,
                 query,
-                memo=self._applicability_memo,
-                rule_key=self._rule_keys[id(rule)],
-                unions=unions,
+                unions,
                 renaming=unions is not None and id(rule) in unions.renaming_rules,
             ):
                 # γ_{A ∪ {head(σ)}}(q[A / body(σ)]), the rewriting step.
-                probe = list(atom_set) if unions is None else unions.retarget(
-                    atom_set, head_atom.predicate
-                )
-                unifier = mgu(probe + [head_atom])
-                if unifier is None:  # pragma: no cover - applicability already checked
-                    continue
                 self._settle(
                     Derivation(query, unifier, atom_set, added),
                     LABEL_REWRITING,

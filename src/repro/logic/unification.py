@@ -1,4 +1,4 @@
-"""Unification and most general unifiers (MGUs), with memoisation support.
+"""Unification and most general unifiers (MGUs), and atom-sequence shapes.
 
 Section 5 of the paper defines: a set of atoms ``A = {a1, ..., an}`` (n ≥ 2)
 *unifies* if there exists a substitution ``γ`` (a *unifier*) such that
@@ -14,15 +14,13 @@ function-free terms, which makes it linear in the number of term pairs:
 * a constant never unifies with a labelled null (nulls in queries/TGDs do not
   occur; nulls are included for completeness when unifying instance atoms).
 
-The rewriting engine asks the *same* unification question over and over
-across the UCQ frontier: whether a candidate atom set of a query unifies
-with a TGD head depends only on the *shape* of the atom set — its
-predicates, its variable-equality pattern and its constants — never on the
-variable names, and hundreds of generated CQs share a handful of shapes.
-:func:`atom_sequence_profile` computes that shape as a hashable key
-(variables become first-occurrence De Bruijn indices plus caller-chosen
-markings) and :class:`UnificationMemo` is the keyed outcome table used by
-:mod:`repro.core.applicability` to skip repeated MGU attempts.
+Questions about an atom sequence that unification-shaped reasoning asks —
+does it unify with a rule head, does a rule chain carry its terms — depend
+only on its *shape*: its predicates, its variable-equality pattern and its
+constants, never on the variable names.  :func:`atom_sequence_profile`
+computes that shape as a hashable key (variables become first-occurrence
+De Bruijn indices plus caller-chosen markings); the coverage memo of
+:class:`repro.core.coverage.CoverageChecker` is keyed by it.
 """
 
 from __future__ import annotations
@@ -165,10 +163,9 @@ def atom_sequence_profile(
 
     Every unification-shaped question is invariant under such renamings:
     whether the sequence unifies with a fixed (variable-disjoint) atom, and
-    any property that additionally consults *marked* — the applicability
-    condition of Definition 1 marks the query's shared variables, making
-    the profile a sound memo key for the whole check, not only the MGU
-    attempt (see :class:`repro.core.applicability.ApplicabilityMemo`).
+    any property that additionally consults *marked* — atom coverage
+    (Definition 5) marks the query's shared variables, making the profile
+    a sound memo key for the whole check.
 
     With *kept_constants* given, only the constants in that set keep their
     value; every other constant is replaced by its first-occurrence index
@@ -202,47 +199,8 @@ def atom_sequence_profile(
     return tuple(rows)
 
 
-class UnificationMemo:
-    """A keyed outcome table for repeated unification-shaped questions.
-
-    The memo stores arbitrary outcomes (booleans in practice) under
-    caller-provided keys, typically ``(rule id, atom profile)`` pairs.  It
-    deliberately knows nothing about rules or queries: the *caller* is
-    responsible for choosing keys such that equal keys imply equal
-    outcomes — :func:`atom_sequence_profile` provides the query half of
-    such a key, a stable rule identifier the other half.
-
-    ``hits``/``misses`` counters feed the ``unification_memo_*`` fields of
-    :class:`repro.core.rewriter.RewritingStatistics`.
-    """
-
-    __slots__ = ("_table", "hits", "misses")
-
-    _MISSING = object()
-
-    def __init__(self) -> None:
-        self._table: dict[object, object] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def lookup(self, key: object, compute) -> object:
-        """Return the memoised outcome for *key*, computing it on first use."""
-        outcome = self._table.get(key, self._MISSING)
-        if outcome is not self._MISSING:
-            self.hits += 1
-            return outcome
-        self.misses += 1
-        outcome = compute()
-        self._table[key] = outcome
-        return outcome
-
-
 __all__ = [
     "AtomProfile",
-    "UnificationMemo",
     "atom_sequence_profile",
     "mgu",
     "mgu_reference",

@@ -117,14 +117,14 @@ class ThreadedStrategy(SchedulingStrategy):
 
     Expansion is pure CPU work on small structures, so threads only help
     on GIL-free interpreters; the strategy's day job is differential
-    testing — it shares the *same* engine (rule index, rename-apart pool,
-    applicability and coverage memos) across threads, so any hidden
-    order-dependence in the kernel would surface as a byte difference
-    against :class:`SequentialStrategy`.  The engine's memo layers are
-    safe to share: the rename-apart pool takes a lock around minting, and
-    the two outcome memos' entries are deterministic values keyed by
+    testing — it shares the *same* engine (rule index, rename-apart pool
+    and coverage memo) across threads, so any hidden order-dependence in
+    the kernel would surface as a byte difference against
+    :class:`SequentialStrategy`.  The engine's memo layers are safe to
+    share: the rename-apart pool takes a lock around minting, and the
+    coverage memo's entries are deterministic values keyed by
     renaming-invariant shapes (a racing double-compute stores the same
-    outcome; only the volatile hit/miss counters can drift).  So are the
+    outcome).  So are the
     run's candidate keys (:meth:`~repro.core.rewriter.TGDRewriter.for_run`):
     a thread may settle a candidate from a key that a later member of
     the batch put there, and the merge then builds the candidate itself.

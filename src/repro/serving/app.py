@@ -408,11 +408,15 @@ class ServingApp:
             raise ServingError(400, "missing-field", f"field {field!r} is required")
         return value
 
+    @classmethod
+    def _required_string(cls, payload: dict, field: str) -> str:
+        value = cls._required(payload, field)
+        if not isinstance(value, str):
+            raise ServingError(400, "bad-request", f"'{field}' must be a string")
+        return value
+
     def _tenant(self, payload: dict) -> Tenant:
-        name = self._required(payload, "tenant")
-        if not isinstance(name, str):
-            raise ServingError(400, "bad-request", "'tenant' must be a string")
-        return self.registry.get(name)
+        return self.registry.get(self._required_string(payload, "tenant"))
 
     def _decode_query(self, payload: dict) -> ConjunctiveQuery:
         """A query from its textual form or the tagged-JSON encoding.
@@ -465,6 +469,8 @@ class ServingApp:
                 "bad-theory",
                 "exactly one of 'workload', 'tbox' or 'tgds' is required",
             )
+        if sources[0] != "tgds" and not isinstance(payload[sources[0]], str):
+            raise ServingError(400, "bad-theory", f"'{sources[0]}' must be a string")
         if "workload" in payload:
             from ..workloads import get_workload
 
@@ -849,9 +855,7 @@ class ServingApp:
         same deterministic ``encode_answers`` ordering as ``/answer``.
         """
         tenant = self.registry.get(name)
-        cursor = self._required(payload, "cursor")
-        if not isinstance(cursor, str):
-            raise ServingError(400, "bad-request", "'cursor' must be a string")
+        cursor = self._required_string(payload, "cursor")
         query = tenant.subscriptions.query_for(cursor)
         [(source, coalesced)], poll, elapsed_ms = await self._run_pinned(
             tenant,
@@ -882,7 +886,7 @@ class ServingApp:
     ) -> ServingResponse:
         """``POST /tenants/{name}/unsubscribe`` — drop a cursor."""
         tenant = self.registry.get(name)
-        cursor = self._required(payload, "cursor")
+        cursor = self._required_string(payload, "cursor")
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(
             tenant.executor, lambda: tenant.unsubscribe_blocking(cursor)

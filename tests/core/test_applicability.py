@@ -4,12 +4,13 @@ import pytest
 
 from repro.core.applicability import (
     applicable_atom_sets,
+    applicable_unifier,
     factorizable_sets,
-    is_applicable,
     is_factorizable,
 )
 from repro.logic.atoms import Atom
 from repro.logic.terms import Constant, Variable
+from repro.logic.unification import mgu
 from repro.dependencies.tgd import TGD, tgd
 from repro.queries.conjunctive_query import ConjunctiveQuery
 from repro.workloads.paper_examples import (
@@ -24,75 +25,118 @@ X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 c = Constant("c")
 
 
+def applies(rule, atoms, query) -> bool:
+    """Definition 1 through :func:`applicable_unifier`.
+
+    When the rule applies, the unifier returned must be the one the
+    rewriting step needs: the MGU of ``atoms ∪ {head(rule)}``.
+    """
+    unifier = applicable_unifier(rule, atoms, query)
+    if unifier is not None:
+        assert unifier == mgu(list(atoms) + [rule.head[0]])
+    return unifier is not None
+
+
+def applicable_sets(rule, query) -> list:
+    """:func:`applicable_atom_sets`, each unifier checked as in :func:`applies`."""
+    found = []
+    for atoms, unifier in applicable_atom_sets(rule, query):
+        assert unifier == mgu(list(atoms) + [rule.head[0]])
+        assert unifier == applicable_unifier(rule, atoms, query)
+        found.append(atoms)
+    return found
+
+
 class TestApplicability:
     def setup_method(self):
         self.sigma1, self.sigma2 = example2_rules()  # s(X) -> ∃Z t(X,X,Z); t(X,Y,Z) -> r(Y,Z)
 
     def test_example2_sigma2_applies_to_r_atom(self):
         query = ConjunctiveQuery([Atom.of("t", A, B, C), Atom.of("r", B, C)], ())
-        assert is_applicable(self.sigma2, [Atom.of("r", B, C)], query)
+        assert applies(self.sigma2, [Atom.of("r", B, C)], query)
 
     def test_example2_sigma1_blocked_by_shared_variable(self):
         # In q() <- t(A,B,C), r(B,C) the variable C is shared and sits at the
         # existential position t[3] of σ1, so σ1 is not applicable.
         query = ConjunctiveQuery([Atom.of("t", A, B, C), Atom.of("r", B, C)], ())
-        assert not is_applicable(self.sigma1, [Atom.of("t", A, B, C)], query)
+        assert not applies(self.sigma1, [Atom.of("t", A, B, C)], query)
 
     def test_example3_constant_at_existential_position_blocks(self):
         query = example3_queries()["constant"]  # q() <- t(A, B, c)
-        assert not is_applicable(self.sigma1, list(query.body), query)
+        assert not applies(self.sigma1, list(query.body), query)
 
     def test_example3_shared_variable_at_existential_position_blocks(self):
         query = example3_queries()["shared"]  # q() <- t(A, B, B)
-        assert not is_applicable(self.sigma1, list(query.body), query)
+        assert not applies(self.sigma1, list(query.body), query)
 
-    def test_unifiable_unshared_atom_is_applicable(self):
+    def test_unifiable_unshared_atom_applies(self):
         query = ConjunctiveQuery([Atom.of("t", A, B, C)], ())
-        assert is_applicable(self.sigma1, [Atom.of("t", A, B, C)], query)
+        assert applies(self.sigma1, [Atom.of("t", A, B, C)], query)
+
+    def test_the_unifier_is_the_rewriting_steps(self):
+        # s(X) -> ∃Z t(X,X,Z) on t(A,B,C): the step identifies A and B.
+        query = ConjunctiveQuery([Atom.of("t", A, B, C)], ())
+        unifier = applicable_unifier(self.sigma1, [Atom.of("t", A, B, C)], query)
+        assert unifier.apply_term(A) == unifier.apply_term(B)
+        assert unifier.apply_term(A) != unifier.apply_term(C)
 
     def test_head_predicate_must_match(self):
         query = ConjunctiveQuery([Atom.of("r", B, C)], ())
-        assert not is_applicable(self.sigma1, [Atom.of("r", B, C)], query)
+        assert not applies(self.sigma1, [Atom.of("r", B, C)], query)
 
     def test_answer_variable_counts_as_shared(self):
         # A occurs once in the body but also in the head of the CQ, so it is
         # shared and blocks an existential position.
         rule = tgd(Atom.of("p", X), Atom.of("t", X, Y))
         query = ConjunctiveQuery([Atom.of("t", B, A)], (A,))
-        assert not is_applicable(rule, [Atom.of("t", B, A)], query)
+        assert not applies(rule, [Atom.of("t", B, A)], query)
 
     def test_non_unifiable_set_is_not_applicable(self):
         rule = tgd(Atom.of("p", X), Atom.of("t", X, X))
         query = ConjunctiveQuery([Atom.of("t", Constant("a"), Constant("b"))], ())
-        assert not is_applicable(rule, list(query.body), query)
+        assert not applies(rule, list(query.body), query)
 
     def test_full_rule_ignores_existential_conditions(self):
         rule = tgd(Atom.of("p", X, Y), Atom.of("t", X, Y))
         query = ConjunctiveQuery([Atom.of("t", A, c), Atom.of("s", A)], ())
-        assert is_applicable(rule, [Atom.of("t", A, c)], query)
+        assert applies(rule, [Atom.of("t", A, c)], query)
+
+    def test_rule_constants_are_told_apart(self):
+        # The head r(X, c) unifies with r(A, c) but not with r(A, d) or
+        # r(A, e).
+        rule = tgd(Atom.of("p", X), Atom.of("r", X, Constant("c")))
+        outcomes = []
+        for value in ("d", "c", "e"):
+            query = ConjunctiveQuery(
+                [Atom.of("r", A, Constant(value)), Atom.of("s", A)], (A,)
+            )
+            outcomes.append(bool(applicable_sets(rule, query)))
+        assert outcomes == [False, True, False]
 
     def test_empty_atom_set_is_not_applicable(self):
         query = ConjunctiveQuery([Atom.of("t", A, B, C)], ())
-        assert not is_applicable(self.sigma1, [], query)
+        assert not applies(self.sigma1, [], query)
 
     def test_unnormalised_rule_is_rejected(self):
         rule = TGD((Atom.of("p", X),), (Atom.of("q", X), Atom.of("r", X)))
         query = ConjunctiveQuery([Atom.of("q", A)], ())
         with pytest.raises(ValueError):
-            is_applicable(rule, [Atom.of("q", A)], query)
+            applicable_unifier(rule, [Atom.of("q", A)], query)
+        with pytest.raises(ValueError):
+            list(applicable_atom_sets(rule, query))
 
 
 class TestApplicableAtomSets:
     def test_enumeration_respects_applicability(self):
         sigma1, sigma2 = example2_rules()
         query = ConjunctiveQuery([Atom.of("t", A, B, C), Atom.of("r", B, C)], ())
-        assert list(applicable_atom_sets(sigma1, query)) == []
-        assert list(applicable_atom_sets(sigma2, query)) == [(Atom.of("r", B, C),)]
+        assert applicable_sets(sigma1, query) == []
+        assert applicable_sets(sigma2, query) == [(Atom.of("r", B, C),)]
 
     def test_multi_atom_sets_are_enumerated(self):
         rule = tgd(Atom.of("p", X), Atom.of("t", X, Y))
         query = ConjunctiveQuery([Atom.of("t", A, B), Atom.of("t", A, C)], ())
-        sets = list(applicable_atom_sets(rule, query))
+        sets = applicable_sets(rule, query)
         assert (Atom.of("t", A, B),) in sets
         assert (Atom.of("t", A, C),) in sets
         assert (Atom.of("t", A, B), Atom.of("t", A, C)) in sets
@@ -100,7 +144,7 @@ class TestApplicableAtomSets:
     def test_no_candidate_atoms_yields_nothing(self):
         rule = tgd(Atom.of("p", X), Atom.of("missing", X))
         query = ConjunctiveQuery([Atom.of("t", A, B)], ())
-        assert list(applicable_atom_sets(rule, query)) == []
+        assert applicable_sets(rule, query) == []
 
 
 class TestFactorizability:

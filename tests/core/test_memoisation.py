@@ -1,27 +1,24 @@
-"""Engine memoisation: identical rewritings, fewer unifications.
+"""Engine memoisation: identical rewritings, and work that depends only on the query.
 
-The rename-apart pool, the applicability memo and the coverage memo are
-pure caches: with them on or off the engine must produce byte-identical
-rewritings.  These tests pin that equivalence, the soundness of the
-profile-keyed memo itself, and that the shape keys keep the memos bounded
-when queries differ only in their constants.
+The rename-apart pool and the coverage memo are pure caches: with them on
+or off the engine must produce byte-identical rewritings.  These tests pin
+that equivalence, that the shape keys keep the coverage memo bounded when
+queries differ only in their constants, and that a compile unifies as
+often on a fresh engine as on a warm one.
 """
 
 import pytest
 
-from repro.core.applicability import (
-    ApplicabilityMemo,
-    RenameApartCache,
-    applicable_atom_sets,
-    is_applicable,
-)
+from repro.api import resolve_engine_options
+from repro.core.applicability import RenameApartCache
 from repro.core.rewriter import TGDRewriter
 from repro.dependencies.tgd import tgd
+from repro.logic import unification
 from repro.logic.atoms import Atom
-from repro.logic.terms import Constant, Variable, VariableFactory
-from repro.logic.unification import UnificationMemo, atom_sequence_profile
+from repro.logic.terms import Constant, Variable
+from repro.logic.unification import atom_sequence_profile
 from repro.queries.parser import parse_query
-from repro.workloads import get_workload, stock_exchange_example
+from repro.workloads import get_workload
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -67,23 +64,6 @@ class TestAtomSequenceProfile:
         )
 
 
-class TestUnificationMemo:
-    def test_lookup_computes_once(self):
-        memo = UnificationMemo()
-        calls = []
-        for _ in range(3):
-            outcome = memo.lookup("key", lambda: calls.append(1) or "value")
-        assert outcome == "value"
-        assert len(calls) == 1
-        assert (memo.hits, memo.misses) == (2, 1)
-
-    def test_false_outcomes_are_cached_too(self):
-        memo = UnificationMemo()
-        assert memo.lookup("key", lambda: False) is False
-        assert memo.lookup("key", lambda: True) is False  # cached, not recomputed
-        assert memo.hits == 1
-
-
 class TestRenameApartCache:
     RULE = tgd(Atom.of("person", X), Atom.of("has_parent", X, Z))
 
@@ -109,51 +89,6 @@ class TestRenameApartCache:
         assert second is not first
 
 
-class TestApplicabilityMemoSoundness:
-    def test_memoised_answers_match_direct_answers(self):
-        # Drive both the memoised and the direct check over every candidate
-        # subset the running example's rewriting would enumerate.
-        theory = stock_exchange_example.theory()
-        rules = TGDRewriter(theory.tgds).rules
-        memo = ApplicabilityMemo()
-        fresh = VariableFactory(prefix="W")
-        queries = [
-            stock_exchange_example.running_query(),
-            parse_query("q() :- stock_portf(B, A, D), has_stock(A, B), fin_ins(A)"),
-        ]
-        checked = 0
-        for query in queries:
-            for key, rule in enumerate(rules):
-                renamed = rule.rename_apart(query.variables, fresh)
-                direct = {
-                    subset for subset in applicable_atom_sets(renamed, query)
-                }
-                memoised = {
-                    subset
-                    for subset in applicable_atom_sets(
-                        renamed, query, memo=memo, rule_key=key
-                    )
-                }
-                assert direct == memoised
-                checked += 1
-        assert checked == 2 * len(rules)
-
-    def test_rule_constants_are_told_apart(self):
-        # The head r(X, c) unifies with r(A, c) but not with r(A, d): the
-        # memo keeps c, a rule constant, by value.  Other constants are
-        # interchangeable, so d and e share one entry.
-        rule = tgd(Atom.of("p", X), Atom.of("r", X, Constant("c")))
-        memo = ApplicabilityMemo(rule.constants)
-        outcomes = []
-        for value in ("d", "c", "e"):
-            query = parse_query(f"q(A) :- r(A, {value}), s(A)")
-            direct = list(applicable_atom_sets(rule, query))
-            assert list(applicable_atom_sets(rule, query, memo=memo, rule_key=0)) == direct
-            outcomes.append(bool(direct))
-        assert outcomes == [False, True, False]
-        assert (memo.hits, memo.misses, len(memo)) == (1, 2, 2)
-
-
 @pytest.mark.parametrize("workload_name", ["V", "S", "U", "A", "P5"])
 class TestMemoisationPreservesSizes:
     def test_identical_rewriting_sizes_with_and_without_memo(self, workload_name):
@@ -177,8 +112,6 @@ class TestMemoisationPreservesSizes:
                 assert repr(memoised.auxiliary_queries) == repr(
                     plain.auxiliary_queries
                 ), label
-                assert memoised.statistics.unification_memo_hits >= 0
-                assert plain.statistics.unification_memo_hits == 0
                 assert plain.statistics.rename_cache_hits == 0
             if elimination:
                 assert without_memo.eliminator.checker.memo is None
@@ -189,7 +122,6 @@ class TestMemoisationPreservesSizes:
         total_hits = 0
         for name in workload.query_names:
             statistics = rewriter.rewrite(workload.query(name)).statistics
-            total_hits += statistics.unification_memo_hits
             total_hits += statistics.rename_cache_hits
         assert total_hits > 0
 
@@ -199,8 +131,8 @@ class TestMemosStayBounded:
 
     def test_constant_only_variants_add_no_entries(self):
         # Adolena q5 with its existential variable B bound to 30 different
-        # constants: keying constants by value would add a full set of
-        # applicability entries per constant (27 -> 810).
+        # constants: keying constants by value would add a set of coverage
+        # entries per constant.
         workload = get_workload("A")
         query = workload.query("q5")
         engine = TGDRewriter(workload.theory.tgds, use_elimination=True)
@@ -209,8 +141,38 @@ class TestMemosStayBounded:
         for index in range(30):
             variant = query.apply({Variable("B"): Constant(f"device_{index}")})
             result = engine.rewrite(variant)
-            sizes.append(
-                (len(engine.applicability_memo), len(coverage_memo), len(result.ucq))
-            )
-        assert sizes[0][0] > 0 and sizes[0][1] > 0
+            sizes.append((len(coverage_memo), len(result.ucq)))
+        assert sizes[0][0] > 0
         assert sizes == [sizes[0]] * len(sizes)
+
+
+def test_a_compiles_unifications_depend_only_on_its_query(monkeypatch):
+    # Each rewriting step unifies once, in Definition 1, so P5 q5 makes
+    # the same MGU calls whatever its engine compiled before.
+    calls = []
+    flat_mgu = unification.flat_mgu
+
+    def counted(atoms):
+        calls.append(1)
+        return flat_mgu(atoms)
+
+    monkeypatch.setattr(unification, "flat_mgu", counted)
+    workload = get_workload("P5")
+    options = resolve_engine_options(workload.theory)
+
+    def engine():
+        return TGDRewriter(
+            workload.theory,
+            use_elimination=options.use_elimination,
+            use_nc_pruning=options.use_nc_pruning,
+        )
+
+    fresh = engine()
+    fresh.rewrite(workload.query("q5"))
+    on_a_fresh_engine = len(calls)
+    warm = engine()
+    for name in ("q1", "q2", "q3", "q4"):
+        warm.rewrite(workload.query(name))
+    calls.clear()
+    warm.rewrite(workload.query("q5"))
+    assert (on_a_fresh_engine, len(calls)) == (409, 409)

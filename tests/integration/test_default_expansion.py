@@ -34,19 +34,19 @@ from repro.workloads import get_workload
 #: sha256 of the canonical JSON of P5 q5's TGD-rewrite* result (226 CQs
 #: in 5 generations): members, auxiliary queries and the deterministic
 #: statistics.
-P5_Q5 = "adf023ac73ef3a168715f17041ee8f7a5b9a9e1a7ee161c6baf457d170c08685"
+P5_Q5 = "33fff7b6e97d845ef087dc54c24d42189ec6b4fb59ae2f7d8074d9512c86c20c"
 
 #: The same digest of S q1-q5 under ``OBDASystem``'s default options.
 S_QUERIES = {
-    "q1": "b3154857daa3064d453d5d3f9701bfae1cd6eb789deb2c97c5f0ba4743cc5ce4",
-    "q2": "7886fe0831a7aae53ea4437ad18a6b209ec9fa8256a9d782401467b7cb6a7a1b",
-    "q3": "cdf57ba427508d3e27dc76d9a851ca0476fcb1286a8ee6c597d74f83ff63dc89",
-    "q4": "b6fdcc506d86279586e3c289193a0203b645a65b40205d762247a3048ff5671e",
-    "q5": "9d7bc5bf279a420d6a32637f2de44d2bc49e3d0a8680da5af48dd2681bbdb059",
+    "q1": "ed2e4fc948e465e042d1b9308269fbcb70bc8076e736cd6c15c337b58b8fe470",
+    "q2": "093fb1e7792c0a9d815fb7378130fa41cfc1a1aeae84ff7f1b41c0042e3bc6bc",
+    "q3": "9e8ac58adb14818d2a951871a4ad722b124aa101c59f69cdc4e9aef001c52bf9",
+    "q4": "aa3d7dd47f16d3cedad5e56924e409c04229c54a0313a399a7a3839e2cdfa963",
+    "q5": "d31c17b5849fb6a69fccce066ee13f7767b2822fd86b86a7e9cf29dd073ee801",
 }
 
 #: sha256 of the ``rewritings.jsonl`` a store-backed S batch writes.
-S_STORE = "7c776053a4837767b649b37aa74b67bc1521066d4908dfc93d8a8dd3df8e34ca"
+S_STORE = "36e38322216f7b919c9567ce30810d91d00b0df014f329931f4ce7fe7e3175f9"
 
 #: The serving tenant's facts, and the rows a cold ``/answer`` of each S
 #: query returns over them.

@@ -46,7 +46,6 @@ from repro.logic.canonical import (
     refine_variable_colors_reference,
 )
 from repro.logic.flat import FlatQuery, encode_query
-from repro.scheduling import SequentialStrategy
 from repro.workloads import get_workload
 from repro.logic.homomorphism import homomorphisms, homomorphisms_reference
 from repro.logic.unification import mgu, mgu_reference
@@ -119,18 +118,6 @@ TABLE1 = ("V", "S", "U", "A", "P5")
 CANDIDATE_CAP = 200
 
 
-class CandidateCollector(SequentialStrategy):
-    """The sequential strategy, keeping every candidate it expands."""
-
-    def __init__(self) -> None:
-        self.candidates = []
-
-    def expand_generation(self, engine, batch):
-        for expansion in super().expand_generation(engine, batch):
-            self.candidates.extend(expansion.candidates)
-            yield expansion
-
-
 def collect_candidates(engine: TGDRewriter, query) -> list:
     """Every candidate of *engine*'s run of the per-CQ reference kernel.
 
@@ -138,11 +125,19 @@ def collect_candidates(engine: TGDRewriter, query) -> list:
     (:mod:`repro.core.closures`), the corpus is the one the sweep was
     sized on.
     """
-    collector = CandidateCollector()
+    candidates = []
+    expand = TGDRewriter.expand
+
+    def collecting(engine, query):
+        expansion = expand(engine, query)
+        candidates.extend(expansion.candidates)
+        return expansion
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RenamingClosures, "table", {})
-        engine.rewrite(query, strategy=collector)
-    return collector.candidates
+        patch.setattr(TGDRewriter, "expand", collecting)
+        engine.rewrite(query)
+    return candidates
 
 
 def encoding(flat: FlatQuery) -> tuple:

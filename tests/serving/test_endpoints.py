@@ -90,6 +90,9 @@ class TestRegisterTheory:
             ({"tenant": "acme"}, "bad-theory"),
             ({"tenant": "acme", "tbox": TBOX, "workload": "S"}, "bad-theory"),
             ({"tenant": "acme", "tbox": "this is not an axiom"}, "bad-theory"),
+            ({"tenant": "acme", "tbox": 5}, "bad-theory"),
+            ({"tenant": "acme", "tbox": ["Student [= Person"]}, "bad-theory"),
+            ({"tenant": "acme", "workload": ["S"]}, "bad-theory"),
             ({"tenant": "acme", "tbox": TBOX, "facts": [["oops"]]}, "bad-facts"),
             (
                 {"tenant": "acme", "tbox": TBOX, "facts": [["Student", [["a"]]]]},
@@ -107,6 +110,20 @@ class TestRegisterTheory:
             # Nothing was built: no tenant, no artifact set.
             assert len(app.registry) == 0
             assert app.registry.artifact_sets() == ()
+
+        serve(body)
+
+    @pytest.mark.parametrize("field, value", [("tbox", 5), ("workload", ["S"])])
+    def test_a_theory_field_that_is_not_a_string_is_named(self, app, field, value):
+        async def body():
+            response = await app.request(
+                "POST", "/register-theory", {"tenant": "acme", field: value}
+            )
+            assert response.status == 400
+            assert response.payload["error"] == {
+                "code": "bad-theory",
+                "message": f"'{field}' must be a string",
+            }
 
         serve(body)
 

@@ -5,6 +5,8 @@ class goes over a real socket (query-string cursor included) through
 :class:`ServingServer`/:class:`ServingClient`.
 """
 
+import pytest
+
 from repro.serving import ServingApp, ServingClient, ServingServer
 
 from .conftest import register, serve
@@ -167,6 +169,28 @@ class TestChanges:
                 "POST", "/tenants/acme/unsubscribe", {"cursor": cursor}
             )
             assert response.status == 404
+
+        serve(body)
+
+    @pytest.mark.parametrize("endpoint", ["changes", "unsubscribe"])
+    def test_a_cursor_that_is_not_a_string_is_400(self, app, endpoint):
+        async def body():
+            await register(app, "acme")
+            cursor = (await subscribe(app, "acme"))["cursor"]
+            method = "GET" if endpoint == "changes" else "POST"
+            response = await app.request(
+                method, f"/tenants/acme/{endpoint}", {"cursor": [cursor]}
+            )
+            assert response.status == 400
+            assert response.payload["error"] == {
+                "code": "bad-request",
+                "message": "'cursor' must be a string",
+            }
+            # The subscription is still there.
+            response = await app.request(
+                "GET", "/tenants/acme/changes", {"cursor": cursor}
+            )
+            assert response.status == 200
 
         serve(body)
 

@@ -98,6 +98,21 @@ class TestTheoryUpdate:
         serve(body)
 
 
+    def test_a_tbox_that_is_not_a_string_is_400_and_builds_nothing(self, app):
+        async def body():
+            await register(app, "acme")
+            before = app.registry.get("acme").artifacts
+            response = await app.request(
+                "POST", "/tenants/acme/theory", {"tbox": ["x"]}
+            )
+            assert response.status == 400
+            assert response.payload["error"]["code"] == "bad-theory"
+            assert app.registry.get("acme").artifacts is before
+            assert app.registry.artifact_sets() == (before,)
+
+        serve(body)
+
+
 class TestEpochLifecycle:
     def test_old_artifacts_close_once_drained(self, app):
         async def body():
